@@ -22,9 +22,7 @@ import numpy as np
 
 from .problem import Problem, problem_from_json, problem_to_json, prufer_trace
 from .random import (
-    DEFAULT_QUANTILES,
     InsufficientOscillation,
-    MonteCarloReport,
     NotUnperturbedEigenvalue,
     TargetNotBracketed,
     UnsupportedSupport,
@@ -33,6 +31,7 @@ from .random import (
     ensemble_to_json,
     mismatch_samples,
     report_to_json,
+    summarize_mismatches,
 )
 from .sl2 import Mat2, NonUnimodular, iwasawa_compose, iwasawa_decompose
 from .spectra import (
@@ -77,6 +76,20 @@ def _number(obj, key, where):
     return float(v)
 
 
+def _integer(obj, key, where, minimum):
+    v = obj[key]
+    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
+        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}")
+    return v
+
+
+def _boolean(obj, key, where):
+    v = obj.get(key, False)
+    if not isinstance(v, bool):
+        raise ConfigError(f"{where}.{key} must be true or false")
+    return v
+
+
 def load_config(path):
     try:
         text = Path(path).read_text()
@@ -111,14 +124,14 @@ def parse_step_block(cfg) -> StepControl:
         return StepControl()
     block = cfg["step"]
     _check_keys(block, set(), {"tol", "max_refine", "max_steps"}, "step")
+    kwargs = {}
+    if "tol" in block:
+        kwargs["tol"] = _number(block, "tol", "step")
+    if "max_refine" in block:
+        kwargs["max_refine"] = _integer(block, "max_refine", "step", 0)
+    if "max_steps" in block:
+        kwargs["max_steps"] = _integer(block, "max_steps", "step", 1)
     try:
-        kwargs = {}
-        if "tol" in block:
-            kwargs["tol"] = _number(block, "tol", "step")
-        if "max_refine" in block:
-            kwargs["max_refine"] = int(block["max_refine"])
-        if "max_steps" in block:
-            kwargs["max_steps"] = int(block["max_steps"])
         return StepControl(**kwargs)
     except ValueError as exc:
         raise ConfigError(f"step: {exc}") from exc
@@ -224,11 +237,9 @@ def cmd_eigs(args):
     _check_keys(block, {"e_lo", "e_hi", "grid"}, {"tol", "classify"}, "eigs")
     e_lo = _number(block, "e_lo", "eigs")
     e_hi = _number(block, "e_hi", "eigs")
-    grid = block["grid"]
-    if not isinstance(grid, int) or grid < 2:
-        raise ConfigError("eigs.grid must be an integer >= 2")
+    grid = _integer(block, "grid", "eigs", 2)
     tol = _number(block, "tol", "eigs") if "tol" in block else 1e-10
-    classify = bool(block.get("classify", False))
+    classify = _boolean(block, "classify", "eigs")
     if not e_lo < e_hi:
         raise ConfigError("eigs needs e_lo < e_hi")
     reports = eigenvalues_in_range(prob, e_lo, e_hi, grid, tol, step)
@@ -265,8 +276,8 @@ def cmd_dichotomy(args):
     block = _get_block(cfg, "dichotomy")
     _check_keys(block, {"energy", "site"}, {"tol"}, "dichotomy")
     e = _number(block, "energy", "dichotomy")
-    site = block["site"]
-    if not isinstance(site, int) or not 0 <= site < len(prob.interactions):
+    site = _integer(block, "site", "dichotomy", 0)
+    if site >= len(prob.interactions):
         raise ConfigError(f"dichotomy.site must be an index into the "
                           f"{len(prob.interactions)} interaction(s)")
     tol = _number(block, "tol", "dichotomy") if "tol" in block else 1e-6
@@ -318,29 +329,17 @@ def cmd_montecarlo(args):
         raise ConfigError(f"montecarlo.ensemble: {exc}") from exc
     if args.seed is not None:
         ensemble = replace(ensemble, seed=args.seed)
-    samples = block["samples"]
-    if not isinstance(samples, int) or samples < 1:
-        raise ConfigError("montecarlo.samples must be a positive integer")
+    samples = _integer(block, "samples", "montecarlo", 1)
     epsilon = _number(block, "epsilon", "montecarlo")
     if epsilon <= 0:
         raise ConfigError("montecarlo.epsilon must be positive")
-    bins = block.get("bins", 50)
-    if not isinstance(bins, int) or bins < 1:
-        raise ConfigError("montecarlo.bins must be a positive integer")
+    bins = _integer(block, "bins", "montecarlo", 1) if "bins" in block else 50
     if len(ensemble.sites) != len(prob.interactions):
         raise ConfigError(f"ensemble has {len(ensemble.sites)} sites but the "
                           f"problem has {len(prob.interactions)} interactions")
     mismatches, failures = mismatch_samples(prob, e, ensemble, samples, step,
                                             workers=args.workers)
-    hits = sum(1 for m in mismatches if m <= epsilon)
-    if mismatches:
-        arr = np.sort(np.asarray(mismatches))
-        qs = tuple((q, float(np.quantile(arr, q))) for q in DEFAULT_QUANTILES)
-    else:
-        qs = ()
-    report = MonteCarloReport(samples=samples, hits=hits, epsilon=epsilon,
-                              mismatch_quantiles=qs, seed=ensemble.seed,
-                              failures=failures)
+    report = summarize_mismatches(mismatches, failures, epsilon, ensemble.seed)
     doc = {"schema": 1, "command": "montecarlo", "energy": e,
            "ensemble": ensemble_to_json(ensemble),
            "report": report_to_json(report)}
@@ -377,7 +376,7 @@ def cmd_degenerate(args):
             or not thetas or len(thetas) != len(rs)):
         raise ConfigError("degenerate.thetas and .rs must be nonempty lists "
                           "of equal length")
-    allow = bool(block.get("allow_non_eigenvalue", False))
+    allow = _boolean(block, "allow_non_eigenvalue", "degenerate")
     built = construct_degenerate(prob.potential, e,
                                  [float(t) for t in thetas],
                                  [float(r) for r in rs],

@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .problem import PointInteraction, Problem, _renormalized, with_site_params
+from .problem import PointInteraction, Problem, _continue_lift, _renormalized
 from .sl2 import IwasawaParams, ProjPoint, proj_class
 from .spectra import eigen_test
 from .transfer import DEFAULT_STEP, StepControl, propagate_state
@@ -196,10 +196,9 @@ def sample_realization(ensemble: Ensemble, sample_index: int):
 
 def _apply_realization(problem, ensemble, values) -> Problem:
     field = {"lambda": "alpha", "r": "r", "theta": "theta"}[ensemble.target]
-    out = problem
-    for i, v in enumerate(values):
-        out = with_site_params(out, i, **{field: v})
-    return out
+    sites = tuple(PointInteraction(s.x, replace(s.params, **{field: v}))
+                  for s, v in zip(problem.interactions, values))
+    return replace(problem, interactions=sites)
 
 
 def _mc_chunk(args):
@@ -265,10 +264,23 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
     return mismatches, failures
 
 
+def summarize_mismatches(mismatches, failures: int, epsilon: float,
+                         seed: int) -> MonteCarloReport:
+    """Hit count at epsilon and DEFAULT_QUANTILES of one run's mismatches."""
+    hits = sum(1 for m in mismatches if m <= epsilon)
+    if mismatches:
+        arr = np.sort(np.asarray(mismatches))
+        qs = tuple((q, float(np.quantile(arr, q))) for q in DEFAULT_QUANTILES)
+    else:
+        qs = ()
+    return MonteCarloReport(samples=len(mismatches) + failures, hits=hits,
+                            epsilon=epsilon, mismatch_quantiles=qs, seed=seed,
+                            failures=failures)
+
+
 def monte_carlo(problem: Problem, e: float, ensemble: Ensemble, n_samples: int,
                 epsilon: float, step: StepControl = DEFAULT_STEP,
-                workers: int = 1,
-                quantiles=DEFAULT_QUANTILES) -> MonteCarloReport:
+                workers: int = 1) -> MonteCarloReport:
     """Substitute each realization into the problem and count near-eigenvalues.
 
     Propagation failures are counted separately, never as hits.  The report
@@ -279,25 +291,13 @@ def monte_carlo(problem: Problem, e: float, ensemble: Ensemble, n_samples: int,
         raise ValueError("epsilon must be positive")
     mismatches, failures = mismatch_samples(problem, e, ensemble, n_samples,
                                             step, workers)
-    hits = sum(1 for m in mismatches if m <= epsilon)
-    if mismatches:
-        arr = np.sort(np.asarray(mismatches))
-        qs = tuple((q, float(np.quantile(arr, q))) for q in quantiles)
-    else:
-        qs = ()
-    return MonteCarloReport(samples=n_samples, hits=hits, epsilon=epsilon,
-                            mismatch_quantiles=qs, seed=ensemble.seed,
-                            failures=failures)
+    return summarize_mismatches(mismatches, failures, epsilon, ensemble.seed)
 
 
 # ------------------------------------------------------- oscillation machinery
 
 def _unit(state):
     return _renormalized(state, 0.0)[0]
-
-
-def _lift_step(prev, raw):
-    return raw + math.pi * round((prev - raw) / math.pi)
 
 
 def _bisect_zero(v, left_state, x_right, e, step):
@@ -374,7 +374,7 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     for i in range(1, n + 1):
         xi = t1 + (t2 - t1) * i / n
         s = _unit(propagate_state(v, sa, xi, e, step))
-        lift = _lift_step(la, math.atan2(s.u, s.du))
+        lift = _continue_lift(la, math.atan2(s.u, s.du))
         if lift >= goal:
             bracket = (xa, xi)
             break
@@ -386,7 +386,7 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     while xb - xa > 1e-12:
         mid = 0.5 * (xa + xb)
         sm = _unit(propagate_state(v, sa, mid, e, step))
-        lm = _lift_step(la, math.atan2(sm.u, sm.du))
+        lm = _continue_lift(la, math.atan2(sm.u, sm.du))
         if lm >= goal:
             xb = mid
         else:

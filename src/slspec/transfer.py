@@ -5,7 +5,10 @@ unimodular because the Wronskian of the two canonical solutions is constant.
 Piecewise-constant potentials are propagated exactly, piece by piece, with
 the closed-form constant-coefficient solution; sampled (grid) potentials use
 a fixed-step classic fourth-order method whose step is halved until two
-successive answers agree within the requested tolerance.
+successive answers agree within the requested tolerance.  The route follows
+the potential's kind alone.  transfer_matrix (two identity columns) and
+propagate_state (one column) share one walker, so both run the same
+arithmetic on the same segment data.
 """
 
 from __future__ import annotations
@@ -42,6 +45,8 @@ class StepControl:
     def __post_init__(self):
         if not self.tol > 0.0:
             raise ValueError("tolerance must be positive")
+        if self.max_refine < 0 or self.max_steps < 1:
+            raise ValueError("need max_refine >= 0 and max_steps >= 1")
 
     def base_step(self) -> float:
         return self.tol ** 0.25
@@ -239,159 +244,93 @@ def _walk_points(v, y, x):
     return [y] + cuts + [x]
 
 
-def _exact_matrix(v, x, y, e):
+def _propagate(v, y, x, e, step, cols):
+    """Carry each (u, u') column in cols from y to x along one shared walk.
+
+    The segment data is built once for all columns: the exact piece matrices
+    for piecewise-constant potentials, otherwise the potential samples of
+    each fixed-step RK4 pass.  The RK4 step is halved until two successive
+    passes agree within step.tol, entrywise relative to max(1, |entries|).
+    """
+    _check_domain(v, x)
+    _check_domain(v, y)
+    if x == y:
+        return cols
     pts = _walk_points(v, y, x)
-    m = Mat2.identity()
-    for p, q in zip(pts, pts[1:]):
-        if q == p:
-            continue
-        m = _const_coeff_matrix(e - v(0.5 * (p + q)), q - p) @ m
-    return m
-
-
-def _rk4_matrix_pass(v, pts, e, h_target):
-    """One fixed-step pass integrating the fundamental matrix M' = [[0,1],[V-E,0]] M."""
-    a, b, c, d = 1.0, 0.0, 0.0, 1.0
-    for p, q in zip(pts, pts[1:]):
-        if q == p:
-            continue
-        n = max(1, math.ceil(abs(q - p) / h_target))
-        h = (q - p) / n
-        for i in range(n):
-            # positional stepping keeps the endpoints exactly inside the domain
-            x = p + (q - p) * i / n
-            x1 = q if i == n - 1 else p + (q - p) * (i + 1) / n
-            w0 = v(x) - e
-            wh = v(x + 0.5 * h) - e
-            w1 = v(x1) - e
-            # k = (a', b', c', d') with a' = c, b' = d, c' = w a, d' = w b
-            k1a, k1b, k1c, k1d = c, d, w0 * a, w0 * b
-            a2, b2, c2, d2 = (a + 0.5 * h * k1a, b + 0.5 * h * k1b,
-                              c + 0.5 * h * k1c, d + 0.5 * h * k1d)
-            k2a, k2b, k2c, k2d = c2, d2, wh * a2, wh * b2
-            a3, b3, c3, d3 = (a + 0.5 * h * k2a, b + 0.5 * h * k2b,
-                              c + 0.5 * h * k2c, d + 0.5 * h * k2d)
-            k3a, k3b, k3c, k3d = c3, d3, wh * a3, wh * b3
-            a4, b4, c4, d4 = a + h * k3a, b + h * k3b, c + h * k3c, d + h * k3d
-            k4a, k4b, k4c, k4d = c4, d4, w1 * a4, w1 * b4
-            a += h * (k1a + 2 * k2a + 2 * k3a + k4a) / 6.0
-            b += h * (k1b + 2 * k2b + 2 * k3b + k4b) / 6.0
-            c += h * (k1c + 2 * k2c + 2 * k3c + k4c) / 6.0
-            d += h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
-    return Mat2(a, b, c, d)
-
-
-def _rk4_state_pass(v, pts, e, h_target, u, du):
-    for p, q in zip(pts, pts[1:]):
-        if q == p:
-            continue
-        n = max(1, math.ceil(abs(q - p) / h_target))
-        h = (q - p) / n
-        for i in range(n):
-            x = p + (q - p) * i / n
-            x1 = q if i == n - 1 else p + (q - p) * (i + 1) / n
-            w0 = v(x) - e
-            wh = v(x + 0.5 * h) - e
-            w1 = v(x1) - e
-            k1u, k1d = du, w0 * u
-            u2, d2 = u + 0.5 * h * k1u, du + 0.5 * h * k1d
-            k2u, k2d = d2, wh * u2
-            u3, d3 = u + 0.5 * h * k2u, du + 0.5 * h * k2d
-            k3u, k3d = d3, wh * u3
-            u4, d4 = u + h * k3u, du + h * k3d
-            k4u, k4d = d4, w1 * u4
-            u += h * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
-            du += h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
-    return u, du
-
-
-def _refine(step, pts, one_pass, diff):
-    """Halve the step until two successive passes agree within step.tol."""
+    if v.is_piecewise_constant:
+        mats = [_const_coeff_matrix(e - v(0.5 * (p + q)), q - p)
+                for p, q in zip(pts, pts[1:])]
+        out = []
+        for u, du in cols:
+            for m in mats:
+                u, du = m.a * u + m.b * du, m.c * u + m.d * du
+            out.append((u, du))
+        return out
     length = sum(abs(q - p) for p, q in zip(pts, pts[1:]))
-    h = step.base_step()
+    h_target = step.base_step()
     prev = None
     for _ in range(step.max_refine + 1):
-        if length / h > step.max_steps:
+        if length / h_target > step.max_steps:
             raise IntegrationFailure(
                 f"step budget {step.max_steps} exhausted before tolerance {step.tol}")
-        cur = one_pass(h)
-        if prev is not None and diff(cur, prev) <= step.tol:
-            return cur
+        # (h, V(x) - E, V(x + h/2) - E, V(x + h) - E) for every step of the pass
+        steps = []
+        for p, q in zip(pts, pts[1:]):
+            n = max(1, math.ceil(abs(q - p) / h_target))
+            h = (q - p) / n
+            for i in range(n):
+                # positional stepping keeps the endpoints exactly inside the domain
+                x0 = p + (q - p) * i / n
+                x1 = q if i == n - 1 else p + (q - p) * (i + 1) / n
+                steps.append((h, v(x0) - e, v(x0 + 0.5 * h) - e, v(x1) - e))
+        cur = []
+        for u, du in cols:
+            # classic RK4 on u' = du, du' = (V - E) u
+            for h, w0, wh, w1 in steps:
+                k1u, k1d = du, w0 * u
+                u2, d2 = u + 0.5 * h * k1u, du + 0.5 * h * k1d
+                k2u, k2d = d2, wh * u2
+                u3, d3 = u + 0.5 * h * k2u, du + 0.5 * h * k2d
+                k3u, k3d = d3, wh * u3
+                u4, d4 = u + h * k3u, du + h * k3d
+                k4u, k4d = d4, w1 * u4
+                u += h * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
+                du += h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
+            cur.append((u, du))
+        if prev is not None:
+            scale = max(1.0, max(abs(t) for col in prev for t in col))
+            change = max(abs(s - t) for c, d in zip(cur, prev) for s, t in zip(c, d))
+            if change / scale <= step.tol:
+                return cur
         prev = cur
-        h *= 0.5
+        h_target *= 0.5
     raise IntegrationFailure(
         f"no convergence within {step.max_refine} refinements at tolerance {step.tol}")
 
 
-def transfer_matrix(v, x, y, e, step: StepControl = DEFAULT_STEP,
-                    method: str = "auto", project_sl2: bool = False) -> Mat2:
+def transfer_matrix(v, x, y, e, step: StepControl = DEFAULT_STEP) -> Mat2:
     """M(x, y; E): columns are the solutions with identity data at y, evaluated at x.
 
-    method 'auto' propagates piecewise-constant potentials exactly and grid
-    potentials with the step-controlled integrator; 'exact' and 'rk4' force
-    one route.  Determinant drift is checked against 10x the tolerance and
-    never repaired silently; project_sl2=True rescales by det**-0.5.
+    Determinant drift is checked against 10x the tolerance and never
+    repaired silently.
     """
-    if method not in ("auto", "exact", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_domain(v, x)
-    _check_domain(v, y)
-    if x == y:
-        return Mat2.identity()
-    if method == "exact" and not v.is_piecewise_constant:
-        raise ValueError("exact propagation needs a piecewise-constant potential")
-    use_exact = method == "exact" or (method == "auto" and v.is_piecewise_constant)
-    if use_exact:
-        m = _exact_matrix(v, x, y, e)
-    else:
-        pts = _walk_points(v, y, x)
-
-        def mat_diff(p, q):
-            scale = max(1.0, max(abs(t) for t in q.entries()))
-            return max(abs(s - t) for s, t in zip(p.entries(), q.entries())) / scale
-
-        m = _refine(step, pts, lambda h: _rk4_matrix_pass(v, pts, e, h), mat_diff)
+    (a, c), (b, d) = _propagate(v, y, x, e, step, ((1.0, 0.0), (0.0, 1.0)))
+    m = Mat2(a, b, c, d)
     # det is a quadratic form in the entries, so its roundoff floor scales
     # with the squared matrix size
     det_scale = max(1.0, max(abs(t) for t in m.entries()) ** 2)
     if abs(m.det - 1.0) > 10.0 * step.tol * det_scale:
         raise IntegrationFailure(
             f"determinant drift {m.det - 1.0:.3e} exceeds 10x tolerance {step.tol}")
-    if project_sl2:
-        s = 1.0 / math.sqrt(m.det)
-        m = Mat2(m.a * s, m.b * s, m.c * s, m.d * s)
     return m
 
 
 def propagate_state(v, state: SolutionState, x_target, e,
-                    step: StepControl = DEFAULT_STEP, method: str = "auto") -> SolutionState:
+                    step: StepControl = DEFAULT_STEP) -> SolutionState:
     """Carry a single solution from state.x to x_target by direct integration.
 
     Agrees with applying transfer_matrix(v, x_target, state.x, e) to (u, u')
-    within the integration tolerance, at half the cost.
+    within the integration tolerance, integrating one column instead of two.
     """
-    if method not in ("auto", "exact", "rk4"):
-        raise ValueError(f"unknown method {method!r}")
-    _check_domain(v, state.x)
-    _check_domain(v, x_target)
-    if x_target == state.x:
-        return state
-    if method == "exact" and not v.is_piecewise_constant:
-        raise ValueError("exact propagation needs a piecewise-constant potential")
-    use_exact = method == "exact" or (method == "auto" and v.is_piecewise_constant)
-    pts = _walk_points(v, state.x, x_target)
-    if use_exact:
-        u, du = state.u, state.du
-        for p, q in zip(pts, pts[1:]):
-            if q == p:
-                continue
-            u, du = _const_coeff_matrix(e - v(0.5 * (p + q)), q - p).apply((u, du))
-    else:
-        def vec_diff(p, q):
-            scale = max(1.0, abs(q[0]), abs(q[1]))
-            return max(abs(p[0] - q[0]), abs(p[1] - q[1])) / scale
-
-        u, du = _refine(step, pts,
-                        lambda h: _rk4_state_pass(v, pts, e, h, state.u, state.du),
-                        vec_diff)
-    return SolutionState(x_target, u, du)
+    ((u, du),) = _propagate(v, state.x, x_target, e, step, ((state.u, state.du),))
+    return state if x_target == state.x else SolutionState(x_target, u, du)

@@ -42,6 +42,7 @@ from slspec.spectra import (
 )
 from slspec.transfer import (
     ConstantPotential,
+    GridPotential,
     PiecewisePotential,
     SolutionState,
     propagate_state,
@@ -113,14 +114,14 @@ def free_closed_form(e, dx):
 
 @criterion(2, "transfer matrices: closed forms, cocycle, inverse, Wronskian")
 def test_criterion_2_transfer():
-    free = ConstantPotential(0.0)
-    for e in (-4.0, -1.0, 0.25, 1.0, 9.0):
-        for dx in (-10.0, -3.3, 0.7, 4.2, 10.0):
-            want = free_closed_form(e, dx)
-            for method in ("exact", "rk4"):
-                m = transfer_matrix(free, dx, 0.0, e, method=method)
+    # the constant takes the exact route, the two-node zero grid the RK4 route
+    for free in (ConstantPotential(0.0), GridPotential((-10.0, 10.0), (0.0, 0.0))):
+        for e in (-4.0, -1.0, 0.25, 1.0, 9.0):
+            for dx in (-10.0, -3.3, 0.7, 4.2, 10.0):
+                want = free_closed_form(e, dx)
+                m = transfer_matrix(free, dx, 0.0, e)
                 for got, ref in zip(m.entries(), want):
-                    assert abs(got - ref) <= 1e-6 * max(1.0, abs(ref)), (e, dx, method)
+                    assert abs(got - ref) <= 1e-6 * max(1.0, abs(ref)), (e, dx, free)
 
     rng = np.random.default_rng(1002)
     for _ in range(1000):

@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from slspec.cli import main
 from slspec.problem import problem_from_json
 from slspec.spectra import eigen_test
@@ -310,6 +312,63 @@ def test_transfer_prufer_trace_csv(tmp_path):
     assert lines[0] == "x,phi"
     x, phi = map(float, lines[-1].split(","))
     assert abs(x - PI) < 1e-12 and abs(phi - PI) < 1e-9
+
+
+# ----------------------------------------------------------------- validation
+
+GRID_PROBLEM = {
+    "a": 0.0, "b": PI,
+    "potential": {"kind": "grid", "x": [0.0, PI], "values": [0.0, 0.0]},
+    "interactions": [],
+    "bc_left": 0.0, "bc_right": 0.0,
+}
+IDENTITY_SITES = [{"x": x, "alpha": 0.0, "r": 1.0, "theta": 0.0} for x in (1.0, 2.0)]
+SMALL_EIGS = {"e_lo": 0.5, "e_hi": 5.0, "grid": 4}
+MC_BLOCK = {
+    "energy": 4.0,
+    "ensemble": {"target": "lambda",
+                 "sites": [{"kind": "uniform", "lo": -1.0, "hi": 1.0}] * 2,
+                 "seed": 5},
+    "samples": 3,
+    "epsilon": 1e-6,
+}
+
+# every integer field rejects bools and non-integers, every flag needs a JSON
+# boolean, and step limits below their minimum are config errors
+BAD_CONFIGS = {
+    "dichotomy-site-bool": ("dichotomy", {
+        "problem": box_problem_doc(IDENTITY_SITES),
+        "dichotomy": {"energy": 4.0, "site": True}}),
+    "montecarlo-samples-bool": ("montecarlo", {
+        "problem": box_problem_doc(IDENTITY_SITES),
+        "montecarlo": {**MC_BLOCK, "samples": True}}),
+    "montecarlo-bins-bool": ("montecarlo", {
+        "problem": box_problem_doc(IDENTITY_SITES),
+        "montecarlo": {**MC_BLOCK, "bins": True}}),
+    "step-max-refine-float": ("eigs", {
+        "problem": GRID_PROBLEM, "step": {"max_refine": 2.7}, "eigs": SMALL_EIGS}),
+    "step-max-refine-bool": ("eigs", {
+        "problem": GRID_PROBLEM, "step": {"max_refine": True}, "eigs": SMALL_EIGS}),
+    "step-max-refine-negative": ("eigs", {
+        "problem": GRID_PROBLEM, "step": {"max_refine": -1}, "eigs": SMALL_EIGS}),
+    "step-max-steps-zero": ("eigs", {
+        "problem": GRID_PROBLEM, "step": {"max_steps": 0}, "eigs": SMALL_EIGS}),
+    "eigs-classify-string": ("eigs", {
+        "problem": box_problem_doc(IDENTITY_SITES),
+        "eigs": {**SMALL_EIGS, "classify": "no"}}),
+    "degenerate-allow-int": ("degenerate", {
+        "problem": {**box_problem_doc(), "b": 4 * PI},
+        "degenerate": {"energy": 1.0, "thetas": [0.0], "rs": [1.0],
+                       "allow_non_eigenvalue": 1}}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CONFIGS))
+def test_mistyped_config_fields_exit_2(name, tmp_path, capsys):
+    command, blocks = BAD_CONFIGS[name]
+    path = write_config(tmp_path, {"schema": 1, **blocks})
+    assert run("--quiet", "--config", path, command) == 2
+    assert "error" in capsys.readouterr().err
 
 
 def test_config_required(capsys):

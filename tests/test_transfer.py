@@ -83,13 +83,14 @@ def test_zero_energy_edge_case():
 
 
 def test_rk4_route_matches_closed_form():
-    # Independent route: force the step-controlled integrator on a constant
-    # potential and compare against the closed form.
-    for e in (-4.0, -1.0, 0.25, 1.0, 9.0):
-        for dx in (-2.0, 1.0, 3.7):
-            m = transfer_matrix(ConstantPotential(0.0), dx, 0.0, e, method="rk4")
-            for got, want in zip(entries(m), flat(free_matrix(e, dx))):
-                assert abs(got - want) < 1e-7 * max(1.0, abs(want))
+    # Independent route: a two-node zero grid takes the step-controlled
+    # integrator on the free particle; both routes must match the closed form.
+    for free in (ConstantPotential(0.0), GridPotential((-10.0, 10.0), (0.0, 0.0))):
+        for e in (-4.0, -1.0, 0.25, 1.0, 9.0):
+            for dx in (-2.0, 1.0, 3.7):
+                m = transfer_matrix(free, dx, 0.0, e)
+                for got, want in zip(entries(m), flat(free_matrix(e, dx))):
+                    assert abs(got - want) < 1e-7 * max(1.0, abs(want))
 
 
 def test_grid_potential_matches_exact_on_constant():
@@ -211,20 +212,6 @@ def test_integration_failure_on_impossible_tolerance():
     with pytest.raises(IntegrationFailure):
         transfer_matrix(g, 1.0, 0.0, 1.0,
                         step=StepControl(tol=1e-18, max_refine=20, max_steps=50_000))
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        transfer_matrix(ConstantPotential(0.0), 1.0, 0.0, 1.0, method="euler")
-    with pytest.raises(ValueError):
-        transfer_matrix(GridPotential((0, 1), (0, 0)), 1.0, 0.0, 1.0, method="exact")
-
-
-def test_project_sl2_flag():
-    g = GridPotential(tuple(np.linspace(0, 2, 21)),
-                      tuple(np.cos(np.linspace(0, 2, 21))))
-    m = transfer_matrix(g, 2.0, 0.0, 3.0, project_sl2=True)
-    assert abs(m.det - 1.0) < 1e-13
 
 
 def test_potential_validation():
