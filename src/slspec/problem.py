@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .sl2 import IwasawaParams, ProjPoint, iwasawa_compose
 from .transfer import (
     DEFAULT_STEP,
@@ -104,15 +106,26 @@ class PropagationResult:
 
 
 def _renormalized(state, log_scale):
+    if isinstance(state.u, np.ndarray):
+        # lanes are scaled one by one with math, as a lone state would be
+        norms = [math.hypot(u, du) for u, du in zip(state.u.tolist(), state.du.tolist())]
+        n = np.array([t if t != 0.0 else 1.0 for t in norms])
+        logs = np.array([math.log(t) if t != 0.0 else 0.0 for t in norms])
+        return SolutionState(state.x, state.u / n, state.du / n), log_scale + logs
     n = math.hypot(state.u, state.du)
     if n == 0.0:
         return state, log_scale
     return SolutionState(state.x, state.u / n, state.du / n), log_scale + math.log(n)
 
 
-def propagate_through(problem: Problem, e: float, initial: SolutionState,
+def propagate_through(problem: Problem, e, initial: SolutionState,
                       step: StepControl = DEFAULT_STEP) -> PropagationResult:
-    """Alternate smooth propagation with jump matrices, left endpoint to right."""
+    """Alternate smooth propagation with jump matrices, left endpoint to right.
+
+    e may be a 1-D array of energies: the states then hold one lane per
+    energy (see transfer._propagate), each equal bit for bit to the run of
+    that energy alone.
+    """
     if initial.x != problem.a:
         raise ValueError(f"initial state must sit at a = {problem.a}, got {initial.x}")
     if initial.u == 0.0 and initial.du == 0.0:
@@ -171,7 +184,7 @@ def prufer_trace(problem: Problem, e: float, initial: SolutionState,
         h = min(resolution, 0.45 / bound)
         n = max(1, math.ceil((x_stop - seg_lo) / h))
         for i in range(1, n + 1):
-            xi = seg_lo + (x_stop - seg_lo) * i / n
+            xi = min(seg_lo + (x_stop - seg_lo) * i / n, x_stop)
             state = propagate_state(v, state, xi, e, step)
             state, _ = _renormalized(state, 0.0)
             phi = _continue_lift(phi, math.atan2(state.u, state.du))

@@ -296,10 +296,6 @@ def monte_carlo(problem: Problem, e: float, ensemble: Ensemble, n_samples: int,
 
 # ------------------------------------------------------- oscillation machinery
 
-def _unit(state):
-    return _renormalized(state, 0.0)[0]
-
-
 def _bisect_zero(v, left_state, x_right, e, step):
     """Refine the single sign change of u inside (left_state.x, x_right]."""
     state = left_state
@@ -311,7 +307,7 @@ def _bisect_zero(v, left_state, x_right, e, step):
         if ms.u == 0.0:
             return mid
         if (ms.u > 0) == (ul > 0):
-            lo, state = mid, _unit(ms)
+            lo, state = mid, _renormalized(ms, 0.0)[0]
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -330,13 +326,13 @@ def zeros_of_eigenfunction(problem: Problem, e: float,
         raise ValueError("zeros are computed on the interaction-free problem")
     v = problem.potential
     a, b = problem.a, problem.b
-    state = _unit(problem.initial_state())
+    state = _renormalized(problem.initial_state(), 0.0)[0]
     bound = max(1.0, abs(e) + v.abs_bound(a, b))
     n = max(2, math.ceil((b - a) * bound / 0.45))
     zeros = []
     for i in range(1, n + 1):
-        xi = a + (b - a) * i / n
-        nxt = _unit(propagate_state(v, state, xi, e, step))
+        xi = min(a + (b - a) * i / n, b)
+        nxt = _renormalized(propagate_state(v, state, xi, e, step), 0.0)[0]
         if nxt.u == 0.0:
             zeros.append(xi)
         elif state.u != 0.0 and (state.u > 0) != (nxt.u > 0):
@@ -358,7 +354,8 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     if not problem.a <= t1 < t2 <= problem.b:
         raise ValueError(f"need a <= t1 < t2 <= b, got [{t1}, {t2}]")
     v = problem.potential
-    state = _unit(propagate_state(v, problem.initial_state(), t1, e, step))
+    state = propagate_state(v, problem.initial_state(), t1, e, step)
+    state = _renormalized(state, 0.0)[0]
     if abs(state.u) > 1e-6:
         raise TargetNotBracketed(f"u(t1) = {state.u:.3e}, t1 is not a zero")
     phi1 = math.atan2(state.u, state.du)
@@ -372,8 +369,8 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     xa, sa, la = t1, state, phi1
     bracket = None
     for i in range(1, n + 1):
-        xi = t1 + (t2 - t1) * i / n
-        s = _unit(propagate_state(v, sa, xi, e, step))
+        xi = min(t1 + (t2 - t1) * i / n, t2)
+        s = _renormalized(propagate_state(v, sa, xi, e, step), 0.0)[0]
         lift = _continue_lift(la, math.atan2(s.u, s.du))
         if lift >= goal:
             bracket = (xa, xi)
@@ -385,7 +382,7 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     xa, xb = bracket
     while xb - xa > 1e-12:
         mid = 0.5 * (xa + xb)
-        sm = _unit(propagate_state(v, sa, mid, e, step))
+        sm = _renormalized(propagate_state(v, sa, mid, e, step), 0.0)[0]
         lm = _continue_lift(la, math.atan2(sm.u, sm.du))
         if lm >= goal:
             xb = mid
@@ -425,7 +422,8 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
         if base.initial_state().u == 0.0:
             zeros = [a] + zeros
         if len(zeros) < need:
-            tail = _unit(propagate_state(v, base.initial_state(), b, e, step))
+            tail = propagate_state(v, base.initial_state(), b, e, step)
+            tail = _renormalized(tail, 0.0)[0]
             if abs(tail.u) <= 1e-6:
                 zeros = zeros + [b]
     if len(zeros) < need:

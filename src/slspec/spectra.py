@@ -4,6 +4,10 @@ E is an eigenvalue exactly when the solution admitted by the left boundary
 angle, pushed through every jump, lands on the right boundary class.  In
 floating point that membership is tolerance-relative, so every report
 carries the raw angular mismatch for consumers to re-threshold.
+
+The eigenvalue scan evaluates its grid energies as one batch of lanes (see
+transfer), each equal bit for bit to that energy alone; bisection and the
+reports run one energy at a time.
 """
 
 from __future__ import annotations
@@ -69,13 +73,27 @@ def matching_gamma(problem: Problem, e: float,
     return proj_class(res.final.u, res.final.du)
 
 
-def boundary_mismatch(problem: Problem, e: float,
-                      step: StepControl = DEFAULT_STEP) -> float:
-    """Signed angular defect at b in (-pi/2, pi/2]; vanishes exactly at eigenvalues."""
-    d = (matching_gamma(problem, e, step).angle - problem.bc_right.angle) % math.pi
+def _signed_defect(problem, gamma):
+    d = (gamma.angle - problem.bc_right.angle) % math.pi
     if d > WRAP_GUARD:
         d -= math.pi
     return d
+
+
+def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
+    """Signed angular defect at b in (-pi/2, pi/2]; vanishes exactly at eigenvalues.
+
+    e may also be a 1-D array of energies; they are propagated together as
+    lanes and the result is the list of their defects, each equal bit for
+    bit to the defect of that energy alone.
+    """
+    if not isinstance(e, np.ndarray):
+        return _signed_defect(problem, matching_gamma(problem, e, step))
+    # Python floats overflow to inf and nan without a word; so do the lanes
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = propagate_through(problem, e, problem.initial_state(), step).final
+    return [_signed_defect(problem, proj_class(u, du))
+            for u, du in zip(final.u.tolist(), final.du.tolist())]
 
 
 def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
@@ -83,10 +101,12 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
                          step: StepControl = DEFAULT_STEP):
     """Eigenvalues found by bracketing sign changes of the signed mismatch.
 
-    The mismatch is evaluated at `grid` equispaced energies; each sign change
-    that is not a wrap-around of the cut is refined by bisection until the
-    energy bracket is narrower than tol.  Complete only up to the grid
-    resolution: roots closer together than one grid cell can be missed.
+    The mismatch is evaluated at `grid` equispaced energies, all in one
+    batched propagation with one lane per energy; each sign change that is
+    not a wrap-around of the cut is refined by bisection, one energy at a
+    time, until the energy bracket is narrower than tol.  Complete only up
+    to the grid resolution: roots closer together than one grid cell can be
+    missed.
     """
     if not e_lo < e_hi:
         raise ValueError("need e_lo < e_hi")
@@ -95,7 +115,7 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     es = [e_lo + (e_hi - e_lo) * i / (grid - 1) for i in range(grid)]
-    ms = [boundary_mismatch(problem, e, step) for e in es]
+    ms = boundary_mismatch(problem, np.array(es), step)
     found = []
     for i in range(grid - 1):
         m0, m1 = ms[i], ms[i + 1]

@@ -9,6 +9,14 @@ successive answers agree within the requested tolerance.  The route follows
 the potential's kind alone.  transfer_matrix (two identity columns) and
 propagate_state (one column) share one walker, so both run the same
 arithmetic on the same segment data.
+
+The walker also carries k energies at once as lanes of numpy arrays, which
+is how the eigenvalue scan evaluates its grid.  A lone float energy runs the
+same source on Python floats.  Lanes use only + - * /, which numpy rounds
+exactly as Python does, while everything transcendental stays per lane in
+math, so a lane reproduces its lone-energy run bit for bit.  Per RK4 pass
+the potential is sampled once, vectorized, at the step points and
+midpoints; a step's end sample is the next step's start sample.
 """
 
 from __future__ import annotations
@@ -16,6 +24,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property, reduce
+
+import numpy as np
 
 from .sl2 import Mat2
 
@@ -160,6 +171,23 @@ class GridPotential:
         w = (t - x0) / (x1 - x0)
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
+    @cached_property
+    def _arrays(self):
+        return np.array(self.x), np.array(self.values)
+
+    def sample(self, ts):
+        """V at every point of the float array ts: __call__'s cells and arithmetic."""
+        lo, hi = self.domain
+        if not (lo <= ts.min() and ts.max() <= hi):  # NaN fails too
+            t = ts[~((lo <= ts) & (ts <= hi))][0]
+            raise DomainError(f"x = {float(t)!r} outside [{lo}, {hi}]")
+        xs, vals = self._arrays
+        # every t >= xs[0] here, so the cell index is never below 0
+        i = np.minimum(np.searchsorted(xs, ts, side="right") - 1, len(xs) - 2)
+        x0, x1 = xs[i], xs[i + 1]
+        w = (ts - x0) / (x1 - x0)
+        return (1.0 - w) * vals[i] + w * vals[i + 1]
+
     def cuts(self, lo, hi):
         return tuple(t for t in self.x[1:-1] if lo < t < hi)
 
@@ -244,13 +272,95 @@ def _walk_points(v, y, x):
     return [y] + cuts + [x]
 
 
+def _piece_matrix(w2, dx):
+    """_const_coeff_matrix for one E - V value, or entrywise for a lane array."""
+    if isinstance(w2, np.ndarray):
+        rows = [_const_coeff_matrix(t, dx).entries() for t in w2.tolist()]
+        return Mat2(*np.array(rows).T)
+    return _const_coeff_matrix(w2, dx)
+
+
+def _rk4_samples(v, pts, h_target):
+    """Step sizes, and V at the n + 1 step points and n midpoints of one RK4 pass.
+
+    Each piece (p, q) takes n = ceil(|q - p| / h_target) steps of
+    h = (q - p) / n.  Positional stepping, p + (q - p) * i / n, keeps the
+    points exactly inside the domain.  The end of one piece is the start of
+    the next: both are a grid node, where the interpolation reads the node
+    value whatever the sign of a zero coordinate, so one sample serves both.
+    """
+    ends = np.array(pts, dtype=float)
+    dx = ends[1:] - ends[:-1]
+    n = np.maximum(1, np.ceil(np.abs(dx) / h_target)).astype(np.int64)
+    i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    h = np.repeat(dx / n, n)
+    x0 = np.repeat(ends[:-1], n) + np.repeat(dx, n) * i / np.repeat(n, n)
+    vals = v.sample(np.concatenate((x0, ends[-1:], x0 + 0.5 * h))).tolist()
+    return h.tolist(), vals[:len(x0) + 1], vals[len(x0) + 1:]
+
+
+def _rk4_column(u, du, e, hs, vx, vm):
+    """Classic RK4 on u' = du, du' = (V - E) u over the sampled steps of a pass."""
+    w0 = vx[0] - e
+    for h, v_mid, v_end in zip(hs, vm, vx[1:]):
+        wh, w1 = v_mid - e, v_end - e
+        k1u, k1d = du, w0 * u
+        u2, d2 = u + 0.5 * h * k1u, du + 0.5 * h * k1d
+        k2u, k2d = d2, wh * u2
+        u3, d3 = u + 0.5 * h * k2u, du + 0.5 * h * k2d
+        k3u, k3d = d3, wh * u3
+        u4, d4 = u + h * k3u, du + h * k3d
+        k4u, k4d = d4, w1 * u4
+        # rebinding, not +=, so a lane array passed in is never written to
+        u = u + h * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
+        du = du + h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
+        w0 = w1
+    return u, du
+
+
+_MIN_LANES = 32
+
+
+def _rk4_lanes(u, du, e, hs, vx, vm):
+    """_rk4_column on lane arrays; below _MIN_LANES lanes, one lane at a time.
+
+    A numpy call costs about as much as 30-40 Python float operations, so on
+    fewer lanes the floats are faster; their results are the same bits.
+    """
+    if e.size >= _MIN_LANES:
+        return _rk4_column(u, du, e, hs, vx, vm)
+    runs = [_rk4_column(a, b, t, hs, vx, vm)
+            for a, b, t in zip(u.tolist(), du.tolist(), e.tolist())]
+    return tuple(np.array(z) for z in zip(*runs))
+
+
+def _lane_max(values):
+    """Python's max(values), lane by lane: a later value wins only if larger."""
+    return reduce(lambda top, t: np.where(t > top, t, top)
+                  if isinstance(t, np.ndarray) else max(top, t), values)
+
+
+def _converged(cur, prev, tol):
+    """Whether two successive passes agree within tol, per lane.
+
+    The largest entry change is taken over the lane's columns and measured
+    against max(1, largest |entry| of prev).
+    """
+    scale = _lane_max([1.0, _lane_max([abs(t) for col in prev for t in col])])
+    change = _lane_max([abs(s - t) for c, d in zip(cur, prev) for s, t in zip(c, d)])
+    return change / scale <= tol
+
+
 def _propagate(v, y, x, e, step, cols):
     """Carry each (u, u') column in cols from y to x along one shared walk.
 
-    The segment data is built once for all columns: the exact piece matrices
-    for piecewise-constant potentials, otherwise the potential samples of
-    each fixed-step RK4 pass.  The RK4 step is halved until two successive
-    passes agree within step.tol, entrywise relative to max(1, |entries|).
+    e is one energy (a float) or k of them (a 1-D float array, the lanes);
+    column entries are floats or length-k arrays.  The segment data is built
+    once for all columns and lanes: the exact piece matrices for
+    piecewise-constant potentials, otherwise the potential samples of each
+    RK4 pass.  The RK4 step is halved until two successive passes agree
+    within step.tol, entrywise relative to max(1, |entries|), judged per
+    lane; a lane that has converged drops out of later passes.
     """
     _check_domain(v, x)
     _check_domain(v, y)
@@ -258,7 +368,7 @@ def _propagate(v, y, x, e, step, cols):
         return cols
     pts = _walk_points(v, y, x)
     if v.is_piecewise_constant:
-        mats = [_const_coeff_matrix(e - v(0.5 * (p + q)), q - p)
+        mats = [_piece_matrix(e - v(0.5 * (p + q)), q - p)
                 for p, q in zip(pts, pts[1:])]
         out = []
         for u, du in cols:
@@ -266,6 +376,12 @@ def _propagate(v, y, x, e, step, cols):
                 u, du = m.a * u + m.b * du, m.c * u + m.d * du
             out.append((u, du))
         return out
+    lanes = isinstance(e, np.ndarray)
+    run = _rk4_lanes if lanes else _rk4_column
+    if lanes:
+        cols = [(np.full(e.shape, u), np.full(e.shape, du)) for u, du in cols]
+        out = [(np.empty(e.shape), np.empty(e.shape)) for _ in cols]
+        live = np.arange(e.size)
     length = sum(abs(q - p) for p, q in zip(pts, pts[1:]))
     h_target = step.base_step()
     prev = None
@@ -273,35 +389,21 @@ def _propagate(v, y, x, e, step, cols):
         if length / h_target > step.max_steps:
             raise IntegrationFailure(
                 f"step budget {step.max_steps} exhausted before tolerance {step.tol}")
-        # (h, V(x) - E, V(x + h/2) - E, V(x + h) - E) for every step of the pass
-        steps = []
-        for p, q in zip(pts, pts[1:]):
-            n = max(1, math.ceil(abs(q - p) / h_target))
-            h = (q - p) / n
-            for i in range(n):
-                # positional stepping keeps the endpoints exactly inside the domain
-                x0 = p + (q - p) * i / n
-                x1 = q if i == n - 1 else p + (q - p) * (i + 1) / n
-                steps.append((h, v(x0) - e, v(x0 + 0.5 * h) - e, v(x1) - e))
-        cur = []
-        for u, du in cols:
-            # classic RK4 on u' = du, du' = (V - E) u
-            for h, w0, wh, w1 in steps:
-                k1u, k1d = du, w0 * u
-                u2, d2 = u + 0.5 * h * k1u, du + 0.5 * h * k1d
-                k2u, k2d = d2, wh * u2
-                u3, d3 = u + 0.5 * h * k2u, du + 0.5 * h * k2d
-                k3u, k3d = d3, wh * u3
-                u4, d4 = u + h * k3u, du + h * k3d
-                k4u, k4d = d4, w1 * u4
-                u += h * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
-                du += h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
-            cur.append((u, du))
+        hs, vx, vm = _rk4_samples(v, pts, h_target)
+        cur = [run(u, du, e, hs, vx, vm) for u, du in cols]
         if prev is not None:
-            scale = max(1.0, max(abs(t) for col in prev for t in col))
-            change = max(abs(s - t) for c, d in zip(cur, prev) for s, t in zip(c, d))
-            if change / scale <= step.tol:
+            done = _converged(cur, prev, step.tol)
+            if not lanes and done:
                 return cur
+            if lanes and done.any():
+                for (ou, od), (u, du) in zip(out, cur):
+                    ou[live[done]], od[live[done]] = u[done], du[done]
+                keep = ~done
+                if not keep.any():
+                    return out
+                live, e = live[keep], e[keep]
+                cols = [(u[keep], du[keep]) for u, du in cols]
+                cur = [(u[keep], du[keep]) for u, du in cur]
         prev = cur
         h_target *= 0.5
     raise IntegrationFailure(

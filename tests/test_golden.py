@@ -1,14 +1,19 @@
 """Bit-level pins of both propagation routes: float.hex of fixed outputs.
 
-The values were produced by the separate matrix and state integrators that
-preceded the shared propagation walker.  Any change in the order of the
-floating-point operations on either route shows up here as a changed bit.
+The propagation values were produced by the separate matrix and state
+integrators that preceded the shared propagation walker, and the eigenvalue
+scans by the one-energy-at-a-time scan that preceded the batched lanes.  Any
+change in the order of the floating-point operations on either route shows
+up here as a changed bit.
 """
 
 import math
 
 import pytest
 
+from slspec.problem import PointInteraction, Problem
+from slspec.sl2 import IwasawaParams, ProjPoint
+from slspec.spectra import eigenvalues_in_range
 from slspec.transfer import (
     DEFAULT_STEP,
     GridPotential,
@@ -66,3 +71,34 @@ def test_transfer_matrix_bits(v, x, y, e, step, matrix, state):
 def test_propagate_state_bits(v, x, y, e, step, matrix, state):
     s = propagate_state(v, SolutionState(y, 0.6, -1.1), x, e, step)
     assert (s.u.hex(), s.du.hex()) == state
+
+
+# a grid potential with two jumps; every scan mixes genuine eigenvalues with
+# sign changes across the cut, which the scan reports with a large mismatch
+_SCAN_NODES = tuple(0.05 * i for i in range(21))
+SCAN_PROBLEM = Problem(
+    0.0, 1.0,
+    GridPotential(_SCAN_NODES, tuple(3.0 * math.cos(2.5 * x) + x * x
+                                     for x in _SCAN_NODES)),
+    (PointInteraction(0.35, IwasawaParams(0.8, 1.3, 0.4)),
+     PointInteraction(0.725, IwasawaParams(-0.5, 0.9, 2.2))),
+    ProjPoint(0.0), ProjPoint(0.3))
+
+# (e_lo, e_hi, grid, bisection tol, step, [(E, mismatch), ...])
+SCANS = [
+    (-5.0, 60.0, 10, 1e-10, DEFAULT_STEP,
+     [('0x1.1c71c71c63556p+1', '0x1.be1c6a35ed24cp-1'),
+      ('0x1.1df82fa6610e3p+3', '0x1.b338000000000p-41'),
+      ('0x1.a1c71c71c3801p+3', '0x1.09c41dea59f2ep+0')]),
+    (5.0, 30.0, 6, 1e-8, HALVING,
+     [('0x1.1df8300680000p+3', '0x1.1bfb840000000p-32'),
+      ('0x1.8ffffffd80000p+3', '0x1.3df4c86a6b503p+0')]),
+    (20.0, 140.0, 8, 1e-9, StepControl(tol=1e-7),
+     [('0x1.f4ce04ca10924p+6', '0x1.1aa5000000000p-38')]),
+]
+
+
+@pytest.mark.parametrize("e_lo, e_hi, grid, tol, step, found", SCANS)
+def test_eigenvalues_in_range_bits(e_lo, e_hi, grid, tol, step, found):
+    reports = eigenvalues_in_range(SCAN_PROBLEM, e_lo, e_hi, grid, tol, step)
+    assert [(r.E.hex(), r.mismatch.hex()) for r in reports] == found

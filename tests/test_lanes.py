@@ -1,0 +1,187 @@
+"""Batched energy lanes and the vectorized grid sampler agree bit for bit
+with the one-energy and one-point paths they replace in the eigenvalue scan."""
+
+import json
+import math
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slspec.cli import main
+from slspec.problem import PointInteraction, Problem, problem_from_json
+from slspec.sl2 import IwasawaParams, ProjPoint
+from slspec.spectra import boundary_mismatch, eigenvalues_in_range
+from slspec.transfer import (
+    DomainError,
+    GridPotential,
+    IntegrationFailure,
+    PiecewisePotential,
+    StepControl,
+)
+
+finite = dict(allow_nan=False, allow_infinity=False)
+spacings = st.lists(st.floats(0.02, 0.4, **finite), min_size=1, max_size=25)
+
+
+@st.composite
+def grid_potentials(draw):
+    gaps = draw(spacings)
+    x0 = draw(st.floats(-2.0, 2.0, **finite))
+    xs = [x0]
+    for g in gaps:
+        xs.append(xs[-1] + g)
+    values = draw(st.lists(st.floats(-20.0, 20.0, **finite),
+                           min_size=len(xs), max_size=len(xs)))
+    return GridPotential(tuple(xs), tuple(values))
+
+
+@st.composite
+def piecewise_potentials(draw):
+    gaps = draw(spacings)
+    xs = [draw(st.floats(-2.0, 2.0, **finite))]
+    for g in gaps:
+        xs.append(xs[-1] + g)
+    values = draw(st.lists(st.floats(-20.0, 20.0, **finite),
+                           min_size=len(gaps), max_size=len(gaps)))
+    return PiecewisePotential(tuple(xs), tuple(values))
+
+
+@st.composite
+def problems(draw, potentials):
+    v = draw(potentials)
+    a, b = v.domain
+    fractions = draw(st.lists(st.floats(0.05, 0.95, **finite), max_size=3, unique=True))
+    sites = []
+    for x in sorted(a + f * (b - a) for f in fractions):
+        if a < x < b and (not sites or x > sites[-1].x):
+            params = IwasawaParams(draw(st.floats(-3.0, 3.0, **finite)),
+                                   draw(st.floats(0.3, 3.0, **finite)),
+                                   draw(st.floats(0.0, 2 * math.pi, **finite)))
+            sites.append(PointInteraction(x, params))
+    angle = st.floats(0.0, math.pi, exclude_max=True, **finite)
+    return Problem(a, b, v, tuple(sites), ProjPoint(draw(angle)), ProjPoint(draw(angle)))
+
+
+# short batches run lane by lane on floats, long ones as numpy lanes
+energy = st.floats(-25.0, 60.0, **finite)
+energies = st.one_of(st.lists(energy, min_size=1, max_size=6),
+                     st.lists(energy, min_size=32, max_size=40))
+steps = st.sampled_from([StepControl(tol=1e-5), StepControl(tol=1e-6, max_refine=3)])
+
+
+def one_by_one(problem, es, step):
+    """Per-energy defects as hex strings, or the exception type of the first failure."""
+    try:
+        return [boundary_mismatch(problem, e, step).hex() for e in es]
+    except IntegrationFailure:
+        return IntegrationFailure
+
+
+def batched(problem, es, step):
+    try:
+        return [m.hex() for m in boundary_mismatch(problem, np.array(es), step)]
+    except IntegrationFailure:
+        return IntegrationFailure
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(grid_potentials()), energies, steps)
+def test_grid_lanes_equal_single_energies(problem, es, step):
+    assert batched(problem, es, step) == one_by_one(problem, es, step)
+
+
+@settings(max_examples=40, deadline=None)
+@given(problems(piecewise_potentials()), energies, steps)
+def test_piecewise_lanes_equal_single_energies(problem, es, step):
+    assert batched(problem, es, step) == one_by_one(problem, es, step)
+
+
+def test_lanes_converging_at_different_passes():
+    # low energies settle on the base step, high ones take several halvings;
+    # the live lanes fall below the numpy threshold on the way
+    nodes = tuple(0.1 * i for i in range(21))
+    v = GridPotential(nodes, tuple(4.0 * math.sin(2.0 * x) for x in nodes))
+    problem = Problem(0.0, 2.0, v, (PointInteraction(0.9, IwasawaParams(0.5, 1.5, 1.0)),),
+                      ProjPoint(0.2), ProjPoint(1.1))
+    es = [-10.0 + 410.0 * i / 39 for i in range(40)]
+    step = StepControl(tol=1e-8)
+    assert batched(problem, es, step) == one_by_one(problem, es, step)
+
+
+def test_overflowing_lanes_stay_silent_like_floats():
+    # exp(sqrt(1000) * 30) overflows: floats go to inf and nan without a
+    # warning, and the lanes must do the same, with the same bits
+    for v in (PiecewisePotential((0.0, 15.0, 30.0), (1000.0, 1000.0)),
+              GridPotential((0.0, 10.0, 30.0), (900.0, 1000.0, 1000.0))):
+        problem = Problem(0.0, 30.0, v, (), ProjPoint(0.0), ProjPoint(0.0))
+        es = [-5.0 + i for i in range(40)]
+        step = StepControl(tol=1e-3, max_refine=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert batched(problem, es, step) == one_by_one(problem, es, step)
+
+
+# ------------------------------------------------------------------ sampler
+
+@settings(max_examples=60, deadline=None)
+@given(grid_potentials(), st.lists(st.floats(0.0, 1.0, **finite), max_size=20))
+def test_sampler_equals_call(v, fractions):
+    xs = v.x
+    ts = list(xs)  # every node, both ends included
+    for k, f in enumerate(fractions):
+        i = k % (len(xs) - 1)
+        ts.append(min(xs[i] + f * (xs[i + 1] - xs[i]), xs[-1]))  # inside cell i
+    got = v.sample(np.array(ts))
+    assert [t.hex() for t in got.tolist()] == [v(t).hex() for t in ts]
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_potentials(), st.floats(1e-9, 5.0, **finite), st.booleans())
+def test_sampler_rejects_points_outside(v, gap, below):
+    lo, hi = v.domain
+    for t in (lo - gap if below else hi + gap,
+              math.nextafter(lo, -math.inf) if below else math.nextafter(hi, math.inf)):
+        with pytest.raises(DomainError):
+            v(t)
+        with pytest.raises(DomainError):
+            v.sample(np.array([lo, t, hi]))
+
+
+def test_sampler_rejects_nan():
+    v = GridPotential((0.0, 1.0), (1.0, 2.0))
+    with pytest.raises(DomainError):
+        v.sample(np.array([0.5, math.nan]))
+
+
+# ----------------------------------------------------------------- failures
+
+GRID_DOC = {"a": 0.0, "b": 2.0,
+            "potential": {"kind": "grid", "x": [0.0, 1.0, 2.0],
+                          "values": [0.0, 3.0, 1.0]},
+            "interactions": [{"x": 0.7, "alpha": 1.0, "r": 1.2, "theta": 0.3}],
+            "bc_left": 0.0, "bc_right": 0.0}
+# a tiny step budget; no second pass to compare with; a tolerance below
+# roundoff, which successive passes never meet
+STARVED = {"max_steps": 10}, {"max_refine": 0}, {"tol": 1e-15, "max_refine": 2}
+STARVED_IDS = ["step-budget", "no-refinement", "no-convergence"]
+
+
+@pytest.mark.parametrize("block", STARVED, ids=STARVED_IDS)
+def test_scan_failures_raise_integration_failure(block):
+    problem = problem_from_json(GRID_DOC)
+    with pytest.raises(IntegrationFailure):
+        eigenvalues_in_range(problem, 0.0, 20.0, 40, step=StepControl(**block))
+
+
+@pytest.mark.parametrize("block", STARVED, ids=STARVED_IDS)
+def test_scan_failures_exit_3(tmp_path, capsys, block):
+    cfg = {"schema": 1, "problem": GRID_DOC, "step": block,
+           "eigs": {"e_lo": 0.0, "e_hi": 20.0, "grid": 40},
+           "output": {"path": str(tmp_path / "eigs.json"), "format": "json"}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--quiet", "--config", str(path), "eigs"]) == 3
+    assert "numerical failure" in capsys.readouterr().err

@@ -181,6 +181,17 @@ def test_prufer_zero_count_free():
     assert crossings == 3
 
 
+def test_prufer_trace_ends_exactly_at_the_stop():
+    # seg_lo + (x_stop - seg_lo) * i / n rounds one ulp above b at i = n here
+    b = 3.6162554045266595
+    prob = Problem(0.0, b, PiecewisePotential((0.0, b), (0.0,)), (),
+                   ProjPoint(0.0), ProjPoint(0.0))
+    trace = prufer_trace(prob, 1.3, prob.initial_state(), b / 11)
+    xs = [x for x, _ in trace]
+    assert xs[-1] == b
+    assert xs == sorted(xs)
+
+
 def test_prufer_zero_count_matches_sign_sampling():
     rng = np.random.default_rng(97)
     for _ in range(10):

@@ -192,6 +192,22 @@ def test_find_class_point_random_targets():
         assert proj_class(s.u, s.du).distance(target) < 1e-9
 
 
+def test_sampling_positions_never_pass_the_end():
+    # lo + (hi - lo) * i / n rounds one ulp above hi at i = n for these ends;
+    # the positions are clamped to hi, so the walk stays inside the domain
+    b = 3.6162554045266595
+    prob = Problem(0.0, b, PiecewisePotential((0.0, b), (0.0,)), (), DIRICHLET, DIRICHLET)
+    k = math.sqrt(1.3)
+    assert zeros_of_eigenfunction(prob, 1.3) == pytest.approx([PI / k], abs=1e-9)
+    e = 2.472
+    b = 1.9981387375956057  # pi / sqrt(e), the first interior zero
+    prob = Problem(0.0, b, PiecewisePotential((0.0, b), (0.0,)), (), DIRICHLET, DIRICHLET)
+    k = math.sqrt(e)
+    # the class of angle pi - 1e-3 is reached within the last sampling step
+    x0 = find_class_point(prob, e, 0.0, b, ProjPoint(PI - 1e-3))
+    assert x0 == pytest.approx((PI - math.atan(k * math.tan(1e-3))) / k, abs=1e-9)
+
+
 def test_find_class_point_rejects_non_zero_endpoints():
     prob = free_problem(PI)
     with pytest.raises(TargetNotBracketed):
