@@ -328,7 +328,12 @@ def cmd_montecarlo(args):
     except ValueError as exc:
         raise ConfigError(f"montecarlo.ensemble: {exc}") from exc
     if args.seed is not None:
-        ensemble = replace(ensemble, seed=args.seed)
+        try:
+            ensemble = replace(ensemble, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--seed: {exc}") from exc
+    if args.workers < 1:
+        raise ConfigError("--workers must be at least 1")
     samples = _integer(block, "samples", "montecarlo", 1)
     epsilon = _number(block, "epsilon", "montecarlo")
     if epsilon <= 0:

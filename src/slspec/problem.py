@@ -119,12 +119,15 @@ def _renormalized(state, log_scale):
 
 
 def propagate_through(problem: Problem, e, initial: SolutionState,
-                      step: StepControl = DEFAULT_STEP) -> PropagationResult:
+                      step: StepControl = DEFAULT_STEP,
+                      jumps=None) -> PropagationResult:
     """Alternate smooth propagation with jump matrices, left endpoint to right.
 
     e may be a 1-D array of energies: the states then hold one lane per
     energy (see transfer._propagate), each equal bit for bit to the run of
-    that energy alone.
+    that energy alone.  jumps, if given, holds one matrix per site to use
+    instead of the site's own; its entries may be lane arrays, one lane per
+    realization of the jumps, which is how Monte Carlo walks a fixed energy.
     """
     if initial.x != problem.a:
         raise ValueError(f"initial state must sit at a = {problem.a}, got {initial.x}")
@@ -133,17 +136,19 @@ def propagate_through(problem: Problem, e, initial: SolutionState,
     v = problem.potential
     state = initial
     log_scale = 0.0
-    jumps = []
-    for site in problem.interactions:
+    if jumps is None:
+        jumps = [iwasawa_compose(site.params) for site in problem.interactions]
+    records = []
+    for site, m in zip(problem.interactions, jumps):
         state = propagate_state(v, state, site.x, e, step)
         state, log_scale = _renormalized(state, log_scale)
         left = state
-        u, du = iwasawa_compose(site.params).apply((state.u, state.du))
+        u, du = m.apply((state.u, state.du))
         state = SolutionState(site.x, u, du)
-        jumps.append(JumpRecord(site.x, left, state))
+        records.append(JumpRecord(site.x, left, state))
     state = propagate_state(v, state, problem.b, e, step)
     state, log_scale = _renormalized(state, log_scale)
-    return PropagationResult(state, log_scale, tuple(jumps))
+    return PropagationResult(state, log_scale, tuple(records))
 
 
 def _continue_lift(prev, raw):

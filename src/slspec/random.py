@@ -5,6 +5,12 @@ function of (seed, sample index, site index) through a counter-based Philox
 stream, so samples can be evaluated in any order or in parallel and still
 reproduce bit-exactly.
 
+Monte Carlo evaluates a chunk of samples as one walk at its fixed energy,
+one lane per sample.  A site's draws for the whole chunk come from one
+vector call, the smooth pieces between sites are shared by every lane, and
+only the jump matrices differ; each lane's mismatch has the bits of
+eigen_test on that sample's realized problem.
+
 The degenerate construction places one site between consecutive zeros of the
 unperturbed eigenfunction, at the point where the solution's class equals
 (cos theta, -sin theta): every shear then maps that class to (1, 0) scaled by
@@ -15,12 +21,13 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import PointInteraction, Problem, _continue_lift, _renormalized
-from .sl2 import IwasawaParams, ProjPoint, proj_class
+from .problem import (PointInteraction, Problem, _continue_lift, _renormalized,
+                      propagate_through)
+from .sl2 import TWO_PI, InvalidDilation, IwasawaParams, ProjPoint, _compose, proj_class
 from .spectra import eigen_test
 from .transfer import DEFAULT_STEP, StepControl, propagate_state
 
@@ -171,44 +178,110 @@ def _site_rng(seed, sample_index, site_index):
         np.random.Philox(key=seed, counter=[sample_index, site_index, 0, 0]))
 
 
-def sample_realization(ensemble: Ensemble, sample_index: int):
-    """One joint draw, a pure function of (seed, sample_index, site index)."""
-    if sample_index < 0:
-        raise ValueError("sample_index must be nonnegative")
-    out = []
+def _draws(ensemble: Ensemble, lo: int, hi: int):
+    """The draws of samples lo..hi-1, one array of hi - lo values per site.
+
+    Sample i draws site k from Philox(key=seed, counter=[i, k, 0, 0]).  A
+    uniform draw is the first word of that stream's first block, counter
+    [i + 1, k, 0, 0], so every fourth word of one stream started at
+    [lo, k, 0, 0] gives the words of samples lo, lo + 1, ..., which become
+    numpy's uniform bit for bit.  Gaussian draws (ziggurat, and the r-target
+    rejection loop) take a varying number of words and keep one generator
+    per sample.
+    """
+    n = hi - lo
+    cols, rejected = [], []
     for k, dist in enumerate(ensemble.sites):
         if isinstance(dist, PointMass):
-            out.append(dist.value)
-            continue
-        rng = _site_rng(ensemble.seed, sample_index, k)
-        value = dist.sample(rng)
-        if ensemble.target == "r":
-            tries = 0
-            while value <= 0.0 and tries < _REJECTION_CAP:
+            cols.append(np.full(n, dist.value))
+        elif isinstance(dist, Uniform):
+            span = dist.hi - dist.lo
+            if not math.isfinite(span):
+                raise OverflowError("high - low range exceeds valid bounds")
+            bits = np.random.Philox(key=ensemble.seed,
+                                    counter=[lo, k, 0, 0]).random_raw(4 * n)[::4]
+            cols.append(dist.lo + span * ((bits >> 11) * 2.0 ** -53))
+        else:
+            col = []
+            for i in range(lo, hi):
+                rng = _site_rng(ensemble.seed, i, k)
                 value = dist.sample(rng)
-                tries += 1
-            if value <= 0.0:
-                raise UnsupportedSupport(
-                    f"site {k}: no positive draw in {_REJECTION_CAP} tries")
-        out.append(value)
-    return tuple(out)
+                if ensemble.target == "r":
+                    tries = 0
+                    while value <= 0.0 and tries < _REJECTION_CAP:
+                        value = dist.sample(rng)
+                        tries += 1
+                    if value <= 0.0:
+                        rejected.append((i, k))
+                col.append(value)
+            cols.append(np.array(col))
+    if rejected:
+        # the first sample's first site, as a sample-by-sample draw meets it
+        raise UnsupportedSupport(
+            f"site {min(rejected)[1]}: no positive draw in {_REJECTION_CAP} tries")
+    return cols
 
 
-def _apply_realization(problem, ensemble, values) -> Problem:
-    field = {"lambda": "alpha", "r": "r", "theta": "theta"}[ensemble.target]
-    sites = tuple(PointInteraction(s.x, replace(s.params, **{field: v}))
-                  for s, v in zip(problem.interactions, values))
-    return replace(problem, interactions=sites)
+def sample_realization(ensemble: Ensemble, sample_index: int):
+    """One joint draw, a pure function of (seed, sample_index, site index).
+
+    It is the one-sample slice of the draws Monte Carlo makes for a chunk.
+    """
+    if sample_index < 0:
+        raise ValueError("sample_index must be nonnegative")
+    return tuple(float(col[0]) for col in _draws(ensemble, sample_index, sample_index + 1))
+
+
+def _lane_mismatches(problem, e, target, draws, step):
+    """eigen_test's mismatch of every realization, one lane per sample.
+
+    draws[k] holds site k's values.  The energy is one number for all lanes,
+    so the exact route builds each piece matrix once; the RK4 route carries
+    the energy as lanes, each converging on its own.  Only the jumps differ
+    between lanes: lambda and r enter them through + - * / alone, a drawn
+    theta through math per lane, so each lane has the bits of its sample's
+    lone run.
+    """
+    jumps = []
+    for site, col in zip(problem.interactions, draws):
+        p = site.params
+        if target == "theta":
+            thetas = [t % TWO_PI for t in col.tolist()]
+            ct = np.array([math.cos(t) for t in thetas])
+            st = np.array([math.sin(t) for t in thetas])
+        else:
+            ct, st = math.cos(p.theta), math.sin(p.theta)
+        if target == "r" and not (col > 0.0).all():
+            raise InvalidDilation(f"r = {float(col[~(col > 0.0)][0])!r} must be > 0")
+        jumps.append(_compose(col if target == "lambda" else p.alpha,
+                              col if target == "r" else p.r, ct, st))
+    if not problem.potential.is_piecewise_constant:
+        e = np.full(len(draws[0]), e, dtype=float)
+    # Python floats overflow to inf and nan without a word; so do the lanes
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = propagate_through(problem, e, problem.initial_state(), step, jumps).final
+    return [proj_class(u, du).distance(problem.bc_right)
+            for u, du in zip(final.u.tolist(), final.du.tolist())]
 
 
 def _mc_chunk(args):
+    """(ok, mismatch) of samples lo..hi-1, evaluated as one batch of lanes.
+
+    A failure in any lane fails the batch; the chunk is then evaluated one
+    sample at a time, so the failures are counted per sample.
+    """
     problem, e, ensemble, lo, hi, step = args
+    draws = _draws(ensemble, lo, hi)
+    try:
+        return [(True, m) for m in _lane_mismatches(problem, e, ensemble.target, draws, step)]
+    except (ArithmeticError, RuntimeError):
+        pass
     results = []
-    for idx in range(lo, hi):
-        values = sample_realization(ensemble, idx)
+    for j in range(hi - lo):
         try:
-            rep = eigen_test(_apply_realization(problem, ensemble, values), e, step)
-            results.append((True, rep.mismatch))
+            (m,) = _lane_mismatches(problem, e, ensemble.target,
+                                    [col[j:j + 1] for col in draws], step)
+            results.append((True, m))
         except (ArithmeticError, RuntimeError):
             results.append((False, math.nan))
     return results
@@ -239,7 +312,12 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
 
     Samples are evaluated in fixed-size chunks whose composition does not
     depend on the worker count, so the output is bit-identical however the
-    work is scheduled.
+    work is scheduled.  Each chunk is one walk at the fixed energy e with
+    one lane per sample: its draws come site by site in one vector call,
+    the smooth pieces are shared by all lanes, and only the jump at each
+    site differs.  Every mismatch equals eigen_test on that sample's
+    realized problem bit for bit.  A chunk whose walk fails is walked again
+    one sample at a time, and each failing sample counts as one failure.
     """
     if len(ensemble.sites) != len(problem.interactions):
         raise ValueError(f"ensemble has {len(ensemble.sites)} sites, problem has "

@@ -138,10 +138,16 @@ def proj_class(v1: float, v2: float) -> ProjPoint:
 
 def iwasawa_compose(p: IwasawaParams) -> Mat2:
     """The product P_alpha H_r E_theta; unimodular by construction."""
-    ct = math.cos(p.theta)
-    st = math.sin(p.theta)
-    r = p.r
-    ar = p.alpha / r
+    return _compose(p.alpha, p.r, math.cos(p.theta), math.sin(p.theta))
+
+
+def _compose(alpha, r, ct, st) -> Mat2:
+    """P_alpha H_r E_theta from alpha, r, cos theta and sin theta.
+
+    Only + - * / act here, so any argument may be a lane array (one value
+    per lane) and each lane gets the bits of its lone float composition.
+    """
+    ar = alpha / r
     # P_alpha H_r = [[r, alpha/r], [0, 1/r]], then right-multiply the rotation.
     return Mat2(r * ct + ar * st, -r * st + ar * ct, st / r, ct / r)
 

@@ -218,6 +218,15 @@ def test_montecarlo_seed_override(tmp_path):
     assert doc["report"]["seed"] == 123
 
 
+@pytest.mark.parametrize("flag, value", [("--seed", "-1"), ("--seed", str(2 ** 64)),
+                                         ("--workers", "0"), ("--workers", "-3")])
+def test_montecarlo_bad_seed_or_workers_exit_2(tmp_path, capsys, flag, value):
+    path = write_config(tmp_path, montecarlo_config(tmp_path, samples=3))
+    assert run("--quiet", "--config", path, flag, value, "montecarlo") == 2
+    assert f"error: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "mc.json").exists()
+
+
 def test_montecarlo_csv_format_swaps_files(tmp_path):
     cfg = montecarlo_config(tmp_path, out_name="mc.csv", samples=100)
     cfg["output"]["format"] = "csv"

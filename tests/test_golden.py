@@ -1,8 +1,10 @@
 """Bit-level pins of both propagation routes: float.hex of fixed outputs.
 
 The propagation values were produced by the separate matrix and state
-integrators that preceded the shared propagation walker, and the eigenvalue
-scans by the one-energy-at-a-time scan that preceded the batched lanes.  Any
+integrators that preceded the shared propagation walker, the eigenvalue
+scans by the one-energy-at-a-time scan that preceded the batched lanes, and
+the Monte Carlo draws by one Philox generator per (sample, site), which
+preceded the vectorized per-site draws.  Any
 change in the order of the floating-point operations on either route shows
 up here as a changed bit.
 """
@@ -12,6 +14,7 @@ import math
 import pytest
 
 from slspec.problem import PointInteraction, Problem
+from slspec.random import Ensemble, Gaussian, PointMass, Uniform, sample_realization
 from slspec.sl2 import IwasawaParams, ProjPoint
 from slspec.spectra import eigenvalues_in_range
 from slspec.transfer import (
@@ -102,3 +105,41 @@ SCANS = [
 def test_eigenvalues_in_range_bits(e_lo, e_hi, grid, tol, step, found):
     reports = eigenvalues_in_range(SCAN_PROBLEM, e_lo, e_hi, grid, tol, step)
     assert [(r.E.hex(), r.mismatch.hex()) for r in reports] == found
+
+
+# uniform, gaussian and point-mass sites under each target; site 0 of the r
+# ensemble rejects nonpositive gaussian draws (2, 0, 5, 1 and 2 times at the
+# indices below), and the key of the first ensemble is near the top of its range
+DRAW_ENSEMBLES = {
+    "lambda": Ensemble("lambda", (Uniform(-1.0, 2.0), Gaussian(0.5, 2.0), PointMass(0.25)),
+                       seed=2 ** 64 - 5),
+    "r": Ensemble("r", (Gaussian(-0.5, 1.0), Uniform(0.5, 2.0), PointMass(1.5)),
+                  seed=20240611),
+    "theta": Ensemble("theta", (Uniform(-10.0, 10.0), Gaussian(3.0, 5.0), PointMass(7.0)),
+                      seed=0),
+}
+
+# (ensemble, sample index, float.hex of each site's draw)
+DRAWS = [
+    ("lambda", 0, ('0x1.703de4f06ce00p+0', '0x1.663163d846968p-5', '0x1.0000000000000p-2')),
+    ("lambda", 1, ('0x1.80952c96ea2acp+0', '-0x1.a79493dc70022p+0', '0x1.0000000000000p-2')),
+    ("lambda", 511, ('-0x1.0ba5f787d5289p-1', '0x1.7597ca10418b4p-1', '0x1.0000000000000p-2')),
+    ("lambda", 512, ('-0x1.65482f46f6424p-2', '-0x1.561ec8a28f670p-2', '0x1.0000000000000p-2')),
+    ("lambda", 10 ** 6, ('0x1.76e247d997198p-3', '0x1.67d68753f67c6p+1', '0x1.0000000000000p-2')),
+    ("r", 0, ('0x1.13845a81fd595p+0', '0x1.1f3ed53e3e3aep-1', '0x1.8000000000000p+0')),
+    ("r", 1, ('0x1.0d0bd260b2618p+0', '0x1.8919d06f7a8d8p+0', '0x1.8000000000000p+0')),
+    ("r", 511, ('0x1.8b9a7fbcb045ap-2', '0x1.0c3c8c128bd8ap+0', '0x1.8000000000000p+0')),
+    ("r", 512, ('0x1.8b9a7fbcb045ap-2', '0x1.133dcdd3af624p-1', '0x1.8000000000000p+0')),
+    ("r", 10 ** 6, ('0x1.d1fb4552459e6p+0', '0x1.105415fce62cbp+0', '0x1.8000000000000p+0')),
+    ("theta", 0, ('-0x1.389c2e05e9c3ep+3', '0x1.fa852d6e454f5p+2', '0x1.c000000000000p+2')),
+    ("theta", 1, ('0x1.85dfd6548fc00p-5', '0x1.ac3fb86e893aap+2', '0x1.c000000000000p+2')),
+    ("theta", 511, ('0x1.b2f87ef960288p+1', '0x1.0185d286b365cp+1', '0x1.c000000000000p+2')),
+    ("theta", 512, ('-0x1.2f2ce1ecbff56p+3', '0x1.08516dde37ce6p+2', '0x1.c000000000000p+2')),
+    ("theta", 10 ** 6, ('-0x1.e902d3563e3b0p+0', '-0x1.c3acdc836a300p-3', '0x1.c000000000000p+2')),
+]
+
+
+@pytest.mark.parametrize("name, index, draws", DRAWS)
+def test_sample_realization_bits(name, index, draws):
+    values = sample_realization(DRAW_ENSEMBLES[name], index)
+    assert tuple(v.hex() for v in values) == draws

@@ -1,5 +1,6 @@
 """Batched energy lanes and the vectorized grid sampler agree bit for bit
-with the one-energy and one-point paths they replace in the eigenvalue scan."""
+with the one-energy and one-point paths they replace in the eigenvalue scan,
+and Monte Carlo's sample lanes with eigen_test on each realized problem."""
 
 import json
 import math
@@ -11,9 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slspec.cli import main
-from slspec.problem import PointInteraction, Problem, problem_from_json
+from slspec.problem import PointInteraction, Problem, problem_from_json, with_site_params
+from slspec.random import (
+    Ensemble,
+    Gaussian,
+    PointMass,
+    Uniform,
+    mismatch_samples,
+    sample_realization,
+)
 from slspec.sl2 import IwasawaParams, ProjPoint
-from slspec.spectra import boundary_mismatch, eigenvalues_in_range
+from slspec.spectra import boundary_mismatch, eigen_test, eigenvalues_in_range
 from slspec.transfer import (
     DomainError,
     GridPotential,
@@ -50,10 +59,11 @@ def piecewise_potentials(draw):
 
 
 @st.composite
-def problems(draw, potentials):
+def problems(draw, potentials, min_sites=0, max_sites=3):
     v = draw(potentials)
     a, b = v.domain
-    fractions = draw(st.lists(st.floats(0.05, 0.95, **finite), max_size=3, unique=True))
+    fractions = draw(st.lists(st.floats(0.05, 0.95, **finite), min_size=min_sites,
+                              max_size=max_sites, unique=True))
     sites = []
     for x in sorted(a + f * (b - a) for f in fractions):
         if a < x < b and (not sites or x > sites[-1].x):
@@ -185,3 +195,125 @@ def test_scan_failures_exit_3(tmp_path, capsys, block):
     path.write_text(json.dumps(cfg))
     assert main(["--quiet", "--config", str(path), "eigs"]) == 3
     assert "numerical failure" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------- monte carlo
+
+def site_distributions(target):
+    if target == "r":
+        # gaussians with mass below 0 exercise the rejection loop
+        return st.one_of(
+            st.builds(Uniform, st.floats(0.2, 1.0, **finite), st.floats(1.5, 3.0, **finite)),
+            st.builds(Gaussian, st.floats(0.0, 2.0, **finite), st.floats(0.1, 1.0, **finite)),
+            st.builds(PointMass, st.floats(0.3, 3.0, **finite)))
+    return st.one_of(
+        st.builds(Uniform, st.floats(-4.0, 0.0, **finite), st.floats(0.5, 8.0, **finite)),
+        st.builds(Gaussian, st.floats(-2.0, 2.0, **finite), st.floats(0.1, 3.0, **finite)),
+        st.builds(PointMass, st.floats(-3.0, 3.0, **finite)))
+
+
+@st.composite
+def ensembles(draw, n_sites):
+    target = draw(st.sampled_from(["lambda", "r", "theta"]))
+    sites = draw(st.lists(site_distributions(target), min_size=n_sites, max_size=n_sites))
+    return Ensemble(target, tuple(sites), draw(st.integers(0, 2 ** 64 - 1)))
+
+
+def per_sample(problem, e, ensemble, n, step):
+    """eigen_test on each realized problem, failures counted per sample."""
+    field = {"lambda": "alpha", "r": "r", "theta": "theta"}[ensemble.target]
+    mismatches, failures = [], 0
+    for i in range(n):
+        realized = problem
+        for k, value in enumerate(sample_realization(ensemble, i)):
+            realized = with_site_params(realized, k, **{field: value})
+        try:
+            mismatches.append(eigen_test(realized, e, step).mismatch.hex())
+        except (ArithmeticError, RuntimeError):
+            failures += 1
+    return mismatches, failures
+
+
+def lanes(problem, e, ensemble, n, step, workers=1):
+    mismatches, failures = mismatch_samples(problem, e, ensemble, n, step, workers)
+    return [m.hex() for m in mismatches], failures
+
+
+@st.composite
+def mc_cases(draw, potentials):
+    problem = draw(problems(potentials, min_sites=1, max_sites=4))
+    ensemble = draw(ensembles(len(problem.interactions)))
+    return problem, ensemble
+
+
+mc_energy = st.floats(-10.0, 40.0, **finite)
+
+
+@settings(max_examples=30, deadline=None)
+@given(mc_cases(piecewise_potentials()), mc_energy, st.integers(1, 40), st.sampled_from([1, 2]))
+def test_piecewise_sample_lanes_equal_eigen_test(case, e, n, workers):
+    problem, ensemble = case
+    step = StepControl()
+    assert lanes(problem, e, ensemble, n, step, workers) == per_sample(problem, e, ensemble, n,
+                                                                       step)
+
+
+@settings(max_examples=20, deadline=None)
+@given(mc_cases(grid_potentials()), mc_energy, st.integers(1, 40), steps,
+       st.sampled_from([1, 2]))
+def test_grid_sample_lanes_equal_eigen_test(case, e, n, step, workers):
+    problem, ensemble = case
+    assert lanes(problem, e, ensemble, n, step, workers) == per_sample(problem, e, ensemble, n,
+                                                                       step)
+
+
+SHORT_GRID = GridPotential((0.0, 0.25, 0.5, 0.75, 1.0), (1.0, -2.0, 0.5, 3.0, 2.0))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("v, target, sites", [
+    (PiecewisePotential((0.0, 0.4, 1.0), (2.0, -1.0)), "theta",
+     (Uniform(-1.0, 7.0), Gaussian(1.0, 2.0))),
+    (SHORT_GRID, "lambda", (Uniform(-2.0, 2.0),)),
+])
+def test_sample_lanes_across_chunks(v, target, sites, workers):
+    # 513 samples make a full chunk of 512 and a chunk of one
+    interactions = tuple(PointInteraction(0.3 + 0.4 * k, IwasawaParams(0.5, 1.5, 2.0))
+                         for k in range(len(sites)))
+    problem = Problem(0.0, 1.0, v, interactions, ProjPoint(0.2), ProjPoint(1.3))
+    ensemble = Ensemble(target, sites, seed=99)
+    step = StepControl(tol=1e-5)
+    assert lanes(problem, 7.0, ensemble, 513, step, workers) == per_sample(
+        problem, 7.0, ensemble, 513, step)
+
+
+# alpha draws near 1e304 overflow some lanes to inf and nan; on a grid
+# potential those samples cannot converge and fail, the others succeed
+HUGE_SHEARS = Ensemble("lambda", (Gaussian(0.0, 3e304),), seed=7)
+FORBIDDEN_GRID = GridPotential(tuple(0.1 * i for i in range(11)),
+                               tuple(40.0 + 5.0 * math.sin(0.3 * i) for i in range(11)))
+
+
+def huge_shear_problem(v):
+    return Problem(0.0, 1.0, v, (PointInteraction(0.3, IwasawaParams(0.0, 1.0, 0.5)),),
+                   ProjPoint(0.4), ProjPoint(1.0))
+
+
+def test_chunk_with_some_failing_samples_falls_back_to_samples():
+    problem = huge_shear_problem(FORBIDDEN_GRID)
+    step = StepControl(tol=1e-6, max_refine=4)
+    mismatches, failures = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
+    assert 0 < failures < 40
+    assert (mismatches, failures) == per_sample(problem, 1.0, HUGE_SHEARS, 40, step)
+
+
+@pytest.mark.parametrize("v", [FORBIDDEN_GRID, PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0))],
+                         ids=["grid", "piecewise"])
+def test_overflowing_sample_lanes_stay_silent(v):
+    problem = huge_shear_problem(v)
+    step = StepControl(tol=1e-6, max_refine=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
+    assert 0 < got[0].count("nan") < len(got[0])
+    assert got == per_sample(problem, 1.0, HUGE_SHEARS, 40, step)

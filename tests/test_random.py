@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from slspec.problem import Problem
+from slspec.problem import PointInteraction, Problem
 from slspec.random import (
     Ensemble,
     Gaussian,
@@ -22,11 +22,12 @@ from slspec.random import (
     ensemble_from_json,
     ensemble_to_json,
     find_class_point,
+    mismatch_samples,
     monte_carlo,
     sample_realization,
     zeros_of_eigenfunction,
 )
-from slspec.sl2 import ProjPoint, proj_class
+from slspec.sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
 from slspec.spectra import eigen_test
 from slspec.transfer import ConstantPotential, PiecewisePotential, propagate_state
 
@@ -84,6 +85,30 @@ def test_r_target_rejection_cap():
     ens = Ensemble("r", (Gaussian(-5.0, 0.1),), seed=3)
     with pytest.raises(UnsupportedSupport):
         sample_realization(ens, 0)
+
+
+def test_rejection_failure_names_the_first_site_of_the_first_sample():
+    # sites 1 and 2 can never draw a positive r; drawing sample by sample
+    # meets site 1 of sample 0 first, whichever order a chunk draws in
+    ens = Ensemble("r", (Uniform(0.5, 1.0), Gaussian(-100.0, 1.0), Gaussian(-100.0, 1.0)),
+                   seed=3)
+    problem = Problem(0.0, 1.0, ConstantPotential(0.0),
+                      tuple(PointInteraction(x, IwasawaParams(0.0, 1.0, 0.0))
+                            for x in (0.2, 0.5, 0.8)),
+                      ProjPoint(0.0), ProjPoint(0.0))
+    with pytest.raises(UnsupportedSupport, match="^site 1:"):
+        mismatch_samples(problem, 1.0, ens, 20)
+
+
+def test_unusable_draws_raise_as_one_sample_would():
+    # numpy's uniform refuses an infinite range, and a NaN r is no dilation
+    problem = Problem(0.0, 1.0, ConstantPotential(0.0),
+                      (PointInteraction(0.5, IwasawaParams(0.0, 1.0, 0.0)),),
+                      ProjPoint(0.0), ProjPoint(0.0))
+    with pytest.raises(OverflowError):
+        mismatch_samples(problem, 1.0, Ensemble("lambda", (Uniform(-1e308, 1e308),), 3), 5)
+    with pytest.raises(InvalidDilation):
+        mismatch_samples(problem, 1.0, Ensemble("r", (PointMass(math.nan),), 3), 5)
 
 
 def test_r_target_mild_rejection_succeeds():
