@@ -20,7 +20,6 @@ from .sl2 import (
     iwasawa_decompose,
     proj_class,
     proj_apply,
-    theta_dichotomy,
     r_fixed_classes,
     alpha_fixed_class,
 )

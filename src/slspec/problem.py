@@ -164,6 +164,25 @@ def _wrap_half_pi(d):
     return d
 
 
+def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
+    """Samples (x, renormalized state, lifted phase) of the walk from state.x to x_stop.
+
+    The samples are equispaced and the last one sits exactly on x_stop.  The
+    spacing is at most resolution and at most 0.45 / bound, where bound =
+    max(1, |E| + max |V|) caps the speed of the Pruefer phase, so the phase
+    moves by less than pi/2 between samples and phi is lifted from the
+    previous sample without ambiguity.
+    """
+    lo = state.x
+    bound = max(1.0, abs(e) + v.abs_bound(lo, x_stop))
+    n = max(1, math.ceil((x_stop - lo) / min(resolution, 0.45 / bound)))
+    for i in range(1, n + 1):
+        x = min(lo + (x_stop - lo) * i / n, x_stop)
+        state = _renormalized(propagate_state(v, state, x, e, step), 0.0)[0]
+        phi = _continue_lift(phi, math.atan2(state.u, state.du))
+        yield x, state, phi
+
+
 def prufer_trace(problem: Problem, e: float, initial: SolutionState,
                  resolution: float, step: StepControl = DEFAULT_STEP):
     """Continuously lifted phase phi(x) = arg(u'(x) + i u(x)) along the problem.
@@ -184,16 +203,8 @@ def prufer_trace(problem: Problem, e: float, initial: SolutionState,
     stops = [(site.x, site.params) for site in problem.interactions]
     stops.append((problem.b, None))
     for x_stop, params in stops:
-        seg_lo = state.x
-        bound = max(1.0, abs(e) + v.abs_bound(seg_lo, x_stop))
-        h = min(resolution, 0.45 / bound)
-        n = max(1, math.ceil((x_stop - seg_lo) / h))
-        for i in range(1, n + 1):
-            xi = min(seg_lo + (x_stop - seg_lo) * i / n, x_stop)
-            state = propagate_state(v, state, xi, e, step)
-            state, _ = _renormalized(state, 0.0)
-            phi = _continue_lift(phi, math.atan2(state.u, state.du))
-            out.append((xi, phi))
+        for x, state, phi in _lift_walk(v, state, phi, x_stop, e, step, resolution):
+            out.append((x, phi))
         if params is not None:
             u, du = iwasawa_compose(params).apply((state.u, state.du))
             jump = _wrap_half_pi(math.atan2(u, du) - math.atan2(state.u, state.du))

@@ -6,15 +6,18 @@ stream, so samples can be evaluated in any order or in parallel and still
 reproduce bit-exactly.
 
 Monte Carlo evaluates a chunk of samples as one walk at its fixed energy,
-one lane per sample.  A site's draws for the whole chunk come from one
-vector call, the smooth pieces between sites are shared by every lane, and
-only the jump matrices differ; each lane's mismatch has the bits of
-eigen_test on that sample's realized problem.
+one lane per sample (spectra.realized_mismatches, with the lambda target as
+the alpha field).  A site's draws for the whole chunk come from one vector
+call, the smooth pieces between sites are shared by every lane, and only
+the jump matrices differ; each lane's mismatch has the bits of eigen_test on
+that sample's realized problem.
 
 The degenerate construction places one site between consecutive zeros of the
 unperturbed eigenfunction, at the point where the solution's class equals
 (cos theta, -sin theta): every shear then maps that class to (1, 0) scaled by
-r, so the jump output cannot see the shear value at all.
+r, so the jump output cannot see the shear value at all.  The zeros and the
+class points are bracketed on the sampled Pruefer lift of problem._lift_walk,
+which prufer_trace uses too, and then refined by bisection.
 """
 
 from __future__ import annotations
@@ -25,15 +28,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import (PointInteraction, Problem, _continue_lift, _renormalized,
-                      propagate_through)
-from .sl2 import TWO_PI, InvalidDilation, IwasawaParams, ProjPoint, _compose, proj_class
-from .spectra import eigen_test
+from .problem import PointInteraction, Problem, _continue_lift, _lift_walk, _renormalized
+from .sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
+from .spectra import eigen_test, realized_mismatches
 from .transfer import DEFAULT_STEP, StepControl, propagate_state
 
 TARGETS = ("lambda", "r", "theta")
 _REJECTION_CAP = 64
 _CHUNK = 512
+# the largest unperturbed mismatch at which construct_degenerate accepts E
+EIGEN_TOL = 1e-6
 
 DEFAULT_QUANTILES = (0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
 
@@ -64,21 +68,16 @@ class TargetNotBracketed(ValueError):
 class Uniform:
     lo: float
     hi: float
-    continuous = True
 
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"uniform needs lo < hi, got [{self.lo}, {self.hi}]")
-
-    def sample(self, rng):
-        return rng.uniform(self.lo, self.hi)
 
 
 @dataclass(frozen=True)
 class Gaussian:
     mean: float
     sd: float
-    continuous = True
 
     def __post_init__(self):
         if not self.sd > 0.0:
@@ -91,10 +90,6 @@ class Gaussian:
 @dataclass(frozen=True)
 class PointMass:
     value: float
-    continuous = False
-
-    def sample(self, rng):
-        return self.value
 
 
 SiteDistribution = Uniform | Gaussian | PointMass
@@ -114,19 +109,20 @@ def distribution_from_json(obj):
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("site distribution must be an object with a 'kind' field")
     kind = obj["kind"]
-    fields = {"uniform": {"kind", "lo", "hi"},
-              "gaussian": {"kind", "mean", "sd"},
-              "pointmass": {"kind", "value"}}
-    if kind not in fields:
+    kinds = {"uniform": (Uniform, ("lo", "hi")),
+             "gaussian": (Gaussian, ("mean", "sd")),
+             "pointmass": (PointMass, ("value",))}
+    if kind not in kinds:
         raise ValueError(f"unknown distribution kind {kind!r}")
-    if set(obj) != fields[kind]:
+    cls, keys = kinds[kind]
+    if set(obj) != {"kind", *keys}:
         raise ValueError(f"distribution kind {kind!r} takes exactly the keys "
-                         f"{sorted(fields[kind])}")
-    if kind == "uniform":
-        return Uniform(float(obj["lo"]), float(obj["hi"]))
-    if kind == "gaussian":
-        return Gaussian(float(obj["mean"]), float(obj["sd"]))
-    return PointMass(float(obj["value"]))
+                         f"{sorted(('kind',) + keys)}")
+    values = [float(obj[key]) for key in keys]
+    for key, value in zip(keys, values):
+        if not math.isfinite(value):
+            raise ValueError(f"distribution {key} must be finite, got {value!r}")
+    return cls(*values)
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,8 @@ class Ensemble:
             for i, d in enumerate(self.sites):
                 if isinstance(d, Uniform) and d.lo <= 0.0:
                     raise ValueError(f"site {i}: r-target uniform support must be positive")
-                if isinstance(d, PointMass) and d.value <= 0.0:
-                    raise ValueError(f"site {i}: r-target point mass must be positive")
+                if isinstance(d, PointMass) and not d.value > 0.0:
+                    raise InvalidDilation(f"site {i}: r-target point mass must be positive")
 
 
 def ensemble_to_json(e: Ensemble) -> dict:
@@ -232,38 +228,6 @@ def sample_realization(ensemble: Ensemble, sample_index: int):
     return tuple(float(col[0]) for col in _draws(ensemble, sample_index, sample_index + 1))
 
 
-def _lane_mismatches(problem, e, target, draws, step):
-    """eigen_test's mismatch of every realization, one lane per sample.
-
-    draws[k] holds site k's values.  The energy is one number for all lanes,
-    so the exact route builds each piece matrix once; the RK4 route carries
-    the energy as lanes, each converging on its own.  Only the jumps differ
-    between lanes: lambda and r enter them through + - * / alone, a drawn
-    theta through math per lane, so each lane has the bits of its sample's
-    lone run.
-    """
-    jumps = []
-    for site, col in zip(problem.interactions, draws):
-        p = site.params
-        if target == "theta":
-            thetas = [t % TWO_PI for t in col.tolist()]
-            ct = np.array([math.cos(t) for t in thetas])
-            st = np.array([math.sin(t) for t in thetas])
-        else:
-            ct, st = math.cos(p.theta), math.sin(p.theta)
-        if target == "r" and not (col > 0.0).all():
-            raise InvalidDilation(f"r = {float(col[~(col > 0.0)][0])!r} must be > 0")
-        jumps.append(_compose(col if target == "lambda" else p.alpha,
-                              col if target == "r" else p.r, ct, st))
-    if not problem.potential.is_piecewise_constant:
-        e = np.full(len(draws[0]), e, dtype=float)
-    # Python floats overflow to inf and nan without a word; so do the lanes
-    with np.errstate(over="ignore", invalid="ignore"):
-        final = propagate_through(problem, e, problem.initial_state(), step, jumps).final
-    return [proj_class(u, du).distance(problem.bc_right)
-            for u, du in zip(final.u.tolist(), final.du.tolist())]
-
-
 def _mc_chunk(args):
     """(ok, mismatch) of samples lo..hi-1, evaluated as one batch of lanes.
 
@@ -272,15 +236,15 @@ def _mc_chunk(args):
     """
     problem, e, ensemble, lo, hi, step = args
     draws = _draws(ensemble, lo, hi)
+    field = "alpha" if ensemble.target == "lambda" else ensemble.target
     try:
-        return [(True, m) for m in _lane_mismatches(problem, e, ensemble.target, draws, step)]
+        return [(True, m) for m in realized_mismatches(problem, e, field, draws, step)]
     except (ArithmeticError, RuntimeError):
         pass
     results = []
     for j in range(hi - lo):
         try:
-            (m,) = _lane_mismatches(problem, e, ensemble.target,
-                                    [col[j:j + 1] for col in draws], step)
+            (m,) = realized_mismatches(problem, e, field, [col[j:j + 1] for col in draws], step)
             results.append((True, m))
         except (ArithmeticError, RuntimeError):
             results.append((False, math.nan))
@@ -405,12 +369,8 @@ def zeros_of_eigenfunction(problem: Problem, e: float,
     v = problem.potential
     a, b = problem.a, problem.b
     state = _renormalized(problem.initial_state(), 0.0)[0]
-    bound = max(1.0, abs(e) + v.abs_bound(a, b))
-    n = max(2, math.ceil((b - a) * bound / 0.45))
     zeros = []
-    for i in range(1, n + 1):
-        xi = min(a + (b - a) * i / n, b)
-        nxt = _renormalized(propagate_state(v, state, xi, e, step), 0.0)[0]
+    for xi, nxt, _ in _lift_walk(v, state, math.atan2(state.u, state.du), b, e, step):
         if nxt.u == 0.0:
             zeros.append(xi)
         elif state.u != 0.0 and (state.u > 0) != (nxt.u > 0):
@@ -442,22 +402,14 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     if offset < 1e-9 or math.pi - offset < 1e-9:
         return t1  # the zero class itself
     goal = base + offset
-    bound = max(1.0, abs(e) + v.abs_bound(t1, t2))
-    n = max(1, math.ceil((t2 - t1) * bound / 0.45))
     xa, sa, la = t1, state, phi1
-    bracket = None
-    for i in range(1, n + 1):
-        xi = min(t1 + (t2 - t1) * i / n, t2)
-        s = _renormalized(propagate_state(v, sa, xi, e, step), 0.0)[0]
-        lift = _continue_lift(la, math.atan2(s.u, s.du))
+    for xb, s, lift in _lift_walk(v, state, phi1, t2, e, step):
         if lift >= goal:
-            bracket = (xa, xi)
             break
-        xa, sa, la = xi, s, lift
-    if bracket is None:
+        xa, sa, la = xb, s, lift
+    else:
         raise TargetNotBracketed(
             f"lift advanced {la - phi1:.6f} over [t1, t2); are t1, t2 consecutive zeros?")
-    xa, xb = bracket
     while xb - xa > 1e-12:
         mid = 0.5 * (xa + xb)
         sm = _renormalized(propagate_state(v, sa, mid, e, step), 0.0)[0]
@@ -472,7 +424,6 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
 def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
                          bc_left: ProjPoint, bc_right: ProjPoint,
                          step: StepControl = DEFAULT_STEP,
-                         eigen_tol: float = 1e-6,
                          allow_non_eigenvalue: bool = False) -> Problem:
     """Place sites so that the shear value at every site cannot affect the data.
 
@@ -489,9 +440,9 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
         raise ValueError("need matching nonempty theta and r lists")
     base = Problem(a, b, v, (), bc_left, bc_right)
     rep = eigen_test(base, e, step)
-    if rep.mismatch > eigen_tol and not allow_non_eigenvalue:
+    if rep.mismatch > EIGEN_TOL and not allow_non_eigenvalue:
         raise NotUnperturbedEigenvalue(
-            f"E = {e} has unperturbed mismatch {rep.mismatch:.3e} > {eigen_tol}")
+            f"E = {e} has unperturbed mismatch {rep.mismatch:.3e} > {EIGEN_TOL}")
     need = len(thetas) + 1
     zeros = zeros_of_eigenfunction(base, e, step)
     if len(zeros) < need:

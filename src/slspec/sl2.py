@@ -14,7 +14,7 @@ vector (v1, v2) sits at arg(v2 + i*v1) mod pi, so (sin t, cos t) has angle t.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 DET_TOL = 1e-9
 TWO_PI = 2.0 * math.pi
@@ -186,18 +186,6 @@ def proj_apply(m: Mat2, p: ProjPoint, tol: float = DET_TOL,
         raise NonUnimodular("singular matrix does not act on RP^1")
     w1, w2 = m.apply(p.vector())
     return proj_class(w1, w2)
-
-
-def theta_dichotomy(v: ProjPoint, params: IwasawaParams, theta_alt: float,
-                    tol: float = 1e-9) -> bool:
-    """True iff P_a H_r E_theta and P_a H_r E_theta_alt move [v] to distinct classes.
-
-    Equivalent to (theta_alt - theta) mod pi != 0: rotations shift the
-    projective angle and the remaining factors act bijectively.
-    """
-    p1 = proj_apply(iwasawa_compose(params), v)
-    p2 = proj_apply(iwasawa_compose(replace(params, theta=theta_alt)), v)
-    return p1.distance(p2) > tol
 
 
 def r_fixed_classes(params: IwasawaParams):

@@ -8,6 +8,11 @@ carries the raw angular mismatch for consumers to re-threshold.
 The eigenvalue scan evaluates its grid energies as one batch of lanes (see
 transfer), each equal bit for bit to that energy alone; bisection and the
 reports run one energy at a time.
+
+A realization is the problem with one Iwasawa field of its jumps replaced.
+realized_mismatches evaluates a batch of them as one walk at a fixed energy,
+one lane per realization, each equal bit for bit to eigen_test on that
+realized problem.  The dichotomy re-tests and Monte Carlo both use it.
 """
 
 from __future__ import annotations
@@ -17,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Problem, propagate_through, with_site_params
-from .sl2 import ProjPoint, alpha_fixed_class, proj_class, r_fixed_classes
+from .problem import Problem, _wrap_half_pi, propagate_through
+from .sl2 import (TWO_PI, InvalidDilation, ProjPoint, _compose, alpha_fixed_class, proj_class,
+                  r_fixed_classes)
 from .transfer import DEFAULT_STEP, StepControl
 
 ALL_VALUES = "AllValues"
@@ -74,10 +80,15 @@ def matching_gamma(problem: Problem, e: float,
 
 
 def _signed_defect(problem, gamma):
-    d = (gamma.angle - problem.bc_right.angle) % math.pi
-    if d > WRAP_GUARD:
-        d -= math.pi
-    return d
+    return _wrap_half_pi(gamma.angle - problem.bc_right.angle)
+
+
+def _lane_classes(problem, e, step, jumps=None):
+    """The final class of every lane of one walk; see propagate_through."""
+    # Python floats overflow to inf and nan without a word; so do the lanes
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = propagate_through(problem, e, problem.initial_state(), step, jumps).final
+    return [proj_class(u, du) for u, du in zip(final.u.tolist(), final.du.tolist())]
 
 
 def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
@@ -89,11 +100,39 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
     """
     if not isinstance(e, np.ndarray):
         return _signed_defect(problem, matching_gamma(problem, e, step))
-    # Python floats overflow to inf and nan without a word; so do the lanes
-    with np.errstate(over="ignore", invalid="ignore"):
-        final = propagate_through(problem, e, problem.initial_state(), step).final
-    return [_signed_defect(problem, proj_class(u, du))
-            for u, du in zip(final.u.tolist(), final.du.tolist())]
+    return [_signed_defect(problem, g) for g in _lane_classes(problem, e, step)]
+
+
+def realized_mismatches(problem: Problem, e: float, field: str, columns,
+                        step: StepControl = DEFAULT_STEP):
+    """eigen_test's mismatch at e with one Iwasawa field of every jump replaced.
+
+    field is "alpha", "r" or "theta"; columns[k] is a 1-D array holding site
+    k's value of that field in each lane, and the other two fields keep the
+    site's own values.  All lanes are one walk at the one energy e, so the
+    exact route builds each piece matrix once and the RK4 route carries e as
+    lanes, each converging on its own.  Only the jumps differ between lanes:
+    alpha and r enter them through + - * / alone, theta through math per
+    lane, so each lane has the bits of eigen_test on its realized problem.
+    """
+    if field not in PARAMETERS:
+        raise ValueError(f"field must be one of {PARAMETERS}")
+    jumps = []
+    for site, col in zip(problem.interactions, columns):
+        p = site.params
+        if field == "theta":
+            thetas = [t % TWO_PI for t in col.tolist()]
+            ct = np.array([math.cos(t) for t in thetas])
+            st = np.array([math.sin(t) for t in thetas])
+        else:
+            ct, st = math.cos(p.theta), math.sin(p.theta)
+        if field == "r" and not (col > 0.0).all():
+            raise InvalidDilation(f"r = {float(col[~(col > 0.0)][0])!r} must be > 0")
+        jumps.append(_compose(col if field == "alpha" else p.alpha,
+                              col if field == "r" else p.r, ct, st))
+    if not problem.potential.is_piecewise_constant:
+        e = np.full(len(columns[0]), e, dtype=float)
+    return [g.distance(problem.bc_right) for g in _lane_classes(problem, e, step, jumps)]
 
 
 def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
@@ -148,32 +187,27 @@ _R_FACTORS = (0.25, 0.5, 2.0, 4.0) + tuple(
     np.random.default_rng(181_818).uniform(0.1, 10.0, 4))
 
 
-def _perturbed_values(params, parameter):
-    if parameter == "alpha":
-        return [("alpha", params.alpha + d) for d in _ALPHA_OFFSETS]
-    if parameter == "r":
-        return [("r", params.r * f) for f in _R_FACTORS]
-    return [("theta", params.theta + d) for d in _THETA_OFFSETS]
-
-
-def _retest(problem, e, site_index, field, value, tol, step):
-    rep = eigen_test(with_site_params(problem, site_index, **{field: value}), e, step)
-    return rep.mismatch <= tol
-
-
 def _cross_check(problem, e, site_index, parameter, verdict, tol, step):
+    """Re-test e with perturbed values of the parameter, all as lanes of one walk."""
     params = problem.interactions[site_index].params
-    if parameter == "theta":
+    if parameter == "alpha":
+        values = [params.alpha + d for d in _ALPHA_OFFSETS]
+    elif parameter == "r":
+        values = [params.r * f for f in _R_FACTORS]
+    else:
         # pi-shifts keep the eigenvalue, everything else must lose it
-        for field, value in [("theta", params.theta + math.pi),
-                             ("theta", params.theta - math.pi)]:
-            if not _retest(problem, e, site_index, field, value, tol, step):
-                raise CrossCheckFailure(f"theta shift by pi lost E = {e}")
-        expect_keep = False
+        values = [params.theta + math.pi, params.theta - math.pi]
+        values += [params.theta + d for d in _THETA_OFFSETS]
+    columns = [np.full(len(values), getattr(site.params, parameter))
+               for site in problem.interactions]
+    columns[site_index] = np.array(values)
+    outcomes = [m <= tol for m in realized_mismatches(problem, e, parameter, columns, step)]
+    if parameter == "theta":
+        if not all(outcomes[:2]):
+            raise CrossCheckFailure(f"theta shift by pi lost E = {e}")
+        outcomes, expect_keep = outcomes[2:], False
     else:
         expect_keep = verdict == ALL_VALUES
-    outcomes = [_retest(problem, e, site_index, field, value, tol, step)
-                for field, value in _perturbed_values(params, parameter)]
     if any(o != expect_keep for o in outcomes):
         raise CrossCheckFailure(
             f"{parameter} verdict {verdict} contradicted by re-tests {outcomes}")
@@ -181,16 +215,17 @@ def _cross_check(problem, e, site_index, parameter, verdict, tol, step):
 
 def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: str,
                        tol: float = 1e-6, step: StepControl = DEFAULT_STEP,
-                       cross_check: bool = True,
-                       class_tol: float | None = None) -> DichotomyVerdict:
+                       cross_check: bool = True) -> DichotomyVerdict:
     """Decide whether varying one Iwasawa parameter at one site keeps e an eigenvalue.
 
     theta always yields PeriodicInTheta (pi-shifts and nothing else keep the
     eigenvalue).  For r and alpha the verdict is AllValues exactly when the
     eigenfunction's class just left of the site lies on the corresponding
     fixed class(es); for r the matched class is reported since the two fixed
-    classes arise differently.  With cross_check the verdict is confirmed by
-    re-testing 8 perturbed parameter values.
+    classes arise differently; tol bounds both the mismatch at e and the
+    distance to a fixed class.  With cross_check the verdict is confirmed by
+    re-testing 8 perturbed parameter values (for theta also the two
+    pi-shifts), all as lanes of one walk at e.
     """
     if parameter not in PARAMETERS:
         raise ValueError(f"parameter must be one of {PARAMETERS}")
@@ -202,20 +237,19 @@ def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: s
             f"E = {e} has mismatch {report.mismatch:.3e} > tol {tol}")
     params = problem.interactions[site_index].params
     cls = report.left_limit_classes[site_index]
-    ctol = tol if class_tol is None else class_tol
     matched = None
     if parameter == "theta":
         verdict = PERIODIC_IN_THETA
     elif parameter == "r":
         first, second = r_fixed_classes(params)
-        if cls.distance(first) <= ctol:
+        if cls.distance(first) <= tol:
             matched = first
-        elif cls.distance(second) <= ctol:
+        elif cls.distance(second) <= tol:
             matched = second
         verdict = ALL_VALUES if matched is not None else ONLY_ORIGINAL
     else:
         fixed = alpha_fixed_class(params)
-        if cls.distance(fixed) <= ctol:
+        if cls.distance(fixed) <= tol:
             matched = fixed
         verdict = ALL_VALUES if matched is not None else ONLY_ORIGINAL
     if cross_check:

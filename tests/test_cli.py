@@ -227,6 +227,23 @@ def test_montecarlo_bad_seed_or_workers_exit_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "mc.json").exists()
 
 
+@pytest.mark.parametrize("target, site", [
+    ("r", {"kind": "pointmass", "value": math.nan}),
+    ("lambda", {"kind": "gaussian", "mean": math.nan, "sd": 1.0}),
+    ("lambda", {"kind": "gaussian", "mean": 0.0, "sd": math.inf}),
+    ("theta", {"kind": "pointmass", "value": -math.inf}),
+    ("r", {"kind": "uniform", "lo": 0.5, "hi": math.inf}),
+], ids=["nan-r-point-mass", "nan-gaussian-mean", "inf-gaussian-sd", "inf-point-mass",
+        "inf-uniform-hi"])
+def test_montecarlo_non_finite_distribution_exits_2(tmp_path, capsys, target, site):
+    # json writes NaN and Infinity, and Python's json reads them back
+    cfg = montecarlo_config(tmp_path, samples=3)
+    cfg["montecarlo"]["ensemble"].update(target=target, sites=[site])
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "montecarlo") == 2
+    assert "error: montecarlo.ensemble" in capsys.readouterr().err
+    assert not (tmp_path / "mc.json").exists()
+
+
 def test_montecarlo_csv_format_swaps_files(tmp_path):
     cfg = montecarlo_config(tmp_path, out_name="mc.csv", samples=100)
     cfg["output"]["format"] = "csv"

@@ -2,20 +2,29 @@
 
 The propagation values were produced by the separate matrix and state
 integrators that preceded the shared propagation walker, the eigenvalue
-scans by the one-energy-at-a-time scan that preceded the batched lanes, and
-the Monte Carlo draws by one Philox generator per (sample, site), which
-preceded the vectorized per-site draws.  Any
-change in the order of the floating-point operations on either route shows
-up here as a changed bit.
+scans by the one-energy-at-a-time scan that preceded the batched lanes, the
+Monte Carlo draws by one Philox generator per (sample, site), which
+preceded the vectorized per-site draws, and the Pruefer traces, zeros and
+class points by the three sampling loops that preceded the one lift walk.
+Any change in the order of the floating-point operations on either route
+shows up here as a changed bit.
 """
 
 import math
 
 import pytest
 
-from slspec.problem import PointInteraction, Problem
-from slspec.random import Ensemble, Gaussian, PointMass, Uniform, sample_realization
-from slspec.sl2 import IwasawaParams, ProjPoint
+from slspec.problem import PointInteraction, Problem, prufer_trace
+from slspec.random import (
+    Ensemble,
+    Gaussian,
+    PointMass,
+    Uniform,
+    find_class_point,
+    sample_realization,
+    zeros_of_eigenfunction,
+)
+from slspec.sl2 import IwasawaParams, ProjPoint, proj_class
 from slspec.spectra import eigenvalues_in_range
 from slspec.transfer import (
     DEFAULT_STEP,
@@ -143,3 +152,118 @@ DRAWS = [
 def test_sample_realization_bits(name, index, draws):
     values = sample_realization(DRAW_ENSEMBLES[name], index)
     assert tuple(v.hex() for v in values) == draws
+
+
+# the Pruefer lift walk: two-jump piecewise and one-jump grid problems; the
+# second site of the first sits 2**-20 right of a breakpoint
+LIFT_PIECEWISE = PiecewisePotential((0.0, 0.7, 1.3, 2.0), (0.5, -0.3, 0.8))
+_LIFT_NODES = tuple(0.125 * i for i in range(9))
+LIFT_GRID = GridPotential(_LIFT_NODES, tuple(0.4 * math.sin(5.0 * x) for x in _LIFT_NODES))
+TRACE_PROBLEMS = {
+    "piecewise": Problem(0.0, 2.0, LIFT_PIECEWISE,
+                         (PointInteraction(0.5, IwasawaParams(0.8, 1.3, 0.4)),
+                          PointInteraction(1.3 + 2 ** -20, IwasawaParams(-0.5, 0.7, 2.9))),
+                         ProjPoint(0.2), ProjPoint(1.1)),
+    "grid": Problem(0.0, 1.0, LIFT_GRID,
+                    (PointInteraction(0.6, IwasawaParams(1.5, 1.1, 4.0)),),
+                    ProjPoint(0.0), ProjPoint(0.0)),
+    "close": Problem(0.0, 2.0, LIFT_PIECEWISE,
+                     (PointInteraction(0.5, IwasawaParams(0.8, 1.3, 0.4)),
+                      PointInteraction(0.8, IwasawaParams(-0.5, 0.7, 2.9))),
+                     ProjPoint(0.2), ProjPoint(1.1)),
+}
+
+# (problem, E, resolution, step, [(x, phi), ...]); the phase bound sets the
+# spacing of the first trace, the resolution that of the second, and the
+# third walks the 0.3 between its sites in one sample
+TRACES = [
+    ("piecewise", 1.5, 0.4, DEFAULT_STEP,
+     [('0x0.0p+0', '0x1.999999999999ap-3'),
+      ('0x1.5555555555555p-3', '0x1.7777777777777p-2'),
+      ('0x1.5555555555555p-2', '0x1.1111111111111p-1'),
+      ('0x1.0000000000000p-1', '0x1.6666666666667p-1'),
+      ('0x1.0000000000000p-1', '0x1.d8d1dab342865p-1'),
+      ('0x1.51eb8b851eb85p-1', '0x1.155eb31c309f5p+0'),
+      ('0x1.a3d7170a3d70ap-1', '0x1.540364297869dp+0'),
+      ('0x1.f5c2a28f5c290p-1', '0x1.9d31cd8cd6c6cp+0'),
+      ('0x1.23d7170a3d70ap+0', '0x1.e59a0a6cb614ep+0'),
+      ('0x1.4cccdcccccccdp+0', '0x1.1462a96f4a7d9p+1'),
+      ('0x1.4cccdcccccccdp+0', '0x1.3100ee491a75ep+1'),
+      ('0x1.7999a5999999ap+0', '0x1.44ba790768c56p+1'),
+      ('0x1.a6666e6666666p+0', '0x1.596fc2f76a094p+1'),
+      ('0x1.d333373333333p+0', '0x1.6efe94506e881p+1'),
+      ('0x1.0000000000000p+1', '0x1.8524c34cb83bdp+1')]),
+    ("grid", 0.3, 0.15, StepControl(tol=1e-6),
+     [('0x0.0p+0', '0x0.0p+0'),
+      ('0x1.3333333333333p-3', '0x1.3123181a8456ap-3'),
+      ('0x1.3333333333333p-2', '0x1.2a25b210abe42p-2'),
+      ('0x1.cccccccccccccp-2', '0x1.afbde9a4952e8p-2'),
+      ('0x1.3333333333333p-1', '0x1.161a7630850b7p-1'),
+      ('0x1.3333333333333p-1', '0x1.abbc3dda3186bp-1'),
+      ('0x1.7777777777777p-1', '0x1.d6cd33217dd24p-1'),
+      ('0x1.bbbbbbbbbbbbcp-1', '0x1.0409fa487c316p+0'),
+      ('0x1.0000000000000p+0', '0x1.1dcef2c987758p+0')]),
+    ("close", 0.2, 1.0, DEFAULT_STEP,
+     [('0x0.0p+0', '0x1.999999999999ap-3'),
+      ('0x1.0000000000000p-2', '0x1.ac42eba17a95ap-2'),
+      ('0x1.0000000000000p-1', '0x1.2e79d3134d0c8p-1'),
+      ('0x1.0000000000000p-1', '0x1.b0847cf5faecep-1'),
+      ('0x1.999999999999ap-1', '0x1.ebfe162615fd5p-1'),
+      ('0x1.999999999999ap-1', '0x1.4fe67326709b9p-1'),
+      ('0x1.3333333333333p+0', '0x1.e7272ef605fe0p-1'),
+      ('0x1.999999999999ap+0', '0x1.f5060ea6e8cb0p-1'),
+      ('0x1.0000000000000p+1', '0x1.e5637d1e710d8p-1')]),
+]
+
+
+@pytest.mark.parametrize("name, e, resolution, step, trace", TRACES)
+def test_prufer_trace_bits(name, e, resolution, step, trace):
+    problem = TRACE_PROBLEMS[name]
+    got = prufer_trace(problem, e, problem.initial_state(), resolution, step)
+    assert [(x.hex(), phi.hex()) for x, phi in got] == trace
+
+
+ZERO_POTENTIALS = {
+    "piecewise": PiecewisePotential((0.0, 1.5, 3.2, 6.0), (2.0, -1.0, 4.0)),
+    "grid": GridPotential(tuple(0.5 * i for i in range(13)),
+                          tuple(3.0 * math.cos(0.9 * i) for i in range(13))),
+}
+
+# (potential, E, step, zeros, [(theta, class point between the first two
+#  zeros, class point between the last two zeros), ...]); the class sought is
+# (cos theta, -sin theta), as in the degenerate construction
+ZEROS = [
+    ("piecewise", 9.0, DEFAULT_STEP,
+     ['0x1.db3990b39611cp-1', '0x1.018ad810e5846p+1', '0x1.80b480b9dcb08p+1',
+      '0x1.19754195e5848p+2', '0x1.73602b4a611a8p+2'],
+     [(0.7, '0x1.98fecd0356550p+0', '0x1.50ba4849563f2p+2'),
+      (2.6, '0x1.6ff7b120856e2p+0', '0x1.3ee4fff9c904cp+2')]),
+    ("piecewise", 16.5, StepControl(tol=1e-7),
+     ['0x1.31d9567000002p-1', '0x1.6c215a6acd8c2p+0', '0x1.163fd410abe9ap+1',
+      '0x1.766014d5c077ap+1', '0x1.e40d07815f4cap+1', '0x1.2ae4f4169cf6bp+2',
+      '0x1.63c3646ca0b37p+2'],
+     [(0.7, '0x1.11299886f6384p+0', '0x1.4b8ff97611e9fp+2'),
+      (2.6, '0x1.effc7fe7cfcdap-1', '0x1.444720f9bfb7ap+2')]),
+    ("grid", 9.0, DEFAULT_STEP,
+     ['0x1.de38b5894cccdp-1', '0x1.df6f1c97a6668p+0', '0x1.6dbc6b9f39999p+1',
+      '0x1.0635a75256666p+2', '0x1.458b7f8b63334p+2'],
+     [(0.7, '0x1.7bf5c46f11db6p+0', '0x1.2bf77fca4df90p+2'),
+      (2.6, '0x1.5c098dd70440cp+0', '0x1.2311784fa6beap+2')]),
+    ("grid", 16.5, StepControl(tol=1e-7),
+     ['0x1.3852221f23726p-1', '0x1.5ebb4c2cbd0bep+0', '0x1.0b2593d885e86p+1',
+      '0x1.6bfc37b162762p+1', '0x1.d74dc4caccccep+1', '0x1.1f3cf9f9c4ec6p+2',
+      '0x1.4dd834f7c4ec4p+2', '0x1.7c478e820bd0ep+2'],
+     [(0.7, '0x1.0b401e0c4d540p+0', '0x1.67ae2bd9d5af0p+2'),
+      (2.6, '0x1.ebef403ee02a3p-1', '0x1.62d1e7330b2a6p+2')]),
+]
+
+
+@pytest.mark.parametrize("name, e, step, zeros, points", ZEROS)
+def test_zeros_and_class_points_bits(name, e, step, zeros, points):
+    problem = Problem(0.0, 6.0, ZERO_POTENTIALS[name], (), ProjPoint(0.3), ProjPoint(0.0))
+    got = zeros_of_eigenfunction(problem, e, step)
+    assert [z.hex() for z in got] == zeros
+    for theta, first, last in points:
+        target = proj_class(math.cos(theta), -math.sin(theta))
+        assert find_class_point(problem, e, got[0], got[1], target, step).hex() == first
+        assert find_class_point(problem, e, got[-2], got[-1], target, step).hex() == last

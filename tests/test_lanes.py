@@ -1,6 +1,7 @@
 """Batched energy lanes and the vectorized grid sampler agree bit for bit
 with the one-energy and one-point paths they replace in the eigenvalue scan,
-and Monte Carlo's sample lanes with eigen_test on each realized problem."""
+and the realization lanes of Monte Carlo and of the dichotomy re-tests with
+eigen_test on each realized problem."""
 
 import json
 import math
@@ -22,7 +23,12 @@ from slspec.random import (
     sample_realization,
 )
 from slspec.sl2 import IwasawaParams, ProjPoint
-from slspec.spectra import boundary_mismatch, eigen_test, eigenvalues_in_range
+from slspec.spectra import (
+    boundary_mismatch,
+    eigen_test,
+    eigenvalues_in_range,
+    realized_mismatches,
+)
 from slspec.transfer import (
     DomainError,
     GridPotential,
@@ -317,3 +323,67 @@ def test_overflowing_sample_lanes_stay_silent(v):
         got = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
     assert 0 < got[0].count("nan") < len(got[0])
     assert got == per_sample(problem, 1.0, HUGE_SHEARS, 40, step)
+
+
+# ------------------------------------------------------------ realized jumps
+
+@st.composite
+def retest_cases(draw, potentials):
+    """A problem, a field, a site, and that site's values of the field, one per lane.
+
+    theta cases start with the site's own theta shifted by +pi and -pi, as
+    the dichotomy re-tests do; a few cases have 32 or more lanes.
+    """
+    problem = draw(problems(potentials, min_sites=1, max_sites=4))
+    field = draw(st.sampled_from(["alpha", "r", "theta"]))
+    site = draw(st.integers(0, len(problem.interactions) - 1))
+    value = {"alpha": st.floats(-6.0, 6.0, **finite), "r": st.floats(0.1, 10.0, **finite),
+             "theta": st.floats(-10.0, 10.0, **finite)}[field]
+    values = draw(st.one_of(st.lists(value, min_size=1, max_size=10),
+                            st.lists(value, min_size=32, max_size=36)))
+    if field == "theta":
+        theta = problem.interactions[site].params.theta
+        values = [theta + math.pi, theta - math.pi] + values
+    return problem, field, site, values
+
+
+def realized(problem, e, field, site, values, step):
+    """realized_mismatches with the site's values and every other site's own value."""
+    columns = [np.full(len(values), getattr(s.params, field)) for s in problem.interactions]
+    columns[site] = np.array(values)
+    try:
+        return [m.hex() for m in realized_mismatches(problem, e, field, columns, step)]
+    except (ArithmeticError, RuntimeError) as exc:
+        return type(exc)
+
+
+def rebuilt(problem, e, field, site, values, step):
+    """eigen_test on the problem rebuilt with each value, failures by type."""
+    try:
+        return [eigen_test(with_site_params(problem, site, **{field: v}), e, step).mismatch.hex()
+                for v in values]
+    except (ArithmeticError, RuntimeError) as exc:
+        return type(exc)
+
+
+@settings(max_examples=40, deadline=None)
+@given(retest_cases(piecewise_potentials()), mc_energy)
+def test_piecewise_realized_lanes_equal_rebuilt_problems(case, e):
+    problem, field, site, values = case
+    step = StepControl()
+    assert realized(problem, e, field, site, values, step) == rebuilt(problem, e, field, site,
+                                                                      values, step)
+
+
+@settings(max_examples=20, deadline=None)
+@given(retest_cases(grid_potentials()), mc_energy, steps)
+def test_grid_realized_lanes_equal_rebuilt_problems(case, e, step):
+    problem, field, site, values = case
+    assert realized(problem, e, field, site, values, step) == rebuilt(problem, e, field, site,
+                                                                      values, step)
+
+
+def test_realized_field_must_be_an_iwasawa_parameter():
+    problem = huge_shear_problem(SHORT_GRID)
+    with pytest.raises(ValueError):
+        realized_mismatches(problem, 1.0, "lambda", [np.array([0.5])])

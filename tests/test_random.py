@@ -128,6 +128,8 @@ def test_ensemble_validation():
         Ensemble("r", (Uniform(-1, 1),), seed=1)
     with pytest.raises(ValueError):
         Ensemble("r", (PointMass(0.0),), seed=1)
+    with pytest.raises(InvalidDilation):
+        Ensemble("r", (PointMass(math.nan),), seed=1)
     with pytest.raises(ValueError):
         Uniform(2.0, 1.0)
     with pytest.raises(ValueError):

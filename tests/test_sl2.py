@@ -16,7 +16,6 @@ from slspec.sl2 import (
     iwasawa_decompose,
     proj_class,
     proj_apply,
-    theta_dichotomy,
     r_fixed_classes,
     alpha_fixed_class,
 )
@@ -230,32 +229,6 @@ def test_proj_apply_group_action():
 
 
 # ----------------------------------------------------- fixed-class predicates
-
-def test_theta_dichotomy_trivial_cases():
-    p = IwasawaParams(0.7, 2.0, 1.1)
-    v = ProjPoint(0.4)
-    assert not theta_dichotomy(v, p, p.theta + PI)
-    assert not theta_dichotomy(v, p, p.theta - 3 * PI)
-    assert theta_dichotomy(v, p, p.theta + PI / 2)
-
-
-def test_theta_dichotomy_matches_brute_force():
-    rng = np.random.default_rng(17)
-    for _ in range(10_000):
-        params = random_params(rng)
-        v = ProjPoint(rng.uniform(0, PI))
-        # keep away from the tolerance band around multiples of pi
-        if rng.uniform() < 0.3:
-            k = rng.integers(-2, 3)
-            theta_alt = params.theta + k * PI
-        else:
-            off = rng.uniform(0.01, PI - 0.01)
-            theta_alt = params.theta + off + rng.integers(-2, 3) * PI
-        moved = theta_dichotomy(v, params, theta_alt)
-        expected = (theta_alt - params.theta) % PI
-        expected = min(expected, PI - expected) > 1e-9
-        assert moved == expected
-
 
 def test_r_fixed_classes_theta_zero():
     cls = r_fixed_classes(IwasawaParams(0.3, 2.0, 0.0))

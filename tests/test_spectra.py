@@ -1,16 +1,20 @@
 """Eigenvalue detection, the matching right angle, and the dichotomy verdicts."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from slspec.problem import PointInteraction, Problem, with_site_params
+from slspec.cli import main
+from slspec.problem import PointInteraction, Problem, problem_from_json, with_site_params
 from slspec.sl2 import IwasawaParams, Mat2, ProjPoint, iwasawa_decompose, proj_class
 from slspec.spectra import (
     ALL_VALUES,
     ONLY_ORIGINAL,
+    PARAMETERS,
     PERIODIC_IN_THETA,
+    CrossCheckFailure,
     NotAnEigenvalue,
     boundary_mismatch,
     classify_dichotomy,
@@ -237,6 +241,52 @@ def test_dichotomy_validation():
         classify_dichotomy(prob, 4.0, 0, "beta")
     with pytest.raises(ValueError):
         classify_dichotomy(prob, 4.0, 3, "alpha")
+
+
+# A problem that the degenerate construction built for one generic-theta
+# benchmark job (piecewise V, three sites).  The eigenfunction's class left of
+# site 0 is 0.013 from its shear-fixed class, far outside tol, so the class
+# test says OnlyOriginal, while six of the eight shear re-tests keep E
+# within tol.
+BUILT_PROBLEM = {
+    "a": 0.0, "b": 7.3884674152157785, "bc_left": 0.0, "bc_right": 0.0,
+    "interactions": [
+        {"x": 1.196626355598318, "alpha": 0.0, "r": 1.282051540828449,
+         "theta": 1.96113599014826},
+        {"x": 2.3596950853370675, "alpha": 0.0, "r": 1.2736110566231,
+         "theta": 0.8063800911084402},
+        {"x": 3.1383649029934215, "alpha": 0.0, "r": 0.7339364500873236,
+         "theta": 2.6768322112397263}],
+    "potential": {"kind": "piecewise",
+                  "breakpoints": [0.0, 0.9878495723749079, 3.722372543176356,
+                                  3.9784666618285, 7.3884674152157785],
+                  "values": [-0.23763421857103284, -0.6677941524905437,
+                             -0.4156012355106723, 0.2743076147155388]}}
+CONTRADICTED = ("alpha verdict OnlyOriginal contradicted by re-tests "
+                "[False, True, True, True, True, True, True, False]")
+
+
+def test_cross_check_failure_on_a_built_problem(tmp_path, capsys):
+    problem = problem_from_json(BUILT_PROBLEM)
+    (rep,) = eigenvalues_in_range(problem, 10.916949039553856, 11.916949039553856, 201)
+    assert rep.E.hex() == "0x1.70d76f6880b7cp+3"
+    for site in range(3):
+        for parameter in PARAMETERS:
+            if (site, parameter) == (0, "alpha"):
+                with pytest.raises(CrossCheckFailure) as exc:
+                    classify_dichotomy(problem, rep.E, site, parameter)
+                assert str(exc.value) == CONTRADICTED
+            else:
+                expected = PERIODIC_IN_THETA if parameter == "theta" else ONLY_ORIGINAL
+                assert classify_dichotomy(problem, rep.E, site, parameter).verdict == expected
+    cfg = {"schema": 1, "problem": BUILT_PROBLEM,
+           "eigs": {"e_lo": 10.916949039553856, "e_hi": 11.916949039553856, "grid": 201,
+                    "classify": True},
+           "output": {"path": str(tmp_path / "eigs.json")}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["--quiet", "--config", str(path), "eigs"]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {CONTRADICTED}\n"
 
 
 def test_theta_countability_scaffold():
