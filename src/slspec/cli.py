@@ -42,7 +42,8 @@ from .spectra import (
     eigen_test,
     eigenvalues_in_range,
 )
-from .transfer import DomainError, IntegrationFailure, StepControl, transfer_matrix
+from .transfer import (DomainError, IntegrationFailure, StepControl, finite_numbers,
+                       transfer_matrix)
 
 TOP_KEYS = {"schema", "problem", "step", "transfer", "eigs", "dichotomy",
             "montecarlo", "degenerate", "output"}
@@ -382,9 +383,12 @@ def cmd_degenerate(args):
         raise ConfigError("degenerate.thetas and .rs must be nonempty lists "
                           "of equal length")
     allow = _boolean(block, "allow_non_eigenvalue", "degenerate")
-    built = construct_degenerate(prob.potential, e,
-                                 [float(t) for t in thetas],
-                                 [float(r) for r in rs],
+    try:
+        thetas = finite_numbers(thetas, "degenerate.thetas")
+        rs = finite_numbers(rs, "degenerate.rs")
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    built = construct_degenerate(prob.potential, e, thetas, rs,
                                  prob.a, prob.b, prob.bc_left, prob.bc_right,
                                  step, allow_non_eigenvalue=allow)
     residual = eigen_test(built, e, step).mismatch

@@ -21,6 +21,7 @@ from .transfer import (
     Potential,
     SolutionState,
     StepControl,
+    finite_numbers,
     potential_from_json,
     potential_to_json,
     propagate_state,
@@ -106,13 +107,27 @@ class PropagationResult:
 
 
 def _renormalized(state, log_scale):
+    """state scaled to unit norm, and log_scale plus the log of the norm removed.
+
+    Finite data whose norm overflows is halved first, so it keeps its class.
+    """
     if isinstance(state.u, np.ndarray):
         # lanes are scaled one by one with math, as a lone state would be
         norms = [math.hypot(u, du) for u, du in zip(state.u.tolist(), state.du.tolist())]
+        if math.inf in norms:
+            halve = np.isinf(norms) & np.isfinite(state.u) & np.isfinite(state.du)
+            state = SolutionState(state.x, np.where(halve, state.u / 2.0, state.u),
+                                  np.where(halve, state.du / 2.0, state.du))
+            log_scale = log_scale + np.where(halve, math.log(2.0), 0.0)
+            norms = [math.hypot(u, du) for u, du in zip(state.u.tolist(), state.du.tolist())]
         n = np.array([t if t != 0.0 else 1.0 for t in norms])
         logs = np.array([math.log(t) if t != 0.0 else 0.0 for t in norms])
         return SolutionState(state.x, state.u / n, state.du / n), log_scale + logs
     n = math.hypot(state.u, state.du)
+    if n == math.inf and math.isfinite(state.u) and math.isfinite(state.du):
+        state = SolutionState(state.x, state.u / 2.0, state.du / 2.0)
+        log_scale += math.log(2.0)
+        n = math.hypot(state.u, state.du)
     if n == 0.0:
         return state, log_scale
     return SolutionState(state.x, state.u / n, state.du / n), log_scale + math.log(n)
@@ -249,14 +264,10 @@ def problem_from_json(obj) -> Problem:
         if not isinstance(s, dict) or set(s) != INTERACTION_KEYS:
             raise ValueError(f"interaction #{i} must have exactly the keys "
                              f"{sorted(INTERACTION_KEYS)}")
-        sites.append(PointInteraction(
-            float(s["x"]),
-            IwasawaParams(float(s["alpha"]), float(s["r"]), float(s["theta"]))))
-    return Problem(
-        a=float(obj["a"]),
-        b=float(obj["b"]),
-        potential=potential_from_json(obj["potential"]),
-        interactions=tuple(sites),
-        bc_left=ProjPoint(float(obj["bc_left"])),
-        bc_right=ProjPoint(float(obj["bc_right"])),
-    )
+        x, alpha, r, theta = finite_numbers([s["x"], s["alpha"], s["r"], s["theta"]],
+                                            f"interaction #{i} x, alpha, r and theta")
+        sites.append(PointInteraction(x, IwasawaParams(alpha, r, theta)))
+    a, b, bc_left, bc_right = finite_numbers([obj["a"], obj["b"], obj["bc_left"], obj["bc_right"]],
+                                             "a, b, bc_left and bc_right")
+    return Problem(a, b, potential_from_json(obj["potential"]), tuple(sites),
+                   ProjPoint(bc_left), ProjPoint(bc_right))

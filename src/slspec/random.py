@@ -31,7 +31,7 @@ import numpy as np
 from .problem import PointInteraction, Problem, _continue_lift, _lift_walk, _renormalized
 from .sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
 from .spectra import eigen_test, realized_mismatches
-from .transfer import DEFAULT_STEP, StepControl, propagate_state
+from .transfer import DEFAULT_STEP, StepControl, finite_numbers, propagate_state
 
 TARGETS = ("lambda", "r", "theta")
 _REJECTION_CAP = 64
@@ -118,11 +118,7 @@ def distribution_from_json(obj):
     if set(obj) != {"kind", *keys}:
         raise ValueError(f"distribution kind {kind!r} takes exactly the keys "
                          f"{sorted(('kind',) + keys)}")
-    values = [float(obj[key]) for key in keys]
-    for key, value in zip(keys, values):
-        if not math.isfinite(value):
-            raise ValueError(f"distribution {key} must be finite, got {value!r}")
-    return cls(*values)
+    return cls(*finite_numbers([obj[key] for key in keys], f"distribution {kind} numbers"))
 
 
 @dataclass(frozen=True)
@@ -228,24 +224,30 @@ def sample_realization(ensemble: Ensemble, sample_index: int):
     return tuple(float(col[0]) for col in _draws(ensemble, sample_index, sample_index + 1))
 
 
+def _outcome(m):
+    """(ok, mismatch) of one lane: a mismatch that is not finite is a failure."""
+    return (True, m) if math.isfinite(m) else (False, math.nan)
+
+
 def _mc_chunk(args):
     """(ok, mismatch) of samples lo..hi-1, evaluated as one batch of lanes.
 
     A failure in any lane fails the batch; the chunk is then evaluated one
-    sample at a time, so the failures are counted per sample.
+    sample at a time, so the failures are counted per sample.  A lane whose
+    walk overflowed to a NaN mismatch fails on its own.
     """
     problem, e, ensemble, lo, hi, step = args
     draws = _draws(ensemble, lo, hi)
     field = "alpha" if ensemble.target == "lambda" else ensemble.target
     try:
-        return [(True, m) for m in realized_mismatches(problem, e, field, draws, step)]
+        return [_outcome(m) for m in realized_mismatches(problem, e, field, draws, step)]
     except (ArithmeticError, RuntimeError):
         pass
     results = []
     for j in range(hi - lo):
         try:
             (m,) = realized_mismatches(problem, e, field, [col[j:j + 1] for col in draws], step)
-            results.append((True, m))
+            results.append(_outcome(m))
         except (ArithmeticError, RuntimeError):
             results.append((False, math.nan))
     return results
@@ -281,7 +283,8 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
     the smooth pieces are shared by all lanes, and only the jump at each
     site differs.  Every mismatch equals eigen_test on that sample's
     realized problem bit for bit.  A chunk whose walk fails is walked again
-    one sample at a time, and each failing sample counts as one failure.
+    one sample at a time, and each failing sample counts as one failure, as
+    does each sample whose walk overflowed to a NaN mismatch.
     """
     if len(ensemble.sites) != len(problem.interactions):
         raise ValueError(f"ensemble has {len(ensemble.sites)} sites, problem has "

@@ -110,10 +110,11 @@ def realized_mismatches(problem: Problem, e: float, field: str, columns,
     field is "alpha", "r" or "theta"; columns[k] is a 1-D array holding site
     k's value of that field in each lane, and the other two fields keep the
     site's own values.  All lanes are one walk at the one energy e, so the
-    exact route builds each piece matrix once and the RK4 route carries e as
-    lanes, each converging on its own.  Only the jumps differ between lanes:
-    alpha and r enter them through + - * / alone, theta through math per
-    lane, so each lane has the bits of eigen_test on its realized problem.
+    exact route builds each piece matrix and the RK4 route each pass's step
+    product once, and each lane's state converges on its own.  Only the
+    jumps differ between lanes: alpha and r enter them through + - * /
+    alone, theta through math per lane, so each lane has the bits of
+    eigen_test on its realized problem.
     """
     if field not in PARAMETERS:
         raise ValueError(f"field must be one of {PARAMETERS}")
@@ -130,8 +131,6 @@ def realized_mismatches(problem: Problem, e: float, field: str, columns,
             raise InvalidDilation(f"r = {float(col[~(col > 0.0)][0])!r} must be > 0")
         jumps.append(_compose(col if field == "alpha" else p.alpha,
                               col if field == "r" else p.r, ct, st))
-    if not problem.potential.is_piecewise_constant:
-        e = np.full(len(columns[0]), e, dtype=float)
     return [g.distance(problem.bc_right) for g in _lane_classes(problem, e, step, jumps)]
 
 
@@ -232,7 +231,7 @@ def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: s
     if not 0 <= site_index < len(problem.interactions):
         raise ValueError(f"no interaction site #{site_index}")
     report = eigen_test(problem, e, step)
-    if report.mismatch > tol:
+    if not report.mismatch <= tol:  # a NaN mismatch fails too
         raise NotAnEigenvalue(
             f"E = {e} has mismatch {report.mismatch:.3e} > tol {tol}")
     params = problem.interactions[site_index].params

@@ -10,13 +10,19 @@ the potential's kind alone.  transfer_matrix (two identity columns) and
 propagate_state (one column) share one walker, so both run the same
 arithmetic on the same segment data.
 
-The walker also carries k energies at once as lanes of numpy arrays, which
-is how the eigenvalue scan evaluates its grid.  A lone float energy runs the
-same source on Python floats.  Lanes use only + - * /, which numpy rounds
-exactly as Python does, while everything transcendental stays per lane in
-math, so a lane reproduces its lone-energy run bit for bit.  Per RK4 pass
-the potential is sampled once, vectorized, at the step points and
-midpoints; a step's end sample is the next step's start sample.
+The walker also carries k energies, or k states at one energy, as lanes of
+numpy arrays; a lone float energy runs the same source on Python floats.
+Lanes use only + - * /, which numpy rounds exactly as Python does, while
+everything transcendental stays per lane in math, so a lane reproduces its
+lone run bit for bit.
+
+An RK4 step is linear in (u, u'), so a pass is one matrix: the step
+matrices' entries, written out in V - E at each step's start, midpoint and
+end, are built for all steps (and lanes) at once, multiplied as a pairwise
+tree and applied to each column.  Each pass agrees with stepping (u, u')
+one step at a time within a relative 1e-12.  A pass's energy-independent
+data (cut points, step sizes, potential samples) is cached, so a scan's
+bisections, which walk the same segments at many energies, build it once.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -77,12 +83,24 @@ class SolutionState:
 
 # ------------------------------------------------------------------ potentials
 
+def finite_numbers(values, what):
+    """values as a tuple of floats if each is a finite number; JSON null and booleans are not."""
+    for t in values:
+        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
+            raise ValueError(f"{what} must be finite numbers, got {t!r}")
+    return tuple(float(t) for t in values)
+
+
 @dataclass(frozen=True)
 class ConstantPotential:
     """V(x) = value on the whole line."""
 
     value: float
     is_piecewise_constant = True
+
+    def __post_init__(self):
+        if not math.isfinite(self.value):
+            raise ValueError("value must be finite")
 
     @property
     def domain(self):
@@ -213,21 +231,22 @@ def potential_from_json(obj) -> "Potential":
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("potential must be an object with a 'kind' field")
     kind = obj["kind"]
-    fields = {"constant": {"kind", "value"},
-              "piecewise": {"kind", "breakpoints", "values"},
-              "grid": {"kind", "x", "values"}}
-    if kind not in fields:
+    kinds = {"constant": (ConstantPotential, ("value",)),
+             "piecewise": (PiecewisePotential, ("breakpoints", "values")),
+             "grid": (GridPotential, ("x", "values"))}
+    if kind not in kinds:
         raise ValueError(f"unknown potential kind {kind!r}")
-    extra = set(obj) - fields[kind]
-    missing = fields[kind] - set(obj)
+    cls, keys = kinds[kind]
+    extra = set(obj) - {"kind", *keys}
+    missing = set(keys) - set(obj)
     if extra or missing:
         raise ValueError(f"potential kind {kind!r}: unknown keys {sorted(extra)}, "
                          f"missing keys {sorted(missing)}")
     if kind == "constant":
-        return ConstantPotential(float(obj["value"]))
-    if kind == "piecewise":
-        return PiecewisePotential(tuple(obj["breakpoints"]), tuple(obj["values"]))
-    return GridPotential(tuple(obj["x"]), tuple(obj["values"]))
+        return cls(*finite_numbers([obj["value"]], "potential value"))
+    if not all(isinstance(obj[key], list) for key in keys):
+        raise ValueError(f"potential {' and '.join(keys)} must be lists")
+    return cls(*(finite_numbers(obj[key], f"potential {key}") for key in keys))
 
 
 Potential = ConstantPotential | PiecewisePotential | GridPotential
@@ -280,58 +299,82 @@ def _piece_matrix(w2, dx):
     return _const_coeff_matrix(w2, dx)
 
 
-def _rk4_samples(v, pts, h_target):
-    """Step sizes, and V at the n + 1 step points and n midpoints of one RK4 pass.
+@lru_cache(maxsize=32)
+def _rk4_pass(v, y, x, h_target):
+    """V at each step's start, midpoint and end, and the h terms of one RK4 pass.
 
     Each piece (p, q) takes n = ceil(|q - p| / h_target) steps of
     h = (q - p) / n.  Positional stepping, p + (q - p) * i / n, keeps the
     points exactly inside the domain.  The end of one piece is the start of
     the next: both are a grid node, where the interpolation reads the node
     value whatever the sign of a zero coordinate, so one sample serves both.
+    The cache shares the arrays, so they are read-only.
     """
-    ends = np.array(pts, dtype=float)
+    ends = np.array(_walk_points(v, y, x))
     dx = ends[1:] - ends[:-1]
     n = np.maximum(1, np.ceil(np.abs(dx) / h_target)).astype(np.int64)
     i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     h = np.repeat(dx / n, n)
     x0 = np.repeat(ends[:-1], n) + np.repeat(dx, n) * i / np.repeat(n, n)
-    vals = v.sample(np.concatenate((x0, ends[-1:], x0 + 0.5 * h))).tolist()
-    return h.tolist(), vals[:len(x0) + 1], vals[len(x0) + 1:]
+    vals = v.sample(np.concatenate((x0, ends[-1:], x0 + 0.5 * h)))
+    m = len(x0)
+    q = h * h
+    data = (vals[:m], vals[m + 1:], vals[1:m + 1],
+            h, h * q / 6.0, q / 6.0, q * q / 24.0, h / 6.0, h * q / 12.0)
+    for t in data:
+        t.flags.writeable = False
+    return data
 
 
-def _rk4_column(u, du, e, hs, vx, vm):
-    """Classic RK4 on u' = du, du' = (V - E) u over the sampled steps of a pass."""
-    w0 = vx[0] - e
-    for h, v_mid, v_end in zip(hs, vm, vx[1:]):
-        wh, w1 = v_mid - e, v_end - e
-        k1u, k1d = du, w0 * u
-        u2, d2 = u + 0.5 * h * k1u, du + 0.5 * h * k1d
-        k2u, k2d = d2, wh * u2
-        u3, d3 = u + 0.5 * h * k2u, du + 0.5 * h * k2d
-        k3u, k3d = d3, wh * u3
-        u4, d4 = u + h * k3u, du + h * k3d
-        k4u, k4d = d4, w1 * u4
-        # rebinding, not +=, so a lane array passed in is never written to
-        u = u + h * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
-        du = du + h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
-        w0 = w1
-    return u, du
+def _step_matrices(e, data):
+    """Every step matrix I + h/6 (K1 + 2 K2 + 2 K3 + K4) of a pass, as (2, 2, *lanes, n).
 
-
-_MIN_LANES = 32
-
-
-def _rk4_lanes(u, du, e, hs, vx, vm):
-    """_rk4_column on lane arrays; below _MIN_LANES lanes, one lane at a time.
-
-    A numpy call costs about as much as 30-40 Python float operations, so on
-    fewer lanes the floats are faster; their results are the same bits.
+    Written out in w = V - E at the step's start (w0), midpoint (wm) and end (w1).
     """
-    if e.size >= _MIN_LANES:
-        return _rk4_column(u, du, e, hs, vx, vm)
-    runs = [_rk4_column(a, b, t, hs, vx, vm)
-            for a, b, t in zip(u.tolist(), du.tolist(), e.tolist())]
-    return tuple(np.array(z) for z in zip(*runs))
+    v0, vm, v1, h, hq6, q6, q24, h6, hq12 = data
+    if isinstance(e, np.ndarray):
+        e = e[:, None]
+    w0, wm, w1 = v0 - e, vm - e, v1 - e
+    a = 1.0 + q6 * (w0 + 2.0 * wm) + q24 * (w0 * wm)
+    b = h + hq6 * wm
+    c = h6 * (w0 + 4.0 * wm + w1) + hq12 * (wm * (w0 + w1))
+    d = 1.0 + q6 * (2.0 * wm + w1) + q24 * (wm * w1)
+    return np.array(((a, b), (c, d)))
+
+
+def _tree_product(m):
+    """M[n-1] ... M[0] of the stacked matrices m as a pairwise tree of + - * /.
+
+    Each level multiplies neighbours; an odd last matrix waits a level.
+    """
+    while m.shape[-1] > 1:
+        even = m.shape[-1] & ~1
+        early, late = m[..., 0:even:2], m[..., 1:even:2]
+        p = late[:, 0:1] * early[0:1] + late[:, 1:2] * early[1:2]
+        if even < m.shape[-1]:
+            p = np.concatenate((p, m[..., even:]), axis=-1)
+        m = p
+    return m[..., 0]
+
+
+# lanes enter the step-matrix kernel in blocks of at most this many
+# (lane, step) entries, which bounds its memory for any walk and lane count
+_BLOCK = 1 << 16
+
+
+def _rk4_product(e, data):
+    """The pass's matrix (a, b, c, d): floats for one energy, lane arrays for k.
+
+    Overflow is silent, as with Python floats, so lanes keep the floats' bits.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not isinstance(e, np.ndarray):
+            return _tree_product(_step_matrices(e, data)).ravel().tolist()
+        per = max(1, _BLOCK // len(data[0]))
+        blocks = [_tree_product(_step_matrices(e[i:i + per], data))
+                  for i in range(0, e.size, per)]
+        m = np.concatenate(blocks, axis=-1)
+    return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
 
 def _lane_max(values):
@@ -357,7 +400,7 @@ def _propagate(v, y, x, e, step, cols):
     e is one energy (a float) or k of them (a 1-D float array, the lanes);
     column entries are floats or length-k arrays.  The segment data is built
     once for all columns and lanes: the exact piece matrices for
-    piecewise-constant potentials, otherwise the potential samples of each
+    piecewise-constant potentials, otherwise the step-matrix product of each
     RK4 pass.  The RK4 step is halved until two successive passes agree
     within step.tol, entrywise relative to max(1, |entries|), judged per
     lane; a lane that has converged drops out of later passes.
@@ -366,8 +409,8 @@ def _propagate(v, y, x, e, step, cols):
     _check_domain(v, y)
     if x == y:
         return cols
-    pts = _walk_points(v, y, x)
     if v.is_piecewise_constant:
+        pts = _walk_points(v, y, x)
         mats = [_piece_matrix(e - v(0.5 * (p + q)), q - p)
                 for p, q in zip(pts, pts[1:])]
         out = []
@@ -376,32 +419,32 @@ def _propagate(v, y, x, e, step, cols):
                 u, du = m.a * u + m.b * du, m.c * u + m.d * du
             out.append((u, du))
         return out
-    lanes = isinstance(e, np.ndarray)
-    run = _rk4_lanes if lanes else _rk4_column
-    if lanes:
-        cols = [(np.full(e.shape, u), np.full(e.shape, du)) for u, du in cols]
-        out = [(np.empty(e.shape), np.empty(e.shape)) for _ in cols]
-        live = np.arange(e.size)
-    length = sum(abs(q - p) for p, q in zip(pts, pts[1:]))
+    shape = np.broadcast(e, *(t for col in cols for t in col)).shape
+    if shape:
+        cols = [(np.broadcast_to(u, shape), np.broadcast_to(du, shape)) for u, du in cols]
+        out = [(np.empty(shape), np.empty(shape)) for _ in cols]
+        live = np.arange(shape[0])
     h_target = step.base_step()
     prev = None
     for _ in range(step.max_refine + 1):
-        if length / h_target > step.max_steps:
+        if abs(x - y) / h_target > step.max_steps:
             raise IntegrationFailure(
                 f"step budget {step.max_steps} exhausted before tolerance {step.tol}")
-        hs, vx, vm = _rk4_samples(v, pts, h_target)
-        cur = [run(u, du, e, hs, vx, vm) for u, du in cols]
+        a, b, c, d = _rk4_product(e, _rk4_pass(v, y, x, h_target))
+        cur = [(a * u + b * du, c * u + d * du) for u, du in cols]
         if prev is not None:
             done = _converged(cur, prev, step.tol)
-            if not lanes and done:
+            if not shape and done:
                 return cur
-            if lanes and done.any():
+            if shape and done.any():
                 for (ou, od), (u, du) in zip(out, cur):
                     ou[live[done]], od[live[done]] = u[done], du[done]
                 keep = ~done
                 if not keep.any():
                     return out
-                live, e = live[keep], e[keep]
+                live = live[keep]
+                if isinstance(e, np.ndarray):
+                    e = e[keep]
                 cols = [(u[keep], du[keep]) for u, du in cols]
                 cur = [(u[keep], du[keep]) for u, du in cur]
         prev = cur

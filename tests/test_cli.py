@@ -233,8 +233,9 @@ def test_montecarlo_bad_seed_or_workers_exit_2(tmp_path, capsys, flag, value):
     ("lambda", {"kind": "gaussian", "mean": 0.0, "sd": math.inf}),
     ("theta", {"kind": "pointmass", "value": -math.inf}),
     ("r", {"kind": "uniform", "lo": 0.5, "hi": math.inf}),
+    ("lambda", {"kind": "uniform", "lo": None, "hi": 1.0}),
 ], ids=["nan-r-point-mass", "nan-gaussian-mean", "inf-gaussian-sd", "inf-point-mass",
-        "inf-uniform-hi"])
+        "inf-uniform-hi", "null-uniform-lo"])
 def test_montecarlo_non_finite_distribution_exits_2(tmp_path, capsys, target, site):
     # json writes NaN and Infinity, and Python's json reads them back
     cfg = montecarlo_config(tmp_path, samples=3)
@@ -360,7 +361,8 @@ MC_BLOCK = {
 }
 
 # every integer field rejects bools and non-integers, every flag needs a JSON
-# boolean, and step limits below their minimum are config errors
+# boolean, step limits below their minimum are config errors, and so is a
+# JSON null or a NaN in the problem, its potential or the degenerate sites
 BAD_CONFIGS = {
     "dichotomy-site-bool": ("dichotomy", {
         "problem": box_problem_doc(IDENTITY_SITES),
@@ -386,6 +388,18 @@ BAD_CONFIGS = {
         "problem": {**box_problem_doc(), "b": 4 * PI},
         "degenerate": {"energy": 1.0, "thetas": [0.0], "rs": [1.0],
                        "allow_non_eigenvalue": 1}}),
+    "problem-alpha-null": ("eigs", {
+        "problem": box_problem_doc([{"x": 1.0, "alpha": None, "r": 1.0, "theta": 0.0}]),
+        "eigs": SMALL_EIGS}),
+    "problem-theta-nan": ("dichotomy", {
+        "problem": box_problem_doc([{"x": 1.0, "alpha": 0.0, "r": 1.0, "theta": math.nan}]),
+        "dichotomy": {"energy": 1.0, "site": 0}}),
+    "potential-value-nan": ("eigs", {
+        "problem": {**box_problem_doc(), "potential": {"kind": "constant", "value": math.nan}},
+        "eigs": SMALL_EIGS}),
+    "degenerate-theta-null": ("degenerate", {
+        "problem": {**box_problem_doc(), "b": 4 * PI},
+        "degenerate": {"energy": 1.0, "thetas": [None], "rs": [1.0]}}),
 }
 
 

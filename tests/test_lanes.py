@@ -13,13 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slspec.cli import main
-from slspec.problem import PointInteraction, Problem, problem_from_json, with_site_params
+from slspec.problem import (PointInteraction, Problem, _renormalized, problem_from_json,
+                            with_site_params)
 from slspec.random import (
     Ensemble,
     Gaussian,
     PointMass,
     Uniform,
+    _draws,
     mismatch_samples,
+    monte_carlo,
     sample_realization,
 )
 from slspec.sl2 import IwasawaParams, ProjPoint
@@ -34,6 +37,7 @@ from slspec.transfer import (
     GridPotential,
     IntegrationFailure,
     PiecewisePotential,
+    SolutionState,
     StepControl,
 )
 
@@ -81,7 +85,7 @@ def problems(draw, potentials, min_sites=0, max_sites=3):
     return Problem(a, b, v, tuple(sites), ProjPoint(draw(angle)), ProjPoint(draw(angle)))
 
 
-# short batches run lane by lane on floats, long ones as numpy lanes
+# short and long batches of energies
 energy = st.floats(-25.0, 60.0, **finite)
 energies = st.one_of(st.lists(energy, min_size=1, max_size=6),
                      st.lists(energy, min_size=32, max_size=40))
@@ -117,7 +121,7 @@ def test_piecewise_lanes_equal_single_energies(problem, es, step):
 
 def test_lanes_converging_at_different_passes():
     # low energies settle on the base step, high ones take several halvings;
-    # the live lanes fall below the numpy threshold on the way
+    # the live lanes thin out from pass to pass
     nodes = tuple(0.1 * i for i in range(21))
     v = GridPotential(nodes, tuple(4.0 * math.sin(2.0 * x) for x in nodes))
     problem = Problem(0.0, 2.0, v, (PointInteraction(0.9, IwasawaParams(0.5, 1.5, 1.0)),),
@@ -226,7 +230,10 @@ def ensembles(draw, n_sites):
 
 
 def per_sample(problem, e, ensemble, n, step):
-    """eigen_test on each realized problem, failures counted per sample."""
+    """eigen_test on each realized problem, failures counted per sample.
+
+    A NaN mismatch (an overflowed walk) counts as a failure, as in Monte Carlo.
+    """
     field = {"lambda": "alpha", "r": "r", "theta": "theta"}[ensemble.target]
     mismatches, failures = [], 0
     for i in range(n):
@@ -234,8 +241,12 @@ def per_sample(problem, e, ensemble, n, step):
         for k, value in enumerate(sample_realization(ensemble, i)):
             realized = with_site_params(realized, k, **{field: value})
         try:
-            mismatches.append(eigen_test(realized, e, step).mismatch.hex())
+            m = eigen_test(realized, e, step).mismatch
         except (ArithmeticError, RuntimeError):
+            m = math.nan
+        if math.isfinite(m):
+            mismatches.append(m.hex())
+        else:
             failures += 1
     return mismatches, failures
 
@@ -293,11 +304,21 @@ def test_sample_lanes_across_chunks(v, target, sites, workers):
         problem, 7.0, ensemble, 513, step)
 
 
-# alpha draws near 1e304 overflow some lanes to inf and nan; on a grid
-# potential those samples cannot converge and fail, the others succeed
+# alpha draws near 1e304 overflow some lanes to inf and nan past a forbidden
+# barrier; on a grid potential a lane whose passes overflow differently cannot
+# converge and fails
 HUGE_SHEARS = Ensemble("lambda", (Gaussian(0.0, 3e304),), seed=7)
-FORBIDDEN_GRID = GridPotential(tuple(0.1 * i for i in range(11)),
-                               tuple(40.0 + 5.0 * math.sin(0.3 * i) for i in range(11)))
+
+
+def forbidden_grid(height):
+    return GridPotential(tuple(0.1 * i for i in range(11)),
+                         tuple(height + 5.0 * math.sin(0.3 * i) for i in range(11)))
+
+
+# at E = 1: 21 of the 40 lanes overflow to a NaN mismatch and none fails
+OVERFLOWING_GRID = forbidden_grid(120.0)
+# at E = 1: 11 lanes fail, 28 overflow to a NaN mismatch, one stays finite
+FAILING_GRID = forbidden_grid(180.0)
 
 
 def huge_shear_problem(v):
@@ -305,24 +326,73 @@ def huge_shear_problem(v):
                    ProjPoint(0.4), ProjPoint(1.0))
 
 
+def shear_lanes(problem, e, ensemble, n, step):
+    """realized_mismatches of samples 0..n-1 as one walk, as Monte Carlo's chunk."""
+    (draws,) = _draws(ensemble, 0, n)
+    return [m.hex() for m in realized_mismatches(problem, e, "alpha", [draws], step)]
+
+
 def test_chunk_with_some_failing_samples_falls_back_to_samples():
-    problem = huge_shear_problem(FORBIDDEN_GRID)
+    problem = huge_shear_problem(FAILING_GRID)
     step = StepControl(tol=1e-6, max_refine=4)
+    with pytest.raises(IntegrationFailure):
+        shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
     mismatches, failures = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
     assert 0 < failures < 40
     assert (mismatches, failures) == per_sample(problem, 1.0, HUGE_SHEARS, 40, step)
 
 
-@pytest.mark.parametrize("v", [FORBIDDEN_GRID, PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0))],
+@pytest.mark.parametrize("v", [OVERFLOWING_GRID,
+                               PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0))],
                          ids=["grid", "piecewise"])
 def test_overflowing_sample_lanes_stay_silent(v):
     problem = huge_shear_problem(v)
     step = StepControl(tol=1e-6, max_refine=4)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
+        raw = shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
         got = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
-    assert 0 < got[0].count("nan") < len(got[0])
+    assert 0 < raw.count("nan") < len(raw)
+    assert raw == [eigen_test(with_site_params(problem, 0, alpha=a), 1.0, step).mismatch.hex()
+                   for a in _draws(HUGE_SHEARS, 0, 40)[0].tolist()]
+    # Monte Carlo counts each NaN lane as a failure
     assert got == per_sample(problem, 1.0, HUGE_SHEARS, 40, step)
+    assert got[1] == raw.count("nan")
+
+
+def test_renormalized_halves_finite_data_whose_norm_overflows():
+    u, du = [1.5e308, 0.6, math.inf], [-1.5e308, 0.8, 1.0]
+    floats = [_renormalized(SolutionState(0.0, a, b), 0.0) for a, b in zip(u, du)]
+    assert floats[0][0].u == -floats[0][0].du == pytest.approx(math.sqrt(0.5), abs=1e-15)
+    assert floats[0][1] == pytest.approx(math.log(1.5e308) + 0.5 * math.log(2.0))
+    with np.errstate(invalid="ignore"):
+        state, logs = _renormalized(SolutionState(0.0, np.array(u), np.array(du)), 0.0)
+    assert [(t.hex(), v.hex(), w.hex()) for t, v, w in zip(state.u, state.du, logs)] == [
+        (s.u.hex(), s.du.hex(), log.hex()) for s, log in floats]
+
+
+def test_huge_finite_lanes_keep_their_class():
+    # some lanes end finite but so large that hypot overflows; their class is
+    # well defined and must survive the renormalization
+    problem = huge_shear_problem(forbidden_grid(115.0))
+    step = StepControl(tol=1e-6, max_refine=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        raw = shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
+    assert raw == [eigen_test(with_site_params(problem, 0, alpha=a), 1.0, step).mismatch.hex()
+                   for a in _draws(HUGE_SHEARS, 0, 40)[0].tolist()]
+    assert lanes(problem, 1.0, HUGE_SHEARS, 40, step) == per_sample(problem, 1.0, HUGE_SHEARS,
+                                                                    40, step)
+
+
+def test_nan_mismatches_are_failures_not_quantiles():
+    problem = huge_shear_problem(PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0)))
+    step = StepControl(tol=1e-6, max_refine=4)
+    nans = shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step).count("nan")
+    report = monte_carlo(problem, 1.0, HUGE_SHEARS, 40, 1e-6, step)
+    assert 0 < nans < 40
+    assert (report.samples, report.failures) == (40, nans)
+    assert all(math.isfinite(q) for _, q in report.mismatch_quantiles)
 
 
 # ------------------------------------------------------------ realized jumps

@@ -1,0 +1,193 @@
+"""The RK4 step-matrix kernel against the sequential loop it replaced and an
+independent closed form.
+
+The kernel multiplies the step matrices of a pass as a pairwise tree, so its
+rounding differs from stepping (u, u') one step at a time.  The bound stated
+in tests/test_golden.py holds pass by pass: every entry within a relative
+1e-12 of the sequential loop's, relative to max(1, |entry|).
+"""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from slspec.transfer import (
+    DEFAULT_STEP,
+    GridPotential,
+    IntegrationFailure,
+    StepControl,
+    _rk4_pass,
+    _rk4_product,
+    _walk_points,
+    transfer_matrix,
+)
+
+BOUND = 1e-12
+
+
+# ----------------------------------------------------------- sequential oracle
+
+def sequential_samples(v, pts, h_target):
+    """Step sizes, and V at the n + 1 step points and n midpoints of one pass."""
+    ends = np.array(pts, dtype=float)
+    dx = ends[1:] - ends[:-1]
+    n = np.maximum(1, np.ceil(np.abs(dx) / h_target)).astype(np.int64)
+    i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
+    h = np.repeat(dx / n, n)
+    x0 = np.repeat(ends[:-1], n) + np.repeat(dx, n) * i / np.repeat(n, n)
+    vals = v.sample(np.concatenate((x0, ends[-1:], x0 + 0.5 * h))).tolist()
+    return h.tolist(), vals[:len(x0) + 1], vals[len(x0) + 1:]
+
+
+def sequential_column(u, du, e, hs, vx, vm):
+    """Classic RK4 on u' = du, du' = (V - E) u, one step after another."""
+    w0 = vx[0] - e
+    for h, v_mid, v_end in zip(hs, vm, vx[1:]):
+        wh, w1 = v_mid - e, v_end - e
+        k1u, k1d = du, w0 * u
+        u2, d2 = u + 0.5 * h * k1u, du + 0.5 * h * k1d
+        k2u, k2d = d2, wh * u2
+        u3, d3 = u + 0.5 * h * k2u, du + 0.5 * h * k2d
+        k3u, k3d = d3, wh * u3
+        u4, d4 = u + h * k3u, du + h * k3d
+        k4u, k4d = d4, w1 * u4
+        u = u + h * (k1u + 2 * k2u + 2 * k3u + k4u) / 6.0
+        du = du + h * (k1d + 2 * k2d + 2 * k3d + k4d) / 6.0
+        w0 = w1
+    return u, du
+
+
+def sequential_propagate(v, y, x, e, step, cols):
+    """The sequential loop's step halving on one float energy."""
+    pts = _walk_points(v, y, x)
+    h_target = step.base_step()
+    prev = None
+    for _ in range(step.max_refine + 1):
+        samples = sequential_samples(v, pts, h_target)
+        cur = [sequential_column(u, du, e, *samples) for u, du in cols]
+        if prev is not None:
+            scale = max(1.0, max(abs(t) for col in prev for t in col))
+            change = max(abs(s - t) for c, d in zip(cur, prev) for s, t in zip(c, d))
+            if change / scale <= step.tol:
+                return cur
+        prev = cur
+        h_target *= 0.5
+    raise IntegrationFailure("no convergence")
+
+
+# the grid cases of tests/test_golden.py with their sequential-loop pins:
+# (x, y, E, step, transfer_matrix entries, state from (y, 0.6, -1.1))
+_NODES = tuple(0.1 * i for i in range(11))
+GRID = GridPotential(_NODES, tuple(2.0 * math.sin(3.0 * x) - 1.0 for x in _NODES))
+HALVING = StepControl(tol=1e-6)
+SEQUENTIAL_PINS = [
+    (0.95, 0.05, 6.0, DEFAULT_STEP,
+     ('-0x1.14aca66ac0ff2p-1', '0x1.84135e0f1f40bp-2', '-0x1.e848512290c96p+0', '-0x1.06987234f5c10p-1'),
+     ('-0x1.7b723dfbb3f5fp-1', '-0x1.29157d5503ac3p-1')),
+    (0.05, 0.95, 6.0, DEFAULT_STEP,
+     ('-0x1.06987234f5c15p-1', '-0x1.84135e0f1f404p-2', '0x1.e848512290c98p+0', '-0x1.14aca66ac0fecp-1'),
+     ('0x1.bf1313445448cp-4', '0x1.bd23f29c41048p+0')),
+    (0.9, 0.0, -2.0, DEFAULT_STEP,
+     ('0x1.0747b487d20f6p+1', '0x1.3ff6e6c5e30bep+0', '0x1.6ccfda210cb7dp+1', '0x1.1be88b30b235ap+1'),
+     ('-0x1.2032c34f20a45p-3', '-0x1.75a5f286f1992p-1')),
+    (1.0, 0.0, 30.0, HALVING,
+     ('0x1.585bde7f0a80ep-1', '-0x1.139f0fb11be49p-3', '0x1.0574e15b18bdbp+2', '0x1.56b7cfe7a03d1p-1'),
+     ('0x1.1a694369bac5ep-1', '0x1.b700374e700c7p+0')),
+    (0.0, 1.0, 30.0, HALVING,
+     ('0x1.56b7cfe7a03d8p-1', '0x1.139f0fb11be4dp-3', '-0x1.0574e15b18bdcp+2', '0x1.585bde7f0a80cp-1'),
+     ('0x1.03ab7883fb754p-2', '-0x1.9872537f56b92p+1')),
+]
+
+
+def within(got, want, bound=BOUND):
+    return all(abs(g - w) <= bound * max(1.0, abs(w)) for g, w in zip(got, want))
+
+
+@pytest.mark.parametrize("x, y, e, step, matrix, state", SEQUENTIAL_PINS)
+def test_oracle_is_the_sequential_loop(x, y, e, step, matrix, state):
+    # the oracle reproduces the pins the sequential loop wrote, bit for bit
+    (a, c), (b, d) = sequential_propagate(GRID, y, x, e, step, ((1.0, 0.0), (0.0, 1.0)))
+    assert tuple(t.hex() for t in (a, b, c, d)) == matrix
+    ((u, du),) = sequential_propagate(GRID, y, x, e, step, ((0.6, -1.1),))
+    assert (u.hex(), du.hex()) == state
+    # and the kernel's matrix lies within the bound of those pins
+    got = transfer_matrix(GRID, x, y, e, step).entries()
+    assert within(got, [float.fromhex(t) for t in matrix])
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def grid_walks(draw):
+    """A grid potential and two points of its domain, in either order."""
+    gaps = draw(st.lists(st.floats(0.02, 0.4, **finite), min_size=1, max_size=25))
+    xs = [draw(st.floats(-2.0, 2.0, **finite))]
+    for g in gaps:
+        xs.append(xs[-1] + g)
+    values = draw(st.lists(st.floats(-20.0, 20.0, **finite),
+                           min_size=len(xs), max_size=len(xs)))
+    v = GridPotential(tuple(xs), tuple(values))
+    f, g = draw(st.lists(st.floats(0.0, 1.0, **finite), min_size=2, max_size=2, unique=True))
+    lo, hi = v.domain
+    return v, min(lo + f * (hi - lo), hi), min(lo + g * (hi - lo), hi)
+
+
+energy = st.floats(-25.0, 60.0, **finite)
+h_targets = st.sampled_from([0.1, 0.03, 0.01, 0.003])
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid_walks(), energy, h_targets)
+def test_kernel_pass_matches_sequential_pass(walk, e, h_target):
+    v, y, x = walk
+    samples = sequential_samples(v, _walk_points(v, y, x), h_target)
+    (a, c), (b, d) = [sequential_column(u, du, e, *samples) for u, du in ((1.0, 0.0), (0.0, 1.0))]
+    got = _rk4_product(e, _rk4_pass(v, y, x, h_target))
+    assert within(got, (a, b, c, d))
+
+
+@settings(max_examples=30, deadline=None)
+@given(grid_walks(), st.lists(energy, min_size=1, max_size=8), h_targets)
+def test_kernel_lanes_match_sequential_passes(walk, es, h_target):
+    v, y, x = walk
+    samples = sequential_samples(v, _walk_points(v, y, x), h_target)
+    lanes = _rk4_product(np.array(es), _rk4_pass(v, y, x, h_target))
+    for k, e in enumerate(es):
+        (a, c), (b, d) = [sequential_column(u, du, e, *samples)
+                          for u, du in ((1.0, 0.0), (0.0, 1.0))]
+        assert within([t[k] for t in lanes], (a, b, c, d))
+
+
+# ------------------------------------------------------------- closed form
+
+def airy_matrix(v0, slope, x, y, e):
+    """M(x, y; E) for V = v0 + slope * t from Airy functions at 30 digits.
+
+    u'' = (slope * t + v0 - E) u is solved by Ai and Bi of
+    z = slope**(1/3) * (t + (v0 - E) / slope).
+    """
+    with mpmath.workdps(30):
+        k = mpmath.cbrt(slope)
+
+        def fundamental(t):
+            z = k * (t + (v0 - e) / mpmath.mpf(slope))
+            return mpmath.matrix([[mpmath.airyai(z), mpmath.airybi(z)],
+                                  [k * mpmath.airyai(z, 1), k * mpmath.airybi(z, 1)]])
+
+        m = fundamental(mpmath.mpf(x)) * mpmath.inverse(fundamental(mpmath.mpf(y)))
+        return [float(m[0, 0]), float(m[0, 1]), float(m[1, 0]), float(m[1, 1])]
+
+
+@pytest.mark.parametrize("x, y, e", [(2.0, 0.0, 10.0), (0.0, 2.0, 10.0), (1.7, 0.3, -3.0),
+                                     (2.0, 0.5, 40.0)])
+def test_linear_potential_matches_airy_closed_form(x, y, e):
+    # the grid's linear interpolation makes V exactly linear on [0, 2]
+    v = GridPotential((0.0, 2.0), (-1.0, 5.0))
+    step = StepControl(tol=1e-10)
+    got = transfer_matrix(v, x, y, e, step).entries()
+    assert within(got, airy_matrix(-1.0, 3.0, x, y, e), 1e-10)

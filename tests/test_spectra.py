@@ -187,6 +187,14 @@ def test_dichotomy_requires_eigenvalue():
                            2.0, 0, "alpha")
 
 
+@pytest.mark.parametrize("parameter", PARAMETERS)
+def test_dichotomy_nan_mismatch_is_not_an_eigenvalue(parameter):
+    # a NaN theta makes the mismatch NaN, which no tolerance admits
+    site = PointInteraction(1.0, IwasawaParams(0.0, 1.0, math.nan))
+    with pytest.raises(NotAnEigenvalue):
+        classify_dichotomy(dirichlet_box(interactions=[site]), 1.0, 0, parameter)
+
+
 def test_dichotomy_theta_always_periodic():
     prob = aligned_problem(0.123)
     v = classify_dichotomy(prob, 4.0, 0, "theta")
