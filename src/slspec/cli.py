@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 config or validation error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -72,8 +73,9 @@ def _check_keys(obj, required, optional, where):
 
 def _number(obj, key, where):
     v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
+    # Python's json reads NaN and Infinity; NaN fails the comparison too
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{where}.{key} must be a finite number")
     return float(v)
 
 
@@ -407,7 +409,9 @@ def cmd_degenerate(args):
 
 # ----------------------------------------------------------------- entrypoint
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="slspec",
         description="Spectra of Sturm-Liouville operators with SL(2,R) "

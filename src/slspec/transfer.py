@@ -189,6 +189,14 @@ class GridPotential:
         w = (t - x0) / (x1 - x0)
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
+    def __hash__(self):
+        return self._hash
+
+    @cached_property
+    def _hash(self):
+        # the RK4 pass cache hashes its potential on every lookup
+        return hash((self.x, self.values))
+
     @cached_property
     def _arrays(self):
         return np.array(self.x), np.array(self.values)
@@ -359,7 +367,8 @@ def _tree_product(m):
 
 # lanes enter the step-matrix kernel in blocks of at most this many
 # (lane, step) entries, which bounds its memory for any walk and lane count
-_BLOCK = 1 << 16
+# and keeps each temporary array within 128 KiB, small enough to stay in cache
+_BLOCK = 1 << 14
 
 
 def _rk4_product(e, data):

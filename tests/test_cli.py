@@ -411,6 +411,66 @@ def test_mistyped_config_fields_exit_2(name, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+# every number of a command block must be finite; Python's json writes and
+# reads NaN and Infinity
+NON_FINITE = {
+    "transfer-energy-nan": ("transfer", "transfer", {"energy": math.nan}, "energy"),
+    "transfer-x-inf": ("transfer", "transfer", {"energy": 1.0, "x": math.inf}, "x"),
+    "eigs-e-hi-inf": ("eigs", "eigs", {**SMALL_EIGS, "e_hi": math.inf}, "e_hi"),
+    "eigs-tol-nan": ("eigs", "eigs", {**SMALL_EIGS, "tol": math.nan}, "tol"),
+    "step-tol-inf": ("eigs", "step", {"tol": math.inf}, "tol"),
+    "dichotomy-energy-nan": ("dichotomy", "dichotomy", {"energy": math.nan, "site": 0},
+                             "energy"),
+    "dichotomy-tol-inf": ("dichotomy", "dichotomy", {"energy": 4.0, "site": 0,
+                                                     "tol": math.inf}, "tol"),
+    "montecarlo-energy-minus-inf": ("montecarlo", "montecarlo",
+                                    {**MC_BLOCK, "energy": -math.inf}, "energy"),
+    "montecarlo-epsilon-nan": ("montecarlo", "montecarlo",
+                               {**MC_BLOCK, "epsilon": math.nan}, "epsilon"),
+    "degenerate-energy-nan": ("degenerate", "degenerate",
+                              {"energy": math.nan, "thetas": [0.0], "rs": [1.0]}, "energy"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+def test_non_finite_numbers_exit_2(name, tmp_path, capsys):
+    command, block_name, block, key = NON_FINITE[name]
+    problem = ({**box_problem_doc(), "b": 4 * PI} if command == "degenerate"
+               else box_problem_doc(IDENTITY_SITES))
+    cfg = {"schema": 1, "problem": problem, block_name: block,
+           "output": {"path": str(tmp_path / "out.json")}}
+    if block_name == "step":
+        cfg["eigs"] = SMALL_EIGS
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), command) == 2
+    assert capsys.readouterr().err == f"error: {block_name}.{key} must be a finite number\n"
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_eigs_nan_mismatch_exits_3(tmp_path, capsys):
+    # two V = 1000 pieces of length 15 overflow the exact route to a NaN
+    # mismatch at every grid energy; that is a failure, not an empty spectrum
+    problem = {**box_problem_doc(), "b": 30.0,
+               "potential": {"kind": "piecewise", "breakpoints": [0.0, 15.0, 30.0],
+                             "values": [1000.0, 1000.0]}}
+    cfg = {"schema": 1, "problem": problem, "eigs": {"e_lo": -5.0, "e_hi": 34.0, "grid": 20},
+           "output": {"path": str(tmp_path / "eigs.json")}}
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "eigs") == 3
+    assert capsys.readouterr().err == ("numerical failure: boundary mismatch is nan "
+                                       "at E = -5.0\n")
+    assert not (tmp_path / "eigs.json").exists()
+
+
+def test_parser_is_built_once(tmp_path):
+    from slspec.cli import build_parser
+    assert build_parser() is build_parser()
+    # reparsing through the one parser gives every call its own namespace
+    path = write_config(tmp_path, montecarlo_config(tmp_path, samples=3))
+    assert run("--quiet", "--config", path, "--seed", "9", "montecarlo") == 0
+    assert json.loads((tmp_path / "mc.json").read_text())["report"]["seed"] == 9
+    assert run("--quiet", "--config", path, "montecarlo") == 0
+    assert json.loads((tmp_path / "mc.json").read_text())["report"]["seed"] == 77
+
+
 def test_config_required(capsys):
     assert run("eigs") == 2
     assert "config" in capsys.readouterr().err

@@ -18,6 +18,12 @@ moves were 4.7e-15 relative (entries), 0 (eigenvalues: all bits kept) and
 4.5e-16 (mismatches and phases).  The grid zeros and class points kept
 every bit.  tests/test_rk4_kernel.py checks the kernel against a copy of
 the sequential loop, which reproduces the old pins bit for bit.
+
+The scan pins come from the ITP root refinement.  Each scan first passes
+tests/test_spectra.py's check against the bisection it replaced: in every
+grid cell at most one evaluation more, and every genuine root within the
+scan's tol of bisection's.  In a cell with a wrap-around and no root the
+reported point is wherever the trial path stops, so it has no such bound.
 """
 
 import math
@@ -35,7 +41,6 @@ from slspec.random import (
     zeros_of_eigenfunction,
 )
 from slspec.sl2 import IwasawaParams, ProjPoint, proj_class
-from slspec.spectra import eigenvalues_in_range
 from slspec.transfer import (
     DEFAULT_STEP,
     GridPotential,
@@ -45,6 +50,7 @@ from slspec.transfer import (
     propagate_state,
     transfer_matrix,
 )
+from test_spectra import within_bisection_bound
 
 PIECEWISE = PiecewisePotential((-1.0, -0.2, 0.5, 1.3, 2.0), (3.0, -2.5, 7.0, 0.5))
 _NODES = tuple(0.1 * i for i in range(11))
@@ -106,23 +112,23 @@ SCAN_PROBLEM = Problem(
      PointInteraction(0.725, IwasawaParams(-0.5, 0.9, 2.2))),
     ProjPoint(0.0), ProjPoint(0.3))
 
-# (e_lo, e_hi, grid, bisection tol, step, [(E, mismatch), ...])
+# (e_lo, e_hi, grid, refinement tol, step, [(E, mismatch), ...])
 SCANS = [
     (-5.0, 60.0, 10, 1e-10, DEFAULT_STEP,
      [('0x1.1c71c71c63556p+1', '0x1.be1c6a35ed250p-1'),
-      ('0x1.1df82fa6610e3p+3', '0x1.b318000000000p-41'),
-      ('0x1.a1c71c71c3801p+3', '0x1.09c41dea59f2ep+0')]),
+      ('0x1.1df82fa66085ap+3', '0x1.0000000000000p-54'),
+      ('0x1.0aaaaaaaa8608p+4', '0x1.2db90e9883168p-1')]),
     (5.0, 30.0, 6, 1e-8, HALVING,
-     [('0x1.1df8300680000p+3', '0x1.1bfb680000000p-32'),
-      ('0x1.8ffffffd80000p+3', '0x1.3df4c86a6b505p+0')]),
+     [('0x1.1df83007322fcp+3', '0x1.e000000000000p-51'),
+      ('0x1.8f643c33668a2p+3', '0x1.40294a51e95a5p+0')]),
     (20.0, 140.0, 8, 1e-9, StepControl(tol=1e-7),
-     [('0x1.f4ce04ca10924p+6', '0x1.1aad000000000p-38')]),
+     [('0x1.f4ce04ca0cedfp+6', '0x1.8000000000000p-53')]),
 ]
 
 
 @pytest.mark.parametrize("e_lo, e_hi, grid, tol, step, found", SCANS)
 def test_eigenvalues_in_range_bits(e_lo, e_hi, grid, tol, step, found):
-    reports = eigenvalues_in_range(SCAN_PROBLEM, e_lo, e_hi, grid, tol, step)
+    reports = within_bisection_bound(SCAN_PROBLEM, e_lo, e_hi, grid, tol, step)
     assert [(r.E.hex(), r.mismatch.hex()) for r in reports] == found
 
 

@@ -20,6 +20,7 @@ from slspec.transfer import (
     GridPotential,
     IntegrationFailure,
     StepControl,
+    _BLOCK,
     _rk4_pass,
     _rk4_product,
     _walk_points,
@@ -161,6 +162,18 @@ def test_kernel_lanes_match_sequential_passes(walk, es, h_target):
         (a, c), (b, d) = [sequential_column(u, du, e, *samples)
                           for u, du in ((1.0, 0.0), (0.0, 1.0))]
         assert within([t[k] for t in lanes], (a, b, c, d))
+
+
+@pytest.mark.parametrize("full, rest", [(0, 1), (1, 0), (1, 1), (3, 6)])
+def test_lanes_across_blocks_match_lone_energies(full, rest):
+    # the lanes fill `full` blocks of _BLOCK // steps lanes each, and `rest`
+    # more start another; each lane keeps its lone bits
+    data = _rk4_pass(GRID, 0.0, 1.0, 0.0005)
+    per = _BLOCK // len(data[0])
+    es = np.linspace(-20.0, 50.0, full * per + rest)
+    got = _rk4_product(es, data)
+    for k, e in enumerate(es.tolist()):
+        assert [t[k] for t in got] == _rk4_product(e, data)
 
 
 # ------------------------------------------------------------- closed form

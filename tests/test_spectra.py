@@ -2,10 +2,15 @@
 
 import json
 import math
+from bisect import bisect_right
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import slspec.spectra
 from slspec.cli import main
 from slspec.problem import PointInteraction, Problem, problem_from_json, with_site_params
 from slspec.sl2 import IwasawaParams, Mat2, ProjPoint, iwasawa_decompose, proj_class
@@ -14,6 +19,7 @@ from slspec.spectra import (
     ONLY_ORIGINAL,
     PARAMETERS,
     PERIODIC_IN_THETA,
+    WRAP_GUARD,
     CrossCheckFailure,
     NotAnEigenvalue,
     boundary_mismatch,
@@ -22,7 +28,7 @@ from slspec.spectra import (
     eigenvalues_in_range,
     matching_gamma,
 )
-from slspec.transfer import ConstantPotential, PiecewisePotential, propagate_state
+from slspec.transfer import DEFAULT_STEP, ConstantPotential, PiecewisePotential, propagate_state
 
 PI = math.pi
 
@@ -156,6 +162,141 @@ def test_box_spectrum_lengths(length):
         assert abs(e - w) / w < 1e-6
 
 
+# ----------------------------------------------- root refinement vs bisection
+
+def grid_energies(e_lo, e_hi, grid):
+    return [e_lo + (e_hi - e_lo) * i / (grid - 1) for i in range(grid)]
+
+
+def bisection_by_cell(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
+    """The scan with the bisection refinement that ITP replaced.
+
+    Returns {grid cell: (root, evaluations)}; a grid energy whose mismatch
+    is exactly zero is a root of its own cell, found with no evaluation.
+    """
+    es = grid_energies(e_lo, e_hi, grid)
+    ms = boundary_mismatch(problem, np.array(es), step)
+    roots = {}
+    for i in range(grid - 1):
+        m0, m1 = ms[i], ms[i + 1]
+        if m0 == 0.0:
+            roots[i] = (es[i], 0)
+        elif m0 * m1 < 0.0 and abs(m1 - m0) < WRAP_GUARD:
+            lo, hi, mlo, n = es[i], es[i + 1], m0, 0
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                mm = boundary_mismatch(problem, mid, step)
+                n += 1
+                if mm == 0.0:
+                    lo = hi = mid
+                    break
+                if mm * mlo < 0.0 and abs(mm - mlo) < WRAP_GUARD:
+                    hi = mid
+                else:
+                    lo, mlo = mid, mm
+            roots[i] = (0.5 * (lo + hi), n)
+    if ms[-1] == 0.0:
+        roots[grid - 1] = (es[-1], 0)
+    return roots
+
+
+def scan_by_cell(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP, budget=10_000):
+    """eigenvalues_in_range's reports and its refinement evaluations per grid cell.
+
+    More than budget evaluations fail the test instead of running on.
+    """
+    es = grid_energies(e_lo, e_hi, grid)
+    cells = Counter()
+    real = slspec.spectra.boundary_mismatch
+
+    def counted(prob, e, st=DEFAULT_STEP):
+        if not isinstance(e, np.ndarray):
+            cells[bisect_right(es, e) - 1] += 1
+            assert cells.total() <= budget, "refinement does not terminate"
+        return real(prob, e, st)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slspec.spectra, "boundary_mismatch", counted)
+        reports = eigenvalues_in_range(problem, e_lo, e_hi, grid, tol, step)
+    return reports, cells
+
+
+def within_bisection_bound(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
+    """The scan's reports, after checking them cell by cell against bisection.
+
+    ITP (n0 = 1) takes at most one evaluation more than bisection in every
+    cell.  Where bisection found a genuine root (mismatch at most 1e-6),
+    the scan's root lies within tol of it; in a spurious cell (a wrap-around
+    inside a sign change, no root) both stop somewhere on the wrap's path.
+    """
+    ref = bisection_by_cell(problem, e_lo, e_hi, grid, tol, step)
+    reports, cells = scan_by_cell(problem, e_lo, e_hi, grid, tol, step)
+    assert len(reports) == len(ref)
+    assert set(cells) <= set(ref)
+    for rep, (cell, (root, n)) in zip(reports, sorted(ref.items())):
+        assert cells[cell] <= n + 1
+        if eigen_test(problem, root, step).mismatch <= 1e-6:
+            assert abs(rep.E - root) <= tol
+    return reports
+
+
+finite = dict(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def scan_cases(draw):
+    """A piecewise problem with up to two sites and a scan fine enough for its spectrum."""
+    length = draw(st.floats(1.0, 3.0, **finite))
+    pieces = draw(st.integers(1, 3))
+    values = draw(st.lists(st.floats(-5.0, 5.0, **finite), min_size=pieces, max_size=pieces))
+    breaks = tuple(length * k / pieces for k in range(pieces)) + (length,)
+    sites = tuple(
+        PointInteraction(draw(st.floats(0.1, 0.9)) * length,
+                         IwasawaParams(draw(st.floats(-2.0, 2.0)), draw(st.floats(0.5, 2.0)),
+                                       draw(st.floats(0.0, 2 * PI))))
+        for _ in range(draw(st.integers(0, 2))))
+    sites = tuple(sorted({s.x: s for s in sites}.values(), key=lambda s: s.x))
+    problem = Problem(0.0, length, PiecewisePotential(breaks, tuple(values)), sites,
+                      ProjPoint(draw(st.floats(0.0, PI))), ProjPoint(draw(st.floats(0.0, PI))))
+    e_lo = draw(st.floats(-5.0, 5.0, **finite))
+    e_hi = e_lo + draw(st.floats(10.0, 40.0, **finite))
+    grid = draw(st.integers(60, 120))
+    tol = draw(st.sampled_from([1e-8, 1e-10, 1e-12]))
+    return problem, e_lo, e_hi, grid, tol
+
+
+# the mismatch of this cell near E = 0 bends so that regula falsi stalls on
+# one side: ITP runs on bisection's schedule to its last step
+STALLING = (Problem(0.0, 3.0, PiecewisePotential((0.0, 1.5, 3.0), (0.0, 2.0)), (),
+                    ProjPoint(2.0), ProjPoint(0.5)), 0.0, 10.0, 60, 1e-8)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(scan_cases())
+@example(STALLING)
+def test_itp_against_reference_bisection(case):
+    within_bisection_bound(*case)
+
+
+def test_refinement_stops_at_adjacent_floats():
+    # a tol below the float spacing: the bracket stops shrinking once no
+    # float lies strictly between its ends
+    problem = Problem(0.0, 3.0, ConstantPotential(0.37), (), ProjPoint(0.2), ProjPoint(1.1))
+    reports, cells = scan_by_cell(problem, 0.5, 9.0, 10, 1e-17, budget=500)
+    assert len(reports) == 3 and max(cells.values()) <= 64
+    genuine = eigenvalues_in_range(problem, 0.5, 9.0, 10, 1e-10)
+    for got, want in zip(reports, genuine):
+        assert abs(got.E - want.E) <= 1e-10
+
+
+def test_nan_mismatch_names_its_energy():
+    # two V = 1000 pieces of length 15: the exact route overflows to NaN
+    problem = Problem(0.0, 30.0, PiecewisePotential((0.0, 15.0, 30.0), (1000.0, 1000.0)),
+                      (), ProjPoint(0.0), ProjPoint(0.0))
+    with pytest.raises(FloatingPointError, match=r"nan at E = -5\.0$"):
+        eigenvalues_in_range(problem, -5.0, 34.0, 20)
+
+
 def test_search_validation():
     prob = dirichlet_box()
     with pytest.raises(ValueError):
@@ -276,8 +417,9 @@ CONTRADICTED = ("alpha verdict OnlyOriginal contradicted by re-tests "
 
 def test_cross_check_failure_on_a_built_problem(tmp_path, capsys):
     problem = problem_from_json(BUILT_PROBLEM)
-    (rep,) = eigenvalues_in_range(problem, 10.916949039553856, 11.916949039553856, 201)
-    assert rep.E.hex() == "0x1.70d76f6880b7cp+3"
+    (rep,) = within_bisection_bound(problem, 10.916949039553856, 11.916949039553856, 201,
+                                    1e-10)
+    assert rep.E.hex() == "0x1.70d76f6881723p+3"
     for site in range(3):
         for parameter in PARAMETERS:
             if (site, parameter) == (0, "alpha"):
