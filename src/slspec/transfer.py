@@ -367,8 +367,7 @@ def _tree_product(m):
 
 # lanes enter the step-matrix kernel in blocks of at most this many
 # (lane, step) entries, which bounds its memory for any walk and lane count
-# and keeps each temporary array within 128 KiB, small enough to stay in cache
-_BLOCK = 1 << 14
+_BLOCK = 1 << 16
 
 
 def _rk4_product(e, data):

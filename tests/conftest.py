@@ -1,0 +1,109 @@
+"""Shared fixtures: the eigenvalue scan checked against the bisection it replaced.
+
+The scan refines each bracket by ITP (slspec.spectra._refine).  The reference
+here is the bisection loop that preceded it, kept only in the tests; both
+tests/test_spectra.py and the scan pins of tests/test_golden.py check the
+scan against it through the fixtures below.
+"""
+
+from bisect import bisect_right
+from collections import Counter
+
+import numpy as np
+import pytest
+
+import slspec.spectra
+from slspec.spectra import WRAP_GUARD, boundary_mismatch, eigen_test, eigenvalues_in_range
+from slspec.transfer import DEFAULT_STEP
+
+
+def grid_energies(e_lo, e_hi, grid):
+    return [e_lo + (e_hi - e_lo) * i / (grid - 1) for i in range(grid)]
+
+
+def bisection_by_cell(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
+    """The scan with the bisection refinement that ITP replaced.
+
+    Returns {grid cell: (root, evaluations)}; a grid energy whose mismatch
+    is exactly zero is a root of its own cell, found with no evaluation.
+    """
+    es = grid_energies(e_lo, e_hi, grid)
+    ms = boundary_mismatch(problem, np.array(es), step)
+    roots = {}
+    for i in range(grid - 1):
+        m0, m1 = ms[i], ms[i + 1]
+        if m0 == 0.0:
+            roots[i] = (es[i], 0)
+        elif m0 * m1 < 0.0 and abs(m1 - m0) < WRAP_GUARD:
+            lo, hi, mlo, n = es[i], es[i + 1], m0, 0
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                mm = boundary_mismatch(problem, mid, step)
+                n += 1
+                if mm == 0.0:
+                    lo = hi = mid
+                    break
+                if mm * mlo < 0.0 and abs(mm - mlo) < WRAP_GUARD:
+                    hi = mid
+                else:
+                    lo, mlo = mid, mm
+            roots[i] = (0.5 * (lo + hi), n)
+    if ms[-1] == 0.0:
+        roots[grid - 1] = (es[-1], 0)
+    return roots
+
+
+def scan_by_cell(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP, budget=10_000):
+    """eigenvalues_in_range's reports and its refinement evaluations per grid cell.
+
+    More than budget evaluations fail the test instead of running on.
+    """
+    es = grid_energies(e_lo, e_hi, grid)
+    cells = Counter()
+    real = slspec.spectra.boundary_mismatch
+
+    def counted(prob, e, st=DEFAULT_STEP):
+        if not isinstance(e, np.ndarray):
+            cells[bisect_right(es, e) - 1] += 1
+            assert cells.total() <= budget, "refinement does not terminate"
+        return real(prob, e, st)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slspec.spectra, "boundary_mismatch", counted)
+        reports = eigenvalues_in_range(problem, e_lo, e_hi, grid, tol, step)
+    return reports, cells
+
+
+def within_bisection_bound(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
+    """The scan's reports, after checking them cell by cell against bisection.
+
+    ITP (n0 = 1) takes at most one evaluation more than bisection in every
+    cell.  Where bisection found a genuine root (mismatch at most 1e-6),
+    the scan's root lies within tol of it.  In a spurious cell (a
+    wrap-around inside a sign change, no root) both stop wherever their
+    trial paths meet the wrap, so the only position bound is the cell.
+    """
+    es = grid_energies(e_lo, e_hi, grid)
+    ref = bisection_by_cell(problem, e_lo, e_hi, grid, tol, step)
+    reports, cells = scan_by_cell(problem, e_lo, e_hi, grid, tol, step)
+    assert len(reports) == len(ref)
+    assert set(cells) <= set(ref)
+    for rep, (cell, (root, n)) in zip(reports, sorted(ref.items())):
+        assert cells[cell] <= n + 1
+        if eigen_test(problem, root, step).mismatch <= 1e-6:
+            assert abs(rep.E - root) <= tol
+        else:
+            assert es[cell] <= rep.E <= es[min(cell + 1, grid - 1)]
+    return reports
+
+
+@pytest.fixture(scope="session")
+def bisection_bound():
+    """within_bisection_bound: the scan's reports, checked against bisection."""
+    return within_bisection_bound
+
+
+@pytest.fixture(scope="session")
+def counted_scan():
+    """scan_by_cell: the scan's reports and its evaluations per grid cell."""
+    return scan_by_cell

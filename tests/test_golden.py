@@ -20,10 +20,12 @@ every bit.  tests/test_rk4_kernel.py checks the kernel against a copy of
 the sequential loop, which reproduces the old pins bit for bit.
 
 The scan pins come from the ITP root refinement.  Each scan first passes
-tests/test_spectra.py's check against the bisection it replaced: in every
+tests/conftest.py's check against the bisection it replaced: in every
 grid cell at most one evaluation more, and every genuine root within the
 scan's tol of bisection's.  In a cell with a wrap-around and no root the
-reported point is wherever the trial path stops, so it has no such bound.
+reported point is wherever the trial path meets the wrap, so it is only
+bounded by its cell: two of the three such pins below (mismatch 0.59 and
+1.25) moved from bisection's 13.06 and 12.49999999534 to 16.67 and 12.48.
 """
 
 import math
@@ -50,7 +52,6 @@ from slspec.transfer import (
     propagate_state,
     transfer_matrix,
 )
-from test_spectra import within_bisection_bound
 
 PIECEWISE = PiecewisePotential((-1.0, -0.2, 0.5, 1.3, 2.0), (3.0, -2.5, 7.0, 0.5))
 _NODES = tuple(0.1 * i for i in range(11))
@@ -127,8 +128,8 @@ SCANS = [
 
 
 @pytest.mark.parametrize("e_lo, e_hi, grid, tol, step, found", SCANS)
-def test_eigenvalues_in_range_bits(e_lo, e_hi, grid, tol, step, found):
-    reports = within_bisection_bound(SCAN_PROBLEM, e_lo, e_hi, grid, tol, step)
+def test_eigenvalues_in_range_bits(bisection_bound, e_lo, e_hi, grid, tol, step, found):
+    reports = bisection_bound(SCAN_PROBLEM, e_lo, e_hi, grid, tol, step)
     assert [(r.E.hex(), r.mismatch.hex()) for r in reports] == found
 
 

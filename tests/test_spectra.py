@@ -2,15 +2,12 @@
 
 import json
 import math
-from bisect import bisect_right
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import slspec.spectra
 from slspec.cli import main
 from slspec.problem import PointInteraction, Problem, problem_from_json, with_site_params
 from slspec.sl2 import IwasawaParams, Mat2, ProjPoint, iwasawa_decompose, proj_class
@@ -19,7 +16,6 @@ from slspec.spectra import (
     ONLY_ORIGINAL,
     PARAMETERS,
     PERIODIC_IN_THETA,
-    WRAP_GUARD,
     CrossCheckFailure,
     NotAnEigenvalue,
     boundary_mismatch,
@@ -164,81 +160,7 @@ def test_box_spectrum_lengths(length):
 
 # ----------------------------------------------- root refinement vs bisection
 
-def grid_energies(e_lo, e_hi, grid):
-    return [e_lo + (e_hi - e_lo) * i / (grid - 1) for i in range(grid)]
-
-
-def bisection_by_cell(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
-    """The scan with the bisection refinement that ITP replaced.
-
-    Returns {grid cell: (root, evaluations)}; a grid energy whose mismatch
-    is exactly zero is a root of its own cell, found with no evaluation.
-    """
-    es = grid_energies(e_lo, e_hi, grid)
-    ms = boundary_mismatch(problem, np.array(es), step)
-    roots = {}
-    for i in range(grid - 1):
-        m0, m1 = ms[i], ms[i + 1]
-        if m0 == 0.0:
-            roots[i] = (es[i], 0)
-        elif m0 * m1 < 0.0 and abs(m1 - m0) < WRAP_GUARD:
-            lo, hi, mlo, n = es[i], es[i + 1], m0, 0
-            while hi - lo > tol:
-                mid = 0.5 * (lo + hi)
-                mm = boundary_mismatch(problem, mid, step)
-                n += 1
-                if mm == 0.0:
-                    lo = hi = mid
-                    break
-                if mm * mlo < 0.0 and abs(mm - mlo) < WRAP_GUARD:
-                    hi = mid
-                else:
-                    lo, mlo = mid, mm
-            roots[i] = (0.5 * (lo + hi), n)
-    if ms[-1] == 0.0:
-        roots[grid - 1] = (es[-1], 0)
-    return roots
-
-
-def scan_by_cell(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP, budget=10_000):
-    """eigenvalues_in_range's reports and its refinement evaluations per grid cell.
-
-    More than budget evaluations fail the test instead of running on.
-    """
-    es = grid_energies(e_lo, e_hi, grid)
-    cells = Counter()
-    real = slspec.spectra.boundary_mismatch
-
-    def counted(prob, e, st=DEFAULT_STEP):
-        if not isinstance(e, np.ndarray):
-            cells[bisect_right(es, e) - 1] += 1
-            assert cells.total() <= budget, "refinement does not terminate"
-        return real(prob, e, st)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(slspec.spectra, "boundary_mismatch", counted)
-        reports = eigenvalues_in_range(problem, e_lo, e_hi, grid, tol, step)
-    return reports, cells
-
-
-def within_bisection_bound(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
-    """The scan's reports, after checking them cell by cell against bisection.
-
-    ITP (n0 = 1) takes at most one evaluation more than bisection in every
-    cell.  Where bisection found a genuine root (mismatch at most 1e-6),
-    the scan's root lies within tol of it; in a spurious cell (a wrap-around
-    inside a sign change, no root) both stop somewhere on the wrap's path.
-    """
-    ref = bisection_by_cell(problem, e_lo, e_hi, grid, tol, step)
-    reports, cells = scan_by_cell(problem, e_lo, e_hi, grid, tol, step)
-    assert len(reports) == len(ref)
-    assert set(cells) <= set(ref)
-    for rep, (cell, (root, n)) in zip(reports, sorted(ref.items())):
-        assert cells[cell] <= n + 1
-        if eigen_test(problem, root, step).mismatch <= 1e-6:
-            assert abs(rep.E - root) <= tol
-    return reports
-
+# the reference bisection and the counted scan are fixtures in conftest.py
 
 finite = dict(allow_nan=False, allow_infinity=False)
 
@@ -274,15 +196,15 @@ STALLING = (Problem(0.0, 3.0, PiecewisePotential((0.0, 1.5, 3.0), (0.0, 2.0)), (
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(scan_cases())
 @example(STALLING)
-def test_itp_against_reference_bisection(case):
-    within_bisection_bound(*case)
+def test_itp_against_reference_bisection(bisection_bound, case):
+    bisection_bound(*case)
 
 
-def test_refinement_stops_at_adjacent_floats():
+def test_refinement_stops_at_adjacent_floats(counted_scan):
     # a tol below the float spacing: the bracket stops shrinking once no
     # float lies strictly between its ends
     problem = Problem(0.0, 3.0, ConstantPotential(0.37), (), ProjPoint(0.2), ProjPoint(1.1))
-    reports, cells = scan_by_cell(problem, 0.5, 9.0, 10, 1e-17, budget=500)
+    reports, cells = counted_scan(problem, 0.5, 9.0, 10, 1e-17, budget=500)
     assert len(reports) == 3 and max(cells.values()) <= 64
     genuine = eigenvalues_in_range(problem, 0.5, 9.0, 10, 1e-10)
     for got, want in zip(reports, genuine):
@@ -415,10 +337,9 @@ CONTRADICTED = ("alpha verdict OnlyOriginal contradicted by re-tests "
                 "[False, True, True, True, True, True, True, False]")
 
 
-def test_cross_check_failure_on_a_built_problem(tmp_path, capsys):
+def test_cross_check_failure_on_a_built_problem(bisection_bound, tmp_path, capsys):
     problem = problem_from_json(BUILT_PROBLEM)
-    (rep,) = within_bisection_bound(problem, 10.916949039553856, 11.916949039553856, 201,
-                                    1e-10)
+    (rep,) = bisection_bound(problem, 10.916949039553856, 11.916949039553856, 201, 1e-10)
     assert rep.E.hex() == "0x1.70d76f6881723p+3"
     for site in range(3):
         for parameter in PARAMETERS:
