@@ -41,7 +41,6 @@ from .problem import (
     PointInteraction,
     Problem,
     PropagationResult,
-    JumpRecord,
     propagate_through,
     prufer_trace,
     with_site_params,

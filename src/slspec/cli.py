@@ -209,16 +209,13 @@ def cmd_transfer(args):
     e = _number(block, "energy", "transfer")
     x = _number(block, "x", "transfer") if "x" in block else prob.b
     y = _number(block, "y", "transfer") if "y" in block else prob.a
-    try:
-        m = transfer_matrix(prob.potential, x, y, e, step)
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from exc
+    m = transfer_matrix(prob.potential, x, y, e, step)
     doc = {"schema": 1, "command": "transfer", "energy": e, "x": x, "y": y,
            "matrix": list(m.entries()), "det": m.det}
     trace = None
     if "trace_resolution" in block:
         res = _number(block, "trace_resolution", "transfer")
-        trace = prufer_trace(prob, e, prob.initial_state(), res, step)
+        trace = prufer_trace(prob, e, res, step)
         doc["prufer"] = [[t, phi] for t, phi in trace]
     path, fmt = resolve_output(args, cfg)
     if fmt == "csv":

@@ -4,7 +4,8 @@ A boundary angle psi admits the solutions with (u, u') proportional to
 (sin psi, cos psi) at the endpoint, i.e. u cos(psi) - u' sin(psi) = 0, so the
 admissible data at angle psi is exactly the projective point of angle psi.
 At each interior site x_n the data jumps by left-multiplication with the
-interaction matrix P_alpha H_r E_theta.
+interaction matrix P_alpha H_r E_theta.  Shooting reads only projective
+classes, so walks keep their states at unit norm and no magnitudes.
 """
 
 from __future__ import annotations
@@ -79,37 +80,22 @@ def with_site_params(problem: Problem, site_index: int, **changes) -> Problem:
 
 
 @dataclass(frozen=True)
-class JumpRecord:
-    """States just left and just right of one site, in the propagated frame.
-
-    right is exactly the jump matrix applied to left; no renormalization
-    happens between the two.
-    """
-
-    x: float
-    left: SolutionState
-    right: SolutionState
-
-
-@dataclass(frozen=True)
 class PropagationResult:
-    """Terminal state plus the per-site trace.
+    """Terminal state plus the states just left of each site.
 
-    The state is renormalized to unit norm after every smooth piece to keep
-    large-energy runs from overflowing; log_scale accumulates the removed
-    positive factors, so exp(log_scale) * (final.u, final.du) is the true
-    solution data.
+    Only projective classes are read, so every state is normalized to unit
+    norm after each smooth piece, which keeps large-energy runs from
+    overflowing; the removed factors are not kept.
     """
 
     final: SolutionState
-    log_scale: float
-    jumps: tuple
+    lefts: tuple
 
 
-def _renormalized(state, log_scale):
-    """state scaled to unit norm, and log_scale plus the log of the norm removed.
+def _normalized(state):
+    """state scaled to unit norm; finite data whose norm overflows is halved first.
 
-    Finite data whose norm overflows is halved first, so it keeps its class.
+    Zero data is returned as it is.
     """
     if isinstance(state.u, np.ndarray):
         # lanes are scaled one by one with math, as a lone state would be
@@ -118,52 +104,40 @@ def _renormalized(state, log_scale):
             halve = np.isinf(norms) & np.isfinite(state.u) & np.isfinite(state.du)
             state = SolutionState(state.x, np.where(halve, state.u / 2.0, state.u),
                                   np.where(halve, state.du / 2.0, state.du))
-            log_scale = log_scale + np.where(halve, math.log(2.0), 0.0)
             norms = [math.hypot(u, du) for u, du in zip(state.u.tolist(), state.du.tolist())]
         n = np.array([t if t != 0.0 else 1.0 for t in norms])
-        logs = np.array([math.log(t) if t != 0.0 else 0.0 for t in norms])
-        return SolutionState(state.x, state.u / n, state.du / n), log_scale + logs
+        return SolutionState(state.x, state.u / n, state.du / n)
     n = math.hypot(state.u, state.du)
     if n == math.inf and math.isfinite(state.u) and math.isfinite(state.du):
         state = SolutionState(state.x, state.u / 2.0, state.du / 2.0)
-        log_scale += math.log(2.0)
         n = math.hypot(state.u, state.du)
     if n == 0.0:
-        return state, log_scale
-    return SolutionState(state.x, state.u / n, state.du / n), log_scale + math.log(n)
+        return state
+    return SolutionState(state.x, state.u / n, state.du / n)
 
 
-def propagate_through(problem: Problem, e, initial: SolutionState,
-                      step: StepControl = DEFAULT_STEP,
+def propagate_through(problem: Problem, e, step: StepControl = DEFAULT_STEP,
                       jumps=None) -> PropagationResult:
     """Alternate smooth propagation with jump matrices, left endpoint to right.
 
-    e may be a 1-D array of energies: the states then hold one lane per
-    energy (see transfer._propagate), each equal bit for bit to the run of
-    that energy alone.  jumps, if given, holds one matrix per site to use
-    instead of the site's own; its entries may be lane arrays, one lane per
-    realization of the jumps, which is how Monte Carlo walks a fixed energy.
+    The walk starts from problem.initial_state().  e may be a 1-D array of
+    energies: the states then hold one lane per energy (see
+    transfer._propagate), each equal bit for bit to the run of that energy
+    alone.  jumps, if given, holds one matrix per site to use instead of the
+    site's own; its entries may be lane arrays, one lane per realization of
+    the jumps, which is how Monte Carlo walks a fixed energy.
     """
-    if initial.x != problem.a:
-        raise ValueError(f"initial state must sit at a = {problem.a}, got {initial.x}")
-    if initial.u == 0.0 and initial.du == 0.0:
-        raise ValueError("initial data must be nontrivial")
     v = problem.potential
-    state = initial
-    log_scale = 0.0
+    state = problem.initial_state()
     if jumps is None:
         jumps = [iwasawa_compose(site.params) for site in problem.interactions]
-    records = []
+    lefts = []
     for site, m in zip(problem.interactions, jumps):
-        state = propagate_state(v, state, site.x, e, step)
-        state, log_scale = _renormalized(state, log_scale)
-        left = state
-        u, du = m.apply((state.u, state.du))
-        state = SolutionState(site.x, u, du)
-        records.append(JumpRecord(site.x, left, state))
-    state = propagate_state(v, state, problem.b, e, step)
-    state, log_scale = _renormalized(state, log_scale)
-    return PropagationResult(state, log_scale, tuple(records))
+        state = _normalized(propagate_state(v, state, site.x, e, step))
+        lefts.append(state)
+        state = SolutionState(site.x, *m.apply((state.u, state.du)))
+    state = _normalized(propagate_state(v, state, problem.b, e, step))
+    return PropagationResult(state, tuple(lefts))
 
 
 def _continue_lift(prev, raw):
@@ -180,7 +154,7 @@ def _wrap_half_pi(d):
 
 
 def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
-    """Samples (x, renormalized state, lifted phase) of the walk from state.x to x_stop.
+    """Samples (x, normalized state, lifted phase) of the walk from state.x to x_stop.
 
     The samples are equispaced and the last one sits exactly on x_stop.  The
     spacing is at most resolution and at most 0.45 / bound, where bound =
@@ -193,26 +167,25 @@ def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
     n = max(1, math.ceil((x_stop - lo) / min(resolution, 0.45 / bound)))
     for i in range(1, n + 1):
         x = min(lo + (x_stop - lo) * i / n, x_stop)
-        state = _renormalized(propagate_state(v, state, x, e, step), 0.0)[0]
+        state = _normalized(propagate_state(v, state, x, e, step))
         phi = _continue_lift(phi, math.atan2(state.u, state.du))
         yield x, state, phi
 
 
-def prufer_trace(problem: Problem, e: float, initial: SolutionState,
-                 resolution: float, step: StepControl = DEFAULT_STEP):
+def prufer_trace(problem: Problem, e: float, resolution: float,
+                 step: StepControl = DEFAULT_STEP):
     """Continuously lifted phase phi(x) = arg(u'(x) + i u(x)) along the problem.
 
-    Samples at spacing <= resolution (refined further where the phase can
-    turn fast); zeros of u are the points where phi crosses a multiple of pi.
-    At each site the trace records the x twice: the jump's angular
-    displacement is booked with the branch in (-pi/2, pi/2].
+    The walk starts from problem.initial_state().  Samples at spacing <=
+    resolution (refined further where the phase can turn fast); zeros of u
+    are the points where phi crosses a multiple of pi.  At each site the
+    trace records the x twice: the jump's angular displacement is booked
+    with the branch in (-pi/2, pi/2].
     """
     if not resolution > 0.0:
         raise ValueError("resolution must be positive")
-    if initial.x != problem.a:
-        raise ValueError(f"initial state must sit at a = {problem.a}, got {initial.x}")
     v = problem.potential
-    state, _ = _renormalized(initial, 0.0)
+    state = _normalized(problem.initial_state())
     phi = math.atan2(state.u, state.du)
     out = [(state.x, phi)]
     stops = [(site.x, site.params) for site in problem.interactions]

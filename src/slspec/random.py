@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import PointInteraction, Problem, _continue_lift, _lift_walk, _renormalized
+from .problem import PointInteraction, Problem, _continue_lift, _lift_walk, _normalized
 from .sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
 from .spectra import eigen_test, realized_mismatches
 from .transfer import DEFAULT_STEP, StepControl, finite_numbers, propagate_state
@@ -352,7 +352,7 @@ def _bisect_zero(v, left_state, x_right, e, step):
         if ms.u == 0.0:
             return mid
         if (ms.u > 0) == (ul > 0):
-            lo, state = mid, _renormalized(ms, 0.0)[0]
+            lo, state = mid, _normalized(ms)
         else:
             hi = mid
     return 0.5 * (lo + hi)
@@ -371,7 +371,7 @@ def zeros_of_eigenfunction(problem: Problem, e: float,
         raise ValueError("zeros are computed on the interaction-free problem")
     v = problem.potential
     a, b = problem.a, problem.b
-    state = _renormalized(problem.initial_state(), 0.0)[0]
+    state = _normalized(problem.initial_state())
     zeros = []
     for xi, nxt, _ in _lift_walk(v, state, math.atan2(state.u, state.du), b, e, step):
         if nxt.u == 0.0:
@@ -395,8 +395,7 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     if not problem.a <= t1 < t2 <= problem.b:
         raise ValueError(f"need a <= t1 < t2 <= b, got [{t1}, {t2}]")
     v = problem.potential
-    state = propagate_state(v, problem.initial_state(), t1, e, step)
-    state = _renormalized(state, 0.0)[0]
+    state = _normalized(propagate_state(v, problem.initial_state(), t1, e, step))
     if abs(state.u) > 1e-6:
         raise TargetNotBracketed(f"u(t1) = {state.u:.3e}, t1 is not a zero")
     phi1 = math.atan2(state.u, state.du)
@@ -415,7 +414,7 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
             f"lift advanced {la - phi1:.6f} over [t1, t2); are t1, t2 consecutive zeros?")
     while xb - xa > 1e-12:
         mid = 0.5 * (xa + xb)
-        sm = _renormalized(propagate_state(v, sa, mid, e, step), 0.0)[0]
+        sm = _normalized(propagate_state(v, sa, mid, e, step))
         lm = _continue_lift(la, math.atan2(sm.u, sm.du))
         if lm >= goal:
             xb = mid
@@ -454,8 +453,7 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
         if base.initial_state().u == 0.0:
             zeros = [a] + zeros
         if len(zeros) < need:
-            tail = propagate_state(v, base.initial_state(), b, e, step)
-            tail = _renormalized(tail, 0.0)[0]
+            tail = _normalized(propagate_state(v, base.initial_state(), b, e, step))
             if abs(tail.u) <= 1e-6:
                 zeros = zeros + [b]
     if len(zeros) < need:

@@ -125,9 +125,6 @@ class ProjPoint:
         d = abs(self.angle - other.angle) % math.pi
         return min(d, math.pi - d)
 
-    def isclose(self, other: "ProjPoint", tol: float = 1e-9) -> bool:
-        return self.distance(other) <= tol
-
 
 def proj_class(v1: float, v2: float) -> ProjPoint:
     """Projective class of the nonzero vector (v1, v2)."""

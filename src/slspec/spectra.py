@@ -66,16 +66,16 @@ class DichotomyVerdict:
 def eigen_test(problem: Problem, e: float,
                step: StepControl = DEFAULT_STEP) -> EigenReport:
     """Propagate the left-admissible solution and measure the defect at b."""
-    res = propagate_through(problem, e, problem.initial_state(), step)
+    res = propagate_through(problem, e, step)
     final_class = proj_class(res.final.u, res.final.du)
-    lefts = tuple(proj_class(j.left.u, j.left.du) for j in res.jumps)
+    lefts = tuple(proj_class(s.u, s.du) for s in res.lefts)
     return EigenReport(e, final_class.distance(problem.bc_right), lefts)
 
 
 def matching_gamma(problem: Problem, e: float,
                    step: StepControl = DEFAULT_STEP) -> ProjPoint:
     """The unique right boundary angle making e an eigenvalue; bc_right is ignored."""
-    res = propagate_through(problem, e, problem.initial_state(), step)
+    res = propagate_through(problem, e, step)
     return proj_class(res.final.u, res.final.du)
 
 
@@ -87,7 +87,7 @@ def _lane_classes(problem, e, step, jumps=None):
     """The final class of every lane of one walk; see propagate_through."""
     # Python floats overflow to inf and nan without a word; so do the lanes
     with np.errstate(over="ignore", invalid="ignore"):
-        final = propagate_through(problem, e, problem.initial_state(), step, jumps).final
+        final = propagate_through(problem, e, step, jumps).final
     return [proj_class(u, du) for u, du in zip(final.u.tolist(), final.du.tolist())]
 
 

@@ -472,7 +472,10 @@ def transfer_matrix(v, x, y, e, step: StepControl = DEFAULT_STEP) -> Mat2:
     # det is a quadratic form in the entries, so its roundoff floor scales
     # with the squared matrix size
     det_scale = max(1.0, max(abs(t) for t in m.entries()) ** 2)
-    if abs(m.det - 1.0) > 10.0 * step.tol * det_scale:
+    if not math.isfinite(m.det):
+        # a finite det needs finite entries; an overflowed one is inf or nan
+        raise IntegrationFailure(f"non-finite transfer matrix: determinant {m.det}")
+    if not abs(m.det - 1.0) <= 10.0 * step.tol * det_scale:
         raise IntegrationFailure(
             f"determinant drift {m.det - 1.0:.3e} exceeds 10x tolerance {step.tol}")
     return m

@@ -341,6 +341,32 @@ def test_transfer_prufer_trace_csv(tmp_path):
     assert abs(x - PI) < 1e-12 and abs(phi - PI) < 1e-9
 
 
+def overflow_problem_doc():
+    # two V = 1000 pieces of length 15 overflow the exact route
+    return {**box_problem_doc(), "b": 30.0,
+            "potential": {"kind": "piecewise", "breakpoints": [0.0, 15.0, 30.0],
+                          "values": [1000.0, 1000.0]}}
+
+
+def test_transfer_overflow_exits_3(tmp_path, capsys):
+    cfg = {"schema": 1, "problem": overflow_problem_doc(), "transfer": {"energy": 1.0},
+           "output": {"path": str(tmp_path / "t.json")}}
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "transfer") == 3
+    assert capsys.readouterr().err == ("numerical failure: non-finite transfer matrix: "
+                                       "determinant nan\n")
+    assert not (tmp_path / "t.json").exists()
+
+
+def test_transfer_outside_domain_exits_2(tmp_path, capsys):
+    cfg = {"schema": 1, "problem": overflow_problem_doc(),
+           "transfer": {"energy": 1.0, "x": 31.0},
+           "output": {"path": str(tmp_path / "t.json")}}
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "transfer") == 2
+    assert capsys.readouterr().err == ("error: x = 31.0 outside potential domain "
+                                       "[0.0, 30.0]\n")
+    assert not (tmp_path / "t.json").exists()
+
+
 # ----------------------------------------------------------------- validation
 
 GRID_PROBLEM = {
@@ -447,12 +473,10 @@ def test_non_finite_numbers_exit_2(name, tmp_path, capsys):
 
 
 def test_eigs_nan_mismatch_exits_3(tmp_path, capsys):
-    # two V = 1000 pieces of length 15 overflow the exact route to a NaN
-    # mismatch at every grid energy; that is a failure, not an empty spectrum
-    problem = {**box_problem_doc(), "b": 30.0,
-               "potential": {"kind": "piecewise", "breakpoints": [0.0, 15.0, 30.0],
-                             "values": [1000.0, 1000.0]}}
-    cfg = {"schema": 1, "problem": problem, "eigs": {"e_lo": -5.0, "e_hi": 34.0, "grid": 20},
+    # the overflow problem gives a NaN mismatch at every grid energy; that is
+    # a failure, not an empty spectrum
+    cfg = {"schema": 1, "problem": overflow_problem_doc(),
+           "eigs": {"e_lo": -5.0, "e_hi": 34.0, "grid": 20},
            "output": {"path": str(tmp_path / "eigs.json")}}
     assert run("--quiet", "--config", write_config(tmp_path, cfg), "eigs") == 3
     assert capsys.readouterr().err == ("numerical failure: boundary mismatch is nan "

@@ -236,7 +236,7 @@ TRACES = [
 @pytest.mark.parametrize("name, e, resolution, step, trace", TRACES)
 def test_prufer_trace_bits(name, e, resolution, step, trace):
     problem = TRACE_PROBLEMS[name]
-    got = prufer_trace(problem, e, problem.initial_state(), resolution, step)
+    got = prufer_trace(problem, e, resolution, step)
     assert [(x.hex(), phi.hex()) for x, phi in got] == trace
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from slspec.cli import main
-from slspec.problem import (PointInteraction, Problem, _renormalized, problem_from_json,
+from slspec.problem import (PointInteraction, Problem, _normalized, problem_from_json,
                             with_site_params)
 from slspec.random import (
     Ensemble,
@@ -362,13 +362,12 @@ def test_overflowing_sample_lanes_stay_silent(v):
 
 def test_renormalized_halves_finite_data_whose_norm_overflows():
     u, du = [1.5e308, 0.6, math.inf], [-1.5e308, 0.8, 1.0]
-    floats = [_renormalized(SolutionState(0.0, a, b), 0.0) for a, b in zip(u, du)]
-    assert floats[0][0].u == -floats[0][0].du == pytest.approx(math.sqrt(0.5), abs=1e-15)
-    assert floats[0][1] == pytest.approx(math.log(1.5e308) + 0.5 * math.log(2.0))
+    floats = [_normalized(SolutionState(0.0, a, b)) for a, b in zip(u, du)]
+    assert floats[0].u == -floats[0].du == pytest.approx(math.sqrt(0.5), abs=1e-15)
     with np.errstate(invalid="ignore"):
-        state, logs = _renormalized(SolutionState(0.0, np.array(u), np.array(du)), 0.0)
-    assert [(t.hex(), v.hex(), w.hex()) for t, v, w in zip(state.u, state.du, logs)] == [
-        (s.u.hex(), s.du.hex(), log.hex()) for s, log in floats]
+        state = _normalized(SolutionState(0.0, np.array(u), np.array(du)))
+    assert [(t.hex(), v.hex()) for t, v in zip(state.u, state.du)] == [
+        (s.u.hex(), s.du.hex()) for s in floats]
 
 
 def test_huge_finite_lanes_keep_their_class():

@@ -8,6 +8,7 @@ import pytest
 from slspec.problem import (
     PointInteraction,
     Problem,
+    _normalized,
     problem_from_json,
     problem_to_json,
     propagate_through,
@@ -20,6 +21,7 @@ from slspec.sl2 import (
     ProjPoint,
     iwasawa_compose,
     iwasawa_decompose,
+    proj_class,
 )
 from slspec.transfer import (
     ConstantPotential,
@@ -74,21 +76,19 @@ def test_initial_state_matches_left_angle():
 # ---------------------------------------------------------------- propagation
 
 def test_no_interactions_equals_propagate_state():
-    prob = dirichlet_box(2.0, v=1.5)
-    init = SolutionState(0.0, 0.3, 0.8)
-    res = propagate_through(prob, 3.0, init)
-    direct = propagate_state(prob.potential, init, 2.0, 3.0)
-    scale = math.exp(res.log_scale)
-    assert abs(scale * res.final.u - direct.u) < 1e-10
-    assert abs(scale * res.final.du - direct.du) < 1e-10
+    prob = Problem(0.0, 2.0, ConstantPotential(1.5), (), ProjPoint(0.36), ProjPoint(0.0))
+    res = propagate_through(prob, 3.0)
+    direct = propagate_state(prob.potential, prob.initial_state(), 2.0, 3.0)
+    assert res.lefts == ()
+    assert abs(math.hypot(res.final.u, res.final.du) - 1.0) < 1e-15
+    assert proj_class(res.final.u, res.final.du).distance(proj_class(direct.u, direct.du)) < 1e-10
 
 
 def test_identity_interaction_is_invisible():
     plain = dirichlet_box(2.0)
     with_id = dirichlet_box(2.0, interactions=[PointInteraction(1.0, IDENTITY_PARAMS)])
-    init = SolutionState(0.0, 0.0, 1.0)
-    a = propagate_through(plain, 1.0, init)
-    b = propagate_through(with_id, 1.0, init)
+    a = propagate_through(plain, 1.0)
+    b = propagate_through(with_id, 1.0)
     assert abs(a.final.u - b.final.u) < 1e-8
     assert abs(a.final.du - b.final.du) < 1e-8
 
@@ -97,13 +97,19 @@ def test_delta_jump_action():
     # the delta jump keeps u and kicks u' by strength * u
     strength = 2.5
     prob = dirichlet_box(PI, interactions=[PointInteraction(1.0, delta_params(strength))])
-    res = propagate_through(prob, 2.0, prob.initial_state())
-    (rec,) = res.jumps
-    assert abs(rec.right.u - rec.left.u) < 1e-12
-    assert abs(rec.right.du - (rec.left.du + strength * rec.left.u)) < 1e-12
+    res = propagate_through(prob, 2.0)
+    (left,) = res.lefts
+    u, du = iwasawa_compose(prob.interactions[0].params).apply((left.u, left.du))
+    assert abs(u - left.u) < 1e-12
+    assert abs(du - (left.du + strength * left.u)) < 1e-12
+    # the walk carries on from exactly that jumped state
+    assert res.final == _normalized(propagate_state(prob.potential, SolutionState(1.0, u, du),
+                                                    PI, 2.0))
 
 
 def test_trace_consistency_right_equals_jump_times_left():
+    # each recorded left state, jumped by its site's matrix and walked on,
+    # gives the next left state (or the final one) bit for bit
     rng = np.random.default_rng(42)
     for _ in range(20):
         sites = []
@@ -115,10 +121,16 @@ def test_trace_consistency_right_equals_jump_times_left():
                               rng.uniform(0, 2 * PI))))
         prob = Problem(0.0, 3.0, ConstantPotential(0.0), tuple(sites),
                        ProjPoint(rng.uniform(0, PI)), ProjPoint(0))
-        res = propagate_through(prob, rng.uniform(-2, 9), prob.initial_state())
-        for site, rec in zip(sites, res.jumps):
-            u, du = iwasawa_compose(site.params).apply((rec.left.u, rec.left.du))
-            assert rec.right.u == u and rec.right.du == du
+        e = rng.uniform(-2, 9)
+        res = propagate_through(prob, e)
+        v = prob.potential
+        assert res.lefts[0] == _normalized(propagate_state(v, prob.initial_state(), sites[0].x, e))
+        stops = [*res.lefts[1:], res.final]
+        for site, left, nxt in zip(sites, res.lefts, stops):
+            m = iwasawa_compose(site.params)
+            assert left.x == site.x
+            assert nxt == _normalized(propagate_state(v, SolutionState(site.x, *m.apply(
+                (left.u, left.du))), nxt.x, e))
 
 
 def test_interleaving_matches_matrix_product():
@@ -131,26 +143,15 @@ def test_interleaving_matches_matrix_product():
         prob = Problem(0.0, 3.0, v, tuple(sites), ProjPoint(0.3), ProjPoint(0))
         e = rng.uniform(-1, 8)
         init = prob.initial_state()
-        res = propagate_through(prob, e, init)
+        res = propagate_through(prob, e)
         m = transfer_matrix(v, 0.9, 0.0, e)
         m = iwasawa_compose(sites[0].params) @ m
         m = transfer_matrix(v, 2.1, 0.9, e) @ m
         m = iwasawa_compose(sites[1].params) @ m
         m = transfer_matrix(v, 3.0, 2.1, e) @ m
-        want = m.apply((init.u, init.du))
-        scale = math.exp(res.log_scale)
-        got = (scale * res.final.u, scale * res.final.du)
-        norm = max(1.0, abs(want[0]), abs(want[1]))
-        assert abs(got[0] - want[0]) / norm < 1e-7
-        assert abs(got[1] - want[1]) / norm < 1e-7
-
-
-def test_propagate_through_rejects_bad_initial():
-    prob = dirichlet_box()
-    with pytest.raises(ValueError):
-        propagate_through(prob, 1.0, SolutionState(0.5, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        propagate_through(prob, 1.0, SolutionState(0.0, 0.0, 0.0))
+        want = proj_class(*m.apply((init.u, init.du)))
+        assert abs(math.hypot(res.final.u, res.final.du) - 1.0) < 1e-15
+        assert proj_class(res.final.u, res.final.du).distance(want) < 1e-7
 
 
 def test_with_site_params():
@@ -164,7 +165,7 @@ def test_with_site_params():
 
 def test_prufer_free_particle_is_linear():
     prob = dirichlet_box(3.5 * PI)
-    trace = prufer_trace(prob, 1.0, prob.initial_state(), resolution=0.05)
+    trace = prufer_trace(prob, 1.0, resolution=0.05)
     for x, phi in trace:
         assert abs(phi - x) < 1e-9
 
@@ -173,7 +174,7 @@ def test_prufer_zero_count_free():
     # sin has interior zeros pi, 2pi, 3pi on [0, 3.5pi]: the lift passes
     # 3 multiples of pi strictly inside
     prob = dirichlet_box(3.5 * PI)
-    trace = prufer_trace(prob, 1.0, prob.initial_state(), resolution=0.05)
+    trace = prufer_trace(prob, 1.0, resolution=0.05)
     crossings = 0
     for (_, p0), (_, p1) in zip(trace, trace[1:]):
         if math.floor(p1 / PI) > math.floor(p0 / PI):
@@ -186,7 +187,7 @@ def test_prufer_trace_ends_exactly_at_the_stop():
     b = 3.6162554045266595
     prob = Problem(0.0, b, PiecewisePotential((0.0, b), (0.0,)), (),
                    ProjPoint(0.0), ProjPoint(0.0))
-    trace = prufer_trace(prob, 1.3, prob.initial_state(), b / 11)
+    trace = prufer_trace(prob, 1.3, b / 11)
     xs = [x for x, _ in trace]
     assert xs[-1] == b
     assert xs == sorted(xs)
@@ -201,7 +202,7 @@ def test_prufer_zero_count_matches_sign_sampling():
         prob = Problem(0.0, 3.0, v, (), ProjPoint(rng.uniform(0, PI)), ProjPoint(0))
         e = rng.uniform(2, 25)
         init = prob.initial_state()
-        trace = prufer_trace(prob, e, init, resolution=0.01)
+        trace = prufer_trace(prob, e, resolution=0.01)
         lift_count = sum(
             1 for (_, p0), (_, p1) in zip(trace, trace[1:])
             if math.floor(p1 / PI) > math.floor(p0 / PI))
@@ -225,8 +226,7 @@ def test_prufer_smooth_crossings_increase():
                                                      rng.uniform(0, 2 * PI)))]
         prob = Problem(0.0, 3.0, ConstantPotential(rng.uniform(-3, 3)),
                        tuple(sites), ProjPoint(rng.uniform(0, PI)), ProjPoint(0))
-        trace = prufer_trace(prob, rng.uniform(-2, 12), prob.initial_state(),
-                             resolution=0.02)
+        trace = prufer_trace(prob, rng.uniform(-2, 12), resolution=0.02)
         for (x0, p0), (x1, p1) in zip(trace, trace[1:]):
             if x1 == x0:  # interaction jump, not a smooth crossing
                 continue
@@ -237,7 +237,7 @@ def test_prufer_smooth_crossings_increase():
 def test_prufer_jump_branch_bounded():
     prob = dirichlet_box(PI, interactions=[PointInteraction(
         1.0, IwasawaParams(2.0, 0.5, 1.0))])
-    trace = prufer_trace(prob, 4.0, prob.initial_state(), resolution=0.05)
+    trace = prufer_trace(prob, 4.0, resolution=0.05)
     jumps = [(p1 - p0) for (x0, p0), (x1, p1) in zip(trace, trace[1:]) if x1 == x0]
     assert len(jumps) == 1
     assert -PI / 2 < jumps[0] <= PI / 2
@@ -246,7 +246,7 @@ def test_prufer_jump_branch_bounded():
 def test_prufer_resolution_validation():
     prob = dirichlet_box()
     with pytest.raises(ValueError):
-        prufer_trace(prob, 1.0, prob.initial_state(), resolution=0.0)
+        prufer_trace(prob, 1.0, resolution=0.0)
 
 
 # ----------------------------------------------------------------------- JSON

@@ -214,6 +214,14 @@ def test_integration_failure_on_impossible_tolerance():
                         step=StepControl(tol=1e-18, max_refine=20, max_steps=50_000))
 
 
+def test_overflowing_matrix_is_an_integration_failure():
+    # two V = 1000 pieces of length 15 overflow the exact route: the entries
+    # go infinite and the determinant NaN, which must not pass the det gate
+    v = PiecewisePotential((0.0, 15.0, 30.0), (1000.0, 1000.0))
+    with pytest.raises(IntegrationFailure, match="non-finite transfer matrix"):
+        transfer_matrix(v, 30.0, 0.0, 1.0)
+
+
 def test_potential_validation():
     with pytest.raises(ValueError):
         PiecewisePotential((0.0, 0.0, 1.0), (1.0, 2.0))
