@@ -6,12 +6,15 @@ are rejected anywhere.  All tolerances live in the config (never in flags),
 so a config fully determines the result; reruns produce byte-identical
 output files regardless of the worker count.
 
-Exit codes: 0 success, 2 config or validation error, 3 numerical failure.
+Exit codes: 0 success; 3 numerical failure (NUMERICAL_ERRORS, overflow
+included); 2 any other ValueError: a malformed flag, matrix or config, whose
+fields slspec.fields reads and names.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -21,6 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .fields import boolean, check_keys, integer, number, numbers, string
 from .problem import Problem, problem_from_json, problem_to_json, prufer_trace
 from .random import (
     InsufficientOscillation,
@@ -34,7 +38,7 @@ from .random import (
     report_to_json,
     summarize_mismatches,
 )
-from .sl2 import Mat2, NonUnimodular, iwasawa_compose, iwasawa_decompose
+from .sl2 import Mat2, ZeroVector, iwasawa_compose, iwasawa_decompose
 from .spectra import (
     CrossCheckFailure,
     NotAnEigenvalue,
@@ -43,101 +47,64 @@ from .spectra import (
     eigen_test,
     eigenvalues_in_range,
 )
-from .transfer import (DomainError, IntegrationFailure, StepControl, finite_numbers,
-                       transfer_matrix)
+from .transfer import DEFAULT_STEP, IntegrationFailure, StepControl, transfer_matrix
 
 TOP_KEYS = {"schema", "problem", "step", "transfer", "eigs", "dichotomy",
             "montecarlo", "degenerate", "output"}
 
+# exit 3; several are ValueErrors, which otherwise exit 2
 NUMERICAL_ERRORS = (IntegrationFailure, NotAnEigenvalue, CrossCheckFailure,
                     InsufficientOscillation, NotUnperturbedEigenvalue,
-                    UnsupportedSupport, TargetNotBracketed, ArithmeticError)
-
-
-class ConfigError(ValueError):
-    pass
+                    UnsupportedSupport, TargetNotBracketed, ZeroVector, ArithmeticError)
 
 
 # ------------------------------------------------------------- config loading
 
-def _check_keys(obj, required, optional, where):
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
-    unknown = set(obj) - required - optional
-    missing = required - set(obj)
-    if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    if missing:
-        raise ConfigError(f"{where}: missing keys {sorted(missing)}")
-
-
-def _number(obj, key, where):
-    v = obj[key]
-    # Python's json reads NaN and Infinity; NaN fails the comparison too
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ConfigError(f"{where}.{key} must be a finite number")
-    return float(v)
-
-
-def _integer(obj, key, where, minimum):
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, int) or v < minimum:
-        raise ConfigError(f"{where}.{key} must be an integer >= {minimum}")
-    return v
-
-
-def _boolean(obj, key, where):
-    v = obj.get(key, False)
-    if not isinstance(v, bool):
-        raise ConfigError(f"{where}.{key} must be true or false")
-    return v
+@contextlib.contextmanager
+def _prefixed(where):
+    """Re-raise a ValueError raised inside with where: before its message."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def load_config(path):
+    if path is None:
+        raise ValueError("this command requires --config")
     try:
-        text = Path(path).read_text()
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    _check_keys(cfg, {"schema"}, TOP_KEYS - {"schema"}, "config")
-    if cfg["schema"] != 1:
-        raise ConfigError(f"unsupported schema {cfg['schema']!r}, expected 1")
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
+    except ValueError as exc:  # not UTF-8, or not JSON
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
+    check_keys(cfg, "config", {"schema"}, TOP_KEYS - {"schema"})
+    if integer(cfg, "schema", "config", 1) != 1:
+        raise ValueError(f"unsupported schema {cfg['schema']!r}, expected 1")
     return cfg
 
 
-def _get_block(cfg, name):
+def _block(cfg, name, required, optional):
+    """The command block name of cfg, checked to hold exactly the given keys."""
     if name not in cfg:
-        raise ConfigError(f"config is missing the '{name}' block")
-    return cfg[name]
+        raise ValueError(f"config is missing the '{name}' block")
+    return check_keys(cfg[name], name, required, optional)
 
 
 def parse_problem_block(cfg) -> Problem:
-    block = _get_block(cfg, "problem")
-    try:
-        return problem_from_json(block)
-    except ValueError as exc:
-        raise ConfigError(f"problem: {exc}") from exc
+    if "problem" not in cfg:
+        raise ValueError("config is missing the 'problem' block")
+    with _prefixed("problem"):
+        return problem_from_json(cfg["problem"])
 
 
 def parse_step_block(cfg) -> StepControl:
-    if "step" not in cfg:
-        return StepControl()
-    block = cfg["step"]
-    _check_keys(block, set(), {"tol", "max_refine", "max_steps"}, "step")
-    kwargs = {}
-    if "tol" in block:
-        kwargs["tol"] = _number(block, "tol", "step")
-    if "max_refine" in block:
-        kwargs["max_refine"] = _integer(block, "max_refine", "step", 0)
-    if "max_steps" in block:
-        kwargs["max_steps"] = _integer(block, "max_steps", "step", 1)
-    try:
-        return StepControl(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(f"step: {exc}") from exc
+    block = check_keys(cfg.get("step", {}), "step", (), {"tol", "max_refine", "max_steps"})
+    tol = number(block, "tol", "step", DEFAULT_STEP.tol)
+    max_refine = integer(block, "max_refine", "step", 0, DEFAULT_STEP.max_refine)
+    max_steps = integer(block, "max_steps", "step", 1, DEFAULT_STEP.max_steps)
+    with _prefixed("step"):
+        return StepControl(tol, max_refine, max_steps)
 
 
 def resolve_output(args, cfg):
@@ -145,16 +112,13 @@ def resolve_output(args, cfg):
     path = None
     fmt = "json"
     if "output" in cfg:
-        block = cfg["output"]
-        _check_keys(block, {"path"}, {"format"}, "output")
-        path = block["path"]
-        fmt = block.get("format", "json")
+        block = check_keys(cfg["output"], "output", {"path"}, {"format"})
+        path = string(block, "path", "output")
+        fmt = string(block, "format", "output", ("json", "csv"), "json")
     if args.output is not None:
         path = args.output
     if args.format is not None:
         fmt = args.format
-    if fmt not in ("json", "csv"):
-        raise ConfigError(f"unknown output format {fmt!r}")
     return path, fmt
 
 
@@ -204,20 +168,19 @@ def cmd_transfer(args):
     cfg = load_config(args.config)
     prob = parse_problem_block(cfg)
     step = parse_step_block(cfg)
-    block = _get_block(cfg, "transfer")
-    _check_keys(block, {"energy"}, {"x", "y", "trace_resolution"}, "transfer")
-    e = _number(block, "energy", "transfer")
-    x = _number(block, "x", "transfer") if "x" in block else prob.b
-    y = _number(block, "y", "transfer") if "y" in block else prob.a
+    block = _block(cfg, "transfer", {"energy"}, {"x", "y", "trace_resolution"})
+    e = number(block, "energy", "transfer")
+    x = number(block, "x", "transfer", prob.b)
+    y = number(block, "y", "transfer", prob.a)
+    path, fmt = resolve_output(args, cfg)
     m = transfer_matrix(prob.potential, x, y, e, step)
     doc = {"schema": 1, "command": "transfer", "energy": e, "x": x, "y": y,
            "matrix": list(m.entries()), "det": m.det}
     trace = None
     if "trace_resolution" in block:
-        res = _number(block, "trace_resolution", "transfer")
+        res = number(block, "trace_resolution", "transfer")
         trace = prufer_trace(prob, e, res, step)
         doc["prufer"] = [[t, phi] for t, phi in trace]
-    path, fmt = resolve_output(args, cfg)
     if fmt == "csv":
         if trace is not None:
             text = _csv_text(("x", "phi"), trace)
@@ -233,15 +196,13 @@ def cmd_eigs(args):
     cfg = load_config(args.config)
     prob = parse_problem_block(cfg)
     step = parse_step_block(cfg)
-    block = _get_block(cfg, "eigs")
-    _check_keys(block, {"e_lo", "e_hi", "grid"}, {"tol", "classify"}, "eigs")
-    e_lo = _number(block, "e_lo", "eigs")
-    e_hi = _number(block, "e_hi", "eigs")
-    grid = _integer(block, "grid", "eigs", 2)
-    tol = _number(block, "tol", "eigs") if "tol" in block else 1e-10
-    classify = _boolean(block, "classify", "eigs")
-    if not e_lo < e_hi:
-        raise ConfigError("eigs needs e_lo < e_hi")
+    block = _block(cfg, "eigs", {"e_lo", "e_hi", "grid"}, {"tol", "classify"})
+    e_lo = number(block, "e_lo", "eigs")
+    e_hi = number(block, "e_hi", "eigs")
+    grid = integer(block, "grid", "eigs", 2)
+    tol = number(block, "tol", "eigs", 1e-10)
+    classify = boolean(block, "classify", "eigs")
+    path, fmt = resolve_output(args, cfg)
     reports = eigenvalues_in_range(prob, e_lo, e_hi, grid, tol, step)
     results = []
     for rep in reports:
@@ -254,7 +215,6 @@ def cmd_eigs(args):
                 for par in PARAMETERS
             ]
         results.append(entry)
-    path, fmt = resolve_output(args, cfg)
     if fmt == "csv":
         if classify:
             rows = [(r["E"], v["site"], v["parameter"], v["verdict"])
@@ -273,14 +233,11 @@ def cmd_dichotomy(args):
     cfg = load_config(args.config)
     prob = parse_problem_block(cfg)
     step = parse_step_block(cfg)
-    block = _get_block(cfg, "dichotomy")
-    _check_keys(block, {"energy", "site"}, {"tol"}, "dichotomy")
-    e = _number(block, "energy", "dichotomy")
-    site = _integer(block, "site", "dichotomy", 0)
-    if site >= len(prob.interactions):
-        raise ConfigError(f"dichotomy.site must be an index into the "
-                          f"{len(prob.interactions)} interaction(s)")
-    tol = _number(block, "tol", "dichotomy") if "tol" in block else 1e-6
+    block = _block(cfg, "dichotomy", {"energy", "site"}, {"tol"})
+    e = number(block, "energy", "dichotomy")
+    site = integer(block, "site", "dichotomy", 0)
+    tol = number(block, "tol", "dichotomy", 1e-6)
+    path, fmt = resolve_output(args, cfg)
     verdicts = []
     for par in PARAMETERS:
         v = classify_dichotomy(prob, e, site, par, tol, step)
@@ -291,7 +248,6 @@ def cmd_dichotomy(args):
                                     else v.matched_fixed_class.angle),
         })
     mismatch = eigen_test(prob, e, step).mismatch
-    path, fmt = resolve_output(args, cfg)
     if fmt == "csv":
         rows = [(e, site, v["parameter"], v["verdict"]) for v in verdicts]
         text = _csv_text(("E", "site", "parameter", "verdict"), rows)
@@ -319,29 +275,19 @@ def cmd_montecarlo(args):
     cfg = load_config(args.config)
     prob = parse_problem_block(cfg)
     step = parse_step_block(cfg)
-    block = _get_block(cfg, "montecarlo")
-    _check_keys(block, {"energy", "ensemble", "samples", "epsilon"},
-                {"bins"}, "montecarlo")
-    e = _number(block, "energy", "montecarlo")
-    try:
+    block = _block(cfg, "montecarlo", {"energy", "ensemble", "samples", "epsilon"}, {"bins"})
+    e = number(block, "energy", "montecarlo")
+    with _prefixed("montecarlo.ensemble"):
         ensemble = ensemble_from_json(block["ensemble"])
-    except ValueError as exc:
-        raise ConfigError(f"montecarlo.ensemble: {exc}") from exc
     if args.seed is not None:
-        try:
+        with _prefixed("--seed"):
             ensemble = replace(ensemble, seed=args.seed)
-        except ValueError as exc:
-            raise ConfigError(f"--seed: {exc}") from exc
     if args.workers < 1:
-        raise ConfigError("--workers must be at least 1")
-    samples = _integer(block, "samples", "montecarlo", 1)
-    epsilon = _number(block, "epsilon", "montecarlo")
-    if epsilon <= 0:
-        raise ConfigError("montecarlo.epsilon must be positive")
-    bins = _integer(block, "bins", "montecarlo", 1) if "bins" in block else 50
-    if len(ensemble.sites) != len(prob.interactions):
-        raise ConfigError(f"ensemble has {len(ensemble.sites)} sites but the "
-                          f"problem has {len(prob.interactions)} interactions")
+        raise ValueError("--workers must be at least 1")
+    samples = integer(block, "samples", "montecarlo", 1)
+    epsilon = number(block, "epsilon", "montecarlo")
+    bins = integer(block, "bins", "montecarlo", 1, 50)
+    path, fmt = resolve_output(args, cfg)
     mismatches, failures = mismatch_samples(prob, e, ensemble, samples, step,
                                             workers=args.workers)
     report = summarize_mismatches(mismatches, failures, epsilon, ensemble.seed)
@@ -350,7 +296,6 @@ def cmd_montecarlo(args):
            "report": report_to_json(report)}
     hist_text = _csv_text(("bin_lo", "bin_hi", "count"),
                           _histogram(mismatches, bins))
-    path, fmt = resolve_output(args, cfg)
     if path is None:
         _emit(args, None, _json_text(doc))
         return 0
@@ -369,24 +314,16 @@ def cmd_degenerate(args):
     prob = parse_problem_block(cfg)
     step = parse_step_block(cfg)
     if prob.interactions:
-        raise ConfigError("degenerate construction starts from a problem "
-                          "without interactions")
-    block = _get_block(cfg, "degenerate")
-    _check_keys(block, {"energy", "thetas", "rs"}, {"allow_non_eigenvalue"},
-                "degenerate")
-    e = _number(block, "energy", "degenerate")
-    thetas = block["thetas"]
-    rs = block["rs"]
-    if (not isinstance(thetas, list) or not isinstance(rs, list)
-            or not thetas or len(thetas) != len(rs)):
-        raise ConfigError("degenerate.thetas and .rs must be nonempty lists "
-                          "of equal length")
-    allow = _boolean(block, "allow_non_eigenvalue", "degenerate")
-    try:
-        thetas = finite_numbers(thetas, "degenerate.thetas")
-        rs = finite_numbers(rs, "degenerate.rs")
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ValueError("degenerate construction starts from a problem "
+                         "without interactions")
+    block = _block(cfg, "degenerate", {"energy", "thetas", "rs"}, {"allow_non_eigenvalue"})
+    e = number(block, "energy", "degenerate")
+    thetas = numbers(block, "thetas", "degenerate")
+    rs = numbers(block, "rs", "degenerate")
+    allow = boolean(block, "allow_non_eigenvalue", "degenerate")
+    path, fmt = resolve_output(args, cfg)
+    if fmt == "csv":
+        raise ValueError("degenerate emits a problem config; use json format")
     built = construct_degenerate(prob.potential, e, thetas, rs,
                                  prob.a, prob.b, prob.bc_left, prob.bc_right,
                                  step, allow_non_eigenvalue=allow)
@@ -394,9 +331,6 @@ def cmd_degenerate(args):
     out = {"schema": 1,
            "problem": problem_to_json(built),
            "eigs": {"e_lo": e - 0.5, "e_hi": e + 0.5, "grid": 201, "tol": 1e-10}}
-    path, fmt = resolve_output(args, cfg)
-    if fmt == "csv":
-        raise ConfigError("degenerate emits a problem config; use json format")
     if not args.quiet:
         print(f"sites at {[s.x for s in built.interactions]}, "
               f"residual mismatch {residual:.3e}")
@@ -434,31 +368,23 @@ def build_parser():
                    help="print theta in degrees")
     p.set_defaults(func=cmd_decompose)
 
-    for name, func, needs_config in (
-            ("transfer", cmd_transfer, True),
-            ("eigs", cmd_eigs, True),
-            ("dichotomy", cmd_dichotomy, True),
-            ("montecarlo", cmd_montecarlo, True),
-            ("degenerate", cmd_degenerate, True)):
-        p = sub.add_parser(name)
-        p.set_defaults(func=func, needs_config=needs_config)
+    for name, func in (("transfer", cmd_transfer), ("eigs", cmd_eigs),
+                       ("dichotomy", cmd_dichotomy), ("montecarlo", cmd_montecarlo),
+                       ("degenerate", cmd_degenerate)):
+        sub.add_parser(name).set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "needs_config", False) and args.config is None:
-        print("error: this command requires --config", file=sys.stderr)
-        return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, NonUnimodular, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fields import check_keys, items, number
 from .sl2 import IwasawaParams, ProjPoint, iwasawa_compose
 from .transfer import (
     DEFAULT_STEP,
@@ -22,7 +23,6 @@ from .transfer import (
     Potential,
     SolutionState,
     StepControl,
-    finite_numbers,
     potential_from_json,
     potential_to_json,
     propagate_state,
@@ -223,24 +223,13 @@ def problem_to_json(problem: Problem) -> dict:
 
 
 def problem_from_json(obj) -> Problem:
-    if not isinstance(obj, dict):
-        raise ValueError("problem must be an object")
-    extra = set(obj) - PROBLEM_KEYS
-    missing = PROBLEM_KEYS - set(obj)
-    if extra or missing:
-        raise ValueError(f"problem: unknown keys {sorted(extra)}, "
-                         f"missing keys {sorted(missing)}")
+    check_keys(obj, "", PROBLEM_KEYS)
     sites = []
-    if not isinstance(obj["interactions"], list):
-        raise ValueError("interactions must be a list")
-    for i, s in enumerate(obj["interactions"]):
-        if not isinstance(s, dict) or set(s) != INTERACTION_KEYS:
-            raise ValueError(f"interaction #{i} must have exactly the keys "
-                             f"{sorted(INTERACTION_KEYS)}")
-        x, alpha, r, theta = finite_numbers([s["x"], s["alpha"], s["r"], s["theta"]],
-                                            f"interaction #{i} x, alpha, r and theta")
+    for i, site in enumerate(items(obj, "interactions", "")):
+        where = f"interactions[{i}]"
+        check_keys(site, where, INTERACTION_KEYS)
+        x, alpha, r, theta = (number(site, key, where) for key in ("x", "alpha", "r", "theta"))
         sites.append(PointInteraction(x, IwasawaParams(alpha, r, theta)))
-    a, b, bc_left, bc_right = finite_numbers([obj["a"], obj["b"], obj["bc_left"], obj["bc_right"]],
-                                             "a, b, bc_left and bc_right")
-    return Problem(a, b, potential_from_json(obj["potential"]), tuple(sites),
+    a, b, bc_left, bc_right = (number(obj, key, "") for key in ("a", "b", "bc_left", "bc_right"))
+    return Problem(a, b, potential_from_json(obj["potential"], "potential"), tuple(sites),
                    ProjPoint(bc_left), ProjPoint(bc_right))

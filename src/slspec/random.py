@@ -28,10 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fields import check_keys, is_integer, items, number, tagged
 from .problem import PointInteraction, Problem, _continue_lift, _lift_walk, _normalized
 from .sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
 from .spectra import eigen_test, realized_mismatches
-from .transfer import DEFAULT_STEP, StepControl, finite_numbers, propagate_state
+from .transfer import DEFAULT_STEP, StepControl, propagate_state
 
 TARGETS = ("lambda", "r", "theta")
 _REJECTION_CAP = 64
@@ -105,20 +106,15 @@ def distribution_to_json(d) -> dict:
     raise TypeError(f"not a site distribution: {d!r}")
 
 
-def distribution_from_json(obj):
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("site distribution must be an object with a 'kind' field")
-    kind = obj["kind"]
-    kinds = {"uniform": (Uniform, ("lo", "hi")),
-             "gaussian": (Gaussian, ("mean", "sd")),
-             "pointmass": (PointMass, ("value",))}
-    if kind not in kinds:
-        raise ValueError(f"unknown distribution kind {kind!r}")
-    cls, keys = kinds[kind]
-    if set(obj) != {"kind", *keys}:
-        raise ValueError(f"distribution kind {kind!r} takes exactly the keys "
-                         f"{sorted(('kind',) + keys)}")
-    return cls(*finite_numbers([obj[key] for key in keys], f"distribution {kind} numbers"))
+DISTRIBUTION_FIELDS = {"uniform": ("lo", "hi"), "gaussian": ("mean", "sd"),
+                       "pointmass": ("value",)}
+
+
+def distribution_from_json(obj, where=""):
+    """The site distribution of a JSON object; where is its path in the document, for errors."""
+    kind = tagged(obj, where, DISTRIBUTION_FIELDS)
+    cls = {"uniform": Uniform, "gaussian": Gaussian, "pointmass": PointMass}[kind]
+    return cls(*(number(obj, key, where) for key in DISTRIBUTION_FIELDS[kind]))
 
 
 @dataclass(frozen=True)
@@ -135,7 +131,7 @@ class Ensemble:
             raise ValueError(f"target must be one of {TARGETS}")
         if not self.sites:
             raise ValueError("ensemble needs at least one site")
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2 ** 64:
+        if not is_integer(self.seed) or not 0 <= self.seed < 2 ** 64:
             raise ValueError("seed must be a 64-bit unsigned integer")
         if self.target == "r":
             for i, d in enumerate(self.sites):
@@ -152,14 +148,10 @@ def ensemble_to_json(e: Ensemble) -> dict:
 
 
 def ensemble_from_json(obj) -> Ensemble:
-    if not isinstance(obj, dict) or set(obj) != {"target", "sites", "seed"}:
-        raise ValueError("ensemble takes exactly the keys target, sites, seed")
-    if not isinstance(obj["sites"], list):
-        raise ValueError("ensemble sites must be a list")
-    if not isinstance(obj["seed"], int):
-        raise ValueError("ensemble seed must be an integer")
+    check_keys(obj, "", {"target", "sites", "seed"})
     return Ensemble(obj["target"],
-                    tuple(distribution_from_json(d) for d in obj["sites"]),
+                    tuple(distribution_from_json(d, f"sites[{i}]")
+                          for i, d in enumerate(items(obj, "sites", ""))),
                     obj["seed"])
 
 
@@ -312,6 +304,8 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
 def summarize_mismatches(mismatches, failures: int, epsilon: float,
                          seed: int) -> MonteCarloReport:
     """Hit count at epsilon and DEFAULT_QUANTILES of one run's mismatches."""
+    if not epsilon > 0.0:
+        raise ValueError("epsilon must be positive")
     hits = sum(1 for m in mismatches if m <= epsilon)
     if mismatches:
         arr = np.sort(np.asarray(mismatches))
@@ -332,8 +326,6 @@ def monte_carlo(problem: Problem, e: float, ensemble: Ensemble, n_samples: int,
     is a pure function of (problem, ensemble, n_samples, epsilon); the worker
     count only changes how the fixed-size sample chunks are scheduled.
     """
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
     mismatches, failures = mismatch_samples(problem, e, ensemble, n_samples,
                                             step, workers)
     return summarize_mismatches(mismatches, failures, epsilon, ensemble.seed)

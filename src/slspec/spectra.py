@@ -278,6 +278,8 @@ def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: s
         raise ValueError(f"parameter must be one of {PARAMETERS}")
     if not 0 <= site_index < len(problem.interactions):
         raise ValueError(f"no interaction site #{site_index}")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
     report = eigen_test(problem, e, step)
     if not report.mismatch <= tol:  # a NaN mismatch fails too
         raise NotAnEigenvalue(

@@ -34,6 +34,7 @@ from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
+from .fields import number, numbers, tagged
 from .sl2 import Mat2
 
 
@@ -82,14 +83,6 @@ class SolutionState:
 
 
 # ------------------------------------------------------------------ potentials
-
-def finite_numbers(values, what):
-    """values as a tuple of floats if each is a finite number; JSON null and booleans are not."""
-    for t in values:
-        if isinstance(t, bool) or not isinstance(t, (int, float)) or not math.isfinite(t):
-            raise ValueError(f"{what} must be finite numbers, got {t!r}")
-    return tuple(float(t) for t in values)
-
 
 @dataclass(frozen=True)
 class ConstantPotential:
@@ -235,26 +228,17 @@ def potential_to_json(v) -> dict:
     raise TypeError(f"not a potential: {v!r}")
 
 
-def potential_from_json(obj) -> "Potential":
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise ValueError("potential must be an object with a 'kind' field")
-    kind = obj["kind"]
-    kinds = {"constant": (ConstantPotential, ("value",)),
-             "piecewise": (PiecewisePotential, ("breakpoints", "values")),
-             "grid": (GridPotential, ("x", "values"))}
-    if kind not in kinds:
-        raise ValueError(f"unknown potential kind {kind!r}")
-    cls, keys = kinds[kind]
-    extra = set(obj) - {"kind", *keys}
-    missing = set(keys) - set(obj)
-    if extra or missing:
-        raise ValueError(f"potential kind {kind!r}: unknown keys {sorted(extra)}, "
-                         f"missing keys {sorted(missing)}")
+POTENTIAL_FIELDS = {"constant": ("value",), "piecewise": ("breakpoints", "values"),
+                    "grid": ("x", "values")}
+
+
+def potential_from_json(obj, where="") -> "Potential":
+    """The potential of a JSON object; where is its path in the document, for errors."""
+    kind = tagged(obj, where, POTENTIAL_FIELDS)
     if kind == "constant":
-        return cls(*finite_numbers([obj["value"]], "potential value"))
-    if not all(isinstance(obj[key], list) for key in keys):
-        raise ValueError(f"potential {' and '.join(keys)} must be lists")
-    return cls(*(finite_numbers(obj[key], f"potential {key}") for key in keys))
+        return ConstantPotential(number(obj, "value", where))
+    cls = PiecewisePotential if kind == "piecewise" else GridPotential
+    return cls(*(numbers(obj, key, where) for key in POTENTIAL_FIELDS[kind]))
 
 
 Potential = ConstantPotential | PiecewisePotential | GridPotential
@@ -276,6 +260,8 @@ def _const_coeff_matrix(w2, dx):
     [[C, dx*S], [-w2*dx*S, C]] with C, S the trig/hyperbolic pair in z = w2*dx^2.
     """
     z = w2 * dx * dx
+    if not math.isfinite(z):
+        raise OverflowError(f"piece of length {dx!r} at E - V = {w2!r} overflows")
     if z > 1e-10:
         rz = math.sqrt(z)
         c = math.cos(rz)

@@ -1,9 +1,13 @@
 """End-to-end CLI checks: exit codes, file outputs, determinism."""
 
+import contextlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from slspec.cli import main
 from slspec.problem import problem_from_json
@@ -357,6 +361,16 @@ def test_transfer_overflow_exits_3(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+def test_transfer_overflowing_piece_exits_3(tmp_path, capsys):
+    # E - V times the piece's squared length overflows: numerical, not a config error
+    cfg = {"schema": 1, "problem": box_problem_doc(), "transfer": {"energy": 1.0, "x": 1e308},
+           "output": {"path": str(tmp_path / "t.json")}}
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "transfer") == 3
+    assert capsys.readouterr().err == ("numerical failure: piece of length 1e+308 at "
+                                       "E - V = 1.0 overflows\n")
+    assert not (tmp_path / "t.json").exists()
+
+
 def test_transfer_outside_domain_exits_2(tmp_path, capsys):
     cfg = {"schema": 1, "problem": overflow_problem_doc(),
            "transfer": {"energy": 1.0, "x": 31.0},
@@ -388,7 +402,9 @@ MC_BLOCK = {
 
 # every integer field rejects bools and non-integers, every flag needs a JSON
 # boolean, step limits below their minimum are config errors, and so is a
-# JSON null or a NaN in the problem, its potential or the degenerate sites
+# JSON null or a NaN in the problem, its potential or the degenerate sites, a
+# kind or output path of the wrong type, and a tolerance, resolution or
+# dilation the library rejects
 BAD_CONFIGS = {
     "dichotomy-site-bool": ("dichotomy", {
         "problem": box_problem_doc(IDENTITY_SITES),
@@ -426,6 +442,31 @@ BAD_CONFIGS = {
     "degenerate-theta-null": ("degenerate", {
         "problem": {**box_problem_doc(), "b": 4 * PI},
         "degenerate": {"energy": 1.0, "thetas": [None], "rs": [1.0]}}),
+    "output-path-int": ("eigs", {
+        "problem": box_problem_doc(), "eigs": SMALL_EIGS, "output": {"path": 5}}),
+    "potential-kind-list": ("eigs", {
+        "problem": {**box_problem_doc(), "potential": {"kind": ["constant"], "value": 0.0}},
+        "eigs": SMALL_EIGS}),
+    "distribution-kind-list": ("montecarlo", {
+        "problem": box_problem_doc(IDENTITY_SITES),
+        "montecarlo": {**MC_BLOCK, "ensemble": {
+            **MC_BLOCK["ensemble"],
+            "sites": [{"kind": ["uniform"], "lo": -1.0, "hi": 1.0}] * 2}}}),
+    "transfer-trace-resolution-negative": ("transfer", {
+        "problem": box_problem_doc(), "transfer": {"energy": 1.0, "trace_resolution": -1}}),
+    "eigs-tol-negative": ("eigs", {
+        "problem": box_problem_doc(), "eigs": {**SMALL_EIGS, "tol": -1}}),
+    "degenerate-r-zero": ("degenerate", {
+        "problem": {**box_problem_doc(), "b": 4 * PI},
+        "degenerate": {"energy": 1.0, "thetas": [0.0], "rs": [0.0]}}),
+    "schema-bool": ("eigs", {
+        "schema": True, "problem": box_problem_doc(), "eigs": SMALL_EIGS}),
+    "ensemble-seed-bool": ("montecarlo", {
+        "problem": box_problem_doc(IDENTITY_SITES),
+        "montecarlo": {**MC_BLOCK, "ensemble": {**MC_BLOCK["ensemble"], "seed": True}}}),
+    "dichotomy-tol-negative": ("dichotomy", {
+        "problem": box_problem_doc([{"x": PI / 2, "alpha": 0.0, "r": 1.0, "theta": 0.0}]),
+        "dichotomy": {"energy": 1.0, "site": 0, "tol": -1.0}}),
 }
 
 
@@ -435,6 +476,14 @@ def test_mistyped_config_fields_exit_2(name, tmp_path, capsys):
     path = write_config(tmp_path, {"schema": 1, **blocks})
     assert run("--quiet", "--config", path, command) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_non_utf8_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b'{"schema": 1, "problem": "\xff"}')
+    assert run("--quiet", "--config", str(path), "eigs") == 2
+    assert capsys.readouterr().err.startswith(f"error: config {path} is not valid JSON: "
+                                              "'utf-8' codec can't decode byte 0xff")
 
 
 # every number of a command block must be finite; Python's json writes and
@@ -498,3 +547,82 @@ def test_parser_is_built_once(tmp_path):
 def test_config_required(capsys):
     assert run("eigs") == 2
     assert "config" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------------ fuzzing
+
+FUZZ_VALUES = (None, True, [], "x", math.nan, -1, 0)
+
+
+def fuzz_base_config(command):
+    """A small valid config with every block; degenerate starts without interactions."""
+    sites = [] if command == "degenerate" else [{"x": 1.0, "alpha": 0.0, "r": 1.0,
+                                                 "theta": 0.0}]
+    return {
+        "schema": 1,
+        "problem": {"a": 0.0, "b": 2 * PI,
+                    "potential": {"kind": "piecewise", "breakpoints": [0.0, PI, 2 * PI],
+                                  "values": [0.0, 0.0]},
+                    "interactions": sites, "bc_left": 0.0, "bc_right": 0.0},
+        "step": {"tol": 1e-9, "max_refine": 8, "max_steps": 500_000},
+        "transfer": {"energy": 1.0, "x": PI, "y": 0.0, "trace_resolution": 0.5},
+        "eigs": {"e_lo": 0.5, "e_hi": 5.0, "grid": 40, "tol": 1e-10, "classify": False},
+        "dichotomy": {"energy": 1.0, "site": 0, "tol": 1e-6},
+        "montecarlo": {"energy": 1.0,
+                       "ensemble": {"target": "lambda",
+                                    "sites": [{"kind": "uniform", "lo": -1.0, "hi": 1.0}],
+                                    "seed": 3},
+                       "samples": 16, "epsilon": 1e-6, "bins": 10},
+        "degenerate": {"energy": 1.0, "thetas": [0.0], "rs": [1.0],
+                       "allow_non_eigenvalue": False},
+        "output": {"path": "out.json", "format": "json"},
+    }
+
+
+def _paths(node, prefix=()):
+    """The path of every value inside node: dict keys and list indices."""
+    children = (node.items() if isinstance(node, dict)
+                else enumerate(node) if isinstance(node, list) else ())
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+@st.composite
+def mutated_configs(draw):
+    """(command, config): a base config with one key dropped or added, or one value
+    replaced, in a block that the command reads."""
+    command = draw(st.sampled_from(("transfer", "eigs", "dichotomy", "montecarlo",
+                                    "degenerate")))
+    cfg = fuzz_base_config(command)
+    paths = [p for p in _paths(cfg) if p[0] in ("schema", "problem", "step", "output", command)]
+    mutation = draw(st.sampled_from(("drop", "add", "replace")))
+    if mutation == "add":
+        objects = [()] + [p for p in paths if isinstance(_at(cfg, p), dict)]
+        _at(cfg, draw(st.sampled_from(objects)))["bogus"] = 1
+    elif mutation == "drop":
+        path = draw(st.sampled_from([p for p in paths if isinstance(p[-1], str)]))
+        del _at(cfg, path[:-1])[path[-1]]
+    else:
+        path = draw(st.sampled_from(paths))
+        _at(cfg, path[:-1])[path[-1]] = draw(st.sampled_from(FUZZ_VALUES))
+    return command, cfg
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=mutated_configs())
+def test_mutated_configs_exit_cleanly(case, tmp_path, monkeypatch):
+    # a malformed config is a config error (2) or, where it is well formed but
+    # its problem fails, a numerical one (3); it never escapes main
+    monkeypatch.chdir(tmp_path)
+    command, cfg = case
+    path = write_config(tmp_path, cfg)
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run("--quiet", "--config", path, command) in (0, 2, 3)

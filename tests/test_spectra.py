@@ -312,6 +312,10 @@ def test_dichotomy_validation():
         classify_dichotomy(prob, 4.0, 0, "beta")
     with pytest.raises(ValueError):
         classify_dichotomy(prob, 4.0, 3, "alpha")
+    # a tolerance no mismatch can meet is a usage error, not a failed eigen test
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^tol must be positive$"):
+            classify_dichotomy(prob, 4.0, 0, "alpha", tol)
 
 
 # A problem that the degenerate construction built for one generic-theta

@@ -222,6 +222,12 @@ def test_overflowing_matrix_is_an_integration_failure():
         transfer_matrix(v, 30.0, 0.0, 1.0)
 
 
+def test_overflowing_piece_argument_is_an_overflow():
+    # w2 * dx * dx overflows to inf, which math.cos would reject as a domain error
+    with pytest.raises(OverflowError, match=r"^piece of length 1e\+308 at E - V = 1\.0"):
+        transfer_matrix(ConstantPotential(0.0), 1e308, 0.0, 1.0)
+
+
 def test_potential_validation():
     with pytest.raises(ValueError):
         PiecewisePotential((0.0, 0.0, 1.0), (1.0, 2.0))
