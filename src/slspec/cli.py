@@ -25,12 +25,14 @@ from pathlib import Path
 import numpy as np
 
 from .fields import boolean, check_keys, integer, number, numbers, string
-from .problem import Problem, problem_from_json, problem_to_json, prufer_trace
+from .problem import (Problem, check_resolution, problem_from_json, problem_to_json,
+                      prufer_trace)
 from .random import (
     InsufficientOscillation,
     NotUnperturbedEigenvalue,
     TargetNotBracketed,
     UnsupportedSupport,
+    check_epsilon,
     construct_degenerate,
     ensemble_from_json,
     ensemble_to_json,
@@ -136,11 +138,18 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _write(path, text):
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output {path}: {exc}") from exc
+
+
 def _emit(args, path, text):
     if path is None:
         sys.stdout.write(text)
         return
-    Path(path).write_text(text)
+    _write(path, text)
     if not args.quiet:
         print(f"wrote {path}")
 
@@ -160,7 +169,7 @@ def cmd_decompose(args):
     if args.output is not None:
         doc = {"schema": 1, "command": "decompose", "alpha": p.alpha, "r": p.r,
                "theta": p.theta, "residual": residual}
-        Path(args.output).write_text(_json_text(doc))
+        _write(args.output, _json_text(doc))
     return 0
 
 
@@ -172,13 +181,16 @@ def cmd_transfer(args):
     e = number(block, "energy", "transfer")
     x = number(block, "x", "transfer", prob.b)
     y = number(block, "y", "transfer", prob.a)
+    res = None
+    if "trace_resolution" in block:
+        res = check_resolution(prob, number(block, "trace_resolution", "transfer"), step,
+                               "transfer.trace_resolution")
     path, fmt = resolve_output(args, cfg)
     m = transfer_matrix(prob.potential, x, y, e, step)
     doc = {"schema": 1, "command": "transfer", "energy": e, "x": x, "y": y,
            "matrix": list(m.entries()), "det": m.det}
     trace = None
-    if "trace_resolution" in block:
-        res = number(block, "trace_resolution", "transfer")
+    if res is not None:
         trace = prufer_trace(prob, e, res, step)
         doc["prufer"] = [[t, phi] for t, phi in trace]
     if fmt == "csv":
@@ -285,7 +297,7 @@ def cmd_montecarlo(args):
     if args.workers < 1:
         raise ValueError("--workers must be at least 1")
     samples = integer(block, "samples", "montecarlo", 1)
-    epsilon = number(block, "epsilon", "montecarlo")
+    epsilon = check_epsilon(number(block, "epsilon", "montecarlo"), "montecarlo.epsilon")
     bins = integer(block, "bins", "montecarlo", 1, 50)
     path, fmt = resolve_output(args, cfg)
     mismatches, failures = mismatch_samples(prob, e, ensemble, samples, step,

@@ -172,6 +172,22 @@ def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
         yield x, state, phi
 
 
+def check_resolution(problem: Problem, resolution: float, step: StepControl,
+                     name: str = "resolution") -> float:
+    """resolution, once it is positive and asks for at most step.max_steps samples.
+
+    A trace takes at least (b - a) / resolution samples, and each one is a
+    propagation of its own; name is the resolution's name in messages.
+    """
+    if not resolution > 0.0:
+        raise ValueError(f"{name} must be positive")
+    need = (problem.b - problem.a) / resolution
+    if need > step.max_steps:
+        raise ValueError(f"{name} = {resolution!r} needs at least {need:.3g} samples, more than "
+                         f"step.max_steps = {step.max_steps}")
+    return resolution
+
+
 def prufer_trace(problem: Problem, e: float, resolution: float,
                  step: StepControl = DEFAULT_STEP):
     """Continuously lifted phase phi(x) = arg(u'(x) + i u(x)) along the problem.
@@ -182,8 +198,7 @@ def prufer_trace(problem: Problem, e: float, resolution: float,
     trace records the x twice: the jump's angular displacement is booked
     with the branch in (-pi/2, pi/2].
     """
-    if not resolution > 0.0:
-        raise ValueError("resolution must be positive")
+    check_resolution(problem, resolution, step)
     v = problem.potential
     state = _normalized(problem.initial_state())
     phi = math.atan2(state.u, state.du)

@@ -23,7 +23,6 @@ which prufer_trace uses too, and then refined by bisection.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -286,6 +285,9 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
     chunks = [(problem, e, ensemble, lo, min(lo + _CHUNK, n_samples), step)
               for lo in range(0, n_samples, _CHUNK)]
     if workers > 1:
+        # imported here, so that importing slspec does not load it
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunk_results = list(pool.map(_mc_chunk, chunks))
     else:
@@ -301,11 +303,19 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
     return mismatches, failures
 
 
+def check_epsilon(epsilon: float, name: str = "epsilon") -> float:
+    """epsilon, once it is a positive hit threshold; name is its name in messages.
+
+    Monte Carlo runs check it before drawing any sample.
+    """
+    if not epsilon > 0.0:
+        raise ValueError(f"{name} must be positive")
+    return epsilon
+
+
 def summarize_mismatches(mismatches, failures: int, epsilon: float,
                          seed: int) -> MonteCarloReport:
     """Hit count at epsilon and DEFAULT_QUANTILES of one run's mismatches."""
-    if not epsilon > 0.0:
-        raise ValueError("epsilon must be positive")
     hits = sum(1 for m in mismatches if m <= epsilon)
     if mismatches:
         arr = np.sort(np.asarray(mismatches))
@@ -326,6 +336,7 @@ def monte_carlo(problem: Problem, e: float, ensemble: Ensemble, n_samples: int,
     is a pure function of (problem, ensemble, n_samples, epsilon); the worker
     count only changes how the fixed-size sample chunks are scheduled.
     """
+    check_epsilon(epsilon)
     mismatches, failures = mismatch_samples(problem, e, ensemble, n_samples,
                                             step, workers)
     return summarize_mismatches(mismatches, failures, epsilon, ensemble.seed)

@@ -16,13 +16,15 @@ Lanes use only + - * /, which numpy rounds exactly as Python does, while
 everything transcendental stays per lane in math, so a lane reproduces its
 lone run bit for bit.
 
-An RK4 step is linear in (u, u'), so a pass is one matrix: the step
-matrices' entries, written out in V - E at each step's start, midpoint and
-end, are built for all steps (and lanes) at once, multiplied as a pairwise
-tree and applied to each column.  Each pass agrees with stepping (u, u')
-one step at a time within a relative 1e-12.  A pass's energy-independent
-data (cut points, step sizes, potential samples) is cached, so a scan's
-bisections, which walk the same segments at many energies, build it once.
+An RK4 step is linear in (u, u'), so a pass is one matrix.  Each entry of
+a step matrix is a quadratic in E whose coefficients depend only on the
+step size and on V at the step's start, midpoint and end.  A pass's
+energy-independent data (cut points, step sizes, potential samples, and
+from them those coefficients) is cached, so a scan's root refinements,
+which walk the same segments at many energies, build it once.  At each
+energy the quadratics are evaluated for all steps (and lanes) at once,
+multiplied as a pairwise tree and applied to each column.  Each pass
+agrees with stepping (u, u') one step at a time within a relative 1e-12.
 """
 
 from __future__ import annotations
@@ -182,13 +184,20 @@ class GridPotential:
         w = (t - x0) / (x1 - x0)
         return (1.0 - w) * self.values[i] + w * self.values[i + 1]
 
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key == other._key
+
     def __hash__(self):
-        return self._hash
+        return hash(self._key)
 
     @cached_property
-    def _hash(self):
-        # the RK4 pass cache hashes its potential on every lookup
-        return hash((self.x, self.values))
+    def _key(self):
+        # the RK4 pass cache hashes and compares its potential on every
+        # lookup; adding 0.0 turns -0.0 into 0.0, so the bytes are equal
+        # exactly when the floats are
+        return (np.array(self.x + self.values) + 0.0).tobytes()
 
     @cached_property
     def _arrays(self):
@@ -295,14 +304,23 @@ def _piece_matrix(w2, dx):
 
 @lru_cache(maxsize=32)
 def _rk4_pass(v, y, x, h_target):
-    """V at each step's start, midpoint and end, and the h terms of one RK4 pass.
+    """The coefficients of one RK4 pass's step matrices as quadratics in E.
 
     Each piece (p, q) takes n = ceil(|q - p| / h_target) steps of
     h = (q - p) / n.  Positional stepping, p + (q - p) * i / n, keeps the
     points exactly inside the domain.  The end of one piece is the start of
     the next: both are a grid node, where the interpolation reads the node
     value whatever the sign of a zero coordinate, so one sample serves both.
-    The cache shares the arrays, so they are read-only.
+
+    With V sampled at each step's start (v0), midpoint (vm) and end (v1),
+    the step matrix I + h/6 (K1 + 2 K2 + 2 K3 + K4) has the entries
+
+        a = A0 - E A1 + E^2 q24,    b = B0 - E hq6,
+        c = C0 - E C1 + E^2 hq6,    d = D0 - E D1 + E^2 q24
+
+    (q = h^2, q24 = q^2/24, hq6 = h q/6), whose coefficients are returned as
+    (A0, A1, B0, C0, C1, D0, D1, hq6, q24), one value per step.  The cache
+    shares the arrays, so they are read-only.
     """
     ends = np.array(_walk_points(v, y, x))
     dx = ends[1:] - ends[:-1]
@@ -312,28 +330,45 @@ def _rk4_pass(v, y, x, h_target):
     x0 = np.repeat(ends[:-1], n) + np.repeat(dx, n) * i / np.repeat(n, n)
     vals = v.sample(np.concatenate((x0, ends[-1:], x0 + 0.5 * h)))
     m = len(x0)
+    v0, vm, v1 = vals[:m], vals[m + 1:], vals[1:m + 1]
     q = h * h
-    data = (vals[:m], vals[m + 1:], vals[1:m + 1],
-            h, h * q / 6.0, q / 6.0, q * q / 24.0, h / 6.0, h * q / 12.0)
+    q6, q24, hq6, hq12 = q / 6.0, q * q / 24.0, h * q / 6.0, h * q / 12.0
+    data = (1.0 + q6 * (v0 + 2.0 * vm) + q24 * (v0 * vm),
+            0.5 * q + q24 * (v0 + vm),
+            h + hq6 * vm,
+            h / 6.0 * (v0 + 4.0 * vm + v1) + hq12 * (vm * (v0 + v1)),
+            h + hq12 * (v0 + 2.0 * vm + v1),
+            1.0 + q6 * (2.0 * vm + v1) + q24 * (vm * v1),
+            0.5 * q + q24 * (vm + v1),
+            hq6, q24)
     for t in data:
         t.flags.writeable = False
     return data
 
 
 def _step_matrices(e, data):
-    """Every step matrix I + h/6 (K1 + 2 K2 + 2 K3 + K4) of a pass, as (2, 2, *lanes, n).
+    """Every step matrix of a pass, as (2, 2, *lanes, n), evaluated at E in place.
 
-    Written out in w = V - E at the step's start (w0), midpoint (wm) and end (w1).
+    a and d share E q24, and b and c share E hq6; the quadratics run in
+    Horner form, A0 + E (E q24 - A1), so each lane costs 12 operations per step.
     """
-    v0, vm, v1, h, hq6, q6, q24, h6, hq12 = data
+    a0, a1, b0, c0, c1, d0, d1, hq6, q24 = data
+    shape = a0.shape
     if isinstance(e, np.ndarray):
+        shape = e.shape + shape
         e = e[:, None]
-    w0, wm, w1 = v0 - e, vm - e, v1 - e
-    a = 1.0 + q6 * (w0 + 2.0 * wm) + q24 * (w0 * wm)
-    b = h + hq6 * wm
-    c = h6 * (w0 + 4.0 * wm + w1) + hq12 * (wm * (w0 + w1))
-    d = 1.0 + q6 * (2.0 * wm + w1) + q24 * (wm * w1)
-    return np.array(((a, b), (c, d)))
+    m = np.empty((2, 2, *shape))
+    (a, b), (c, d) = m
+    np.multiply(e, q24, out=d)
+    np.subtract(d, a1, out=a)
+    np.subtract(d, d1, out=d)
+    np.multiply(e, hq6, out=c)
+    np.subtract(b0, c, out=b)
+    np.subtract(c, c1, out=c)
+    for t, t0 in ((a, a0), (c, c0), (d, d0)):
+        t *= e
+        t += t0
+    return m
 
 
 def _tree_product(m):

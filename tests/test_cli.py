@@ -4,11 +4,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import slspec.cli
 from slspec.cli import main
 from slspec.problem import problem_from_json
 from slspec.spectra import eigen_test
@@ -533,6 +539,52 @@ def test_eigs_nan_mismatch_exits_3(tmp_path, capsys):
     assert not (tmp_path / "eigs.json").exists()
 
 
+def test_tiny_trace_resolution_exits_2_at_once(tmp_path, capsys):
+    # pi / 1e-300 samples would never finish; the step budget caps them first
+    cfg = {"schema": 1, "problem": box_problem_doc(),
+           "transfer": {"energy": 1.0, "trace_resolution": 1e-300},
+           "output": {"path": str(tmp_path / "t.json")}}
+    start = time.perf_counter()
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "transfer") == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: transfer.trace_resolution = 1e-300 needs at least 3.14e+300 samples, "
+        "more than step.max_steps = 500000\n")
+    assert not (tmp_path / "t.json").exists()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0])
+def test_montecarlo_epsilon_is_checked_before_sampling(epsilon, tmp_path, capsys,
+                                                       monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking epsilon")
+
+    monkeypatch.setattr(slspec.cli, "mismatch_samples", no_sampling)
+    cfg = montecarlo_config(tmp_path)
+    cfg["montecarlo"]["epsilon"] = epsilon
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "montecarlo") == 2
+    assert capsys.readouterr().err == "error: montecarlo.epsilon must be positive\n"
+
+
+@pytest.mark.parametrize("where", ["eigs-flag", "eigs-config", "montecarlo-config",
+                                   "decompose-flag"])
+def test_unwritable_output_exits_2(where, tmp_path, capsys):
+    target = str(tmp_path / "missing-dir" / "out.json")
+    cfg = {"schema": 1, "problem": box_problem_doc(), "eigs": SMALL_EIGS}
+    if where == "eigs-flag":
+        argv = ["--config", write_config(tmp_path, cfg), "--output", target, "eigs"]
+    elif where == "eigs-config":
+        cfg["output"] = {"path": target}
+        argv = ["--config", write_config(tmp_path, cfg), "eigs"]
+    elif where == "montecarlo-config":
+        cfg = {**montecarlo_config(tmp_path, samples=3), "output": {"path": target}}
+        argv = ["--config", write_config(tmp_path, cfg), "montecarlo"]
+    else:
+        argv = ["--output", target, "decompose", "1", "0", "0", "1"]
+    assert run("--quiet", *argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot write output {target}: ")
+
+
 def test_parser_is_built_once(tmp_path):
     from slspec.cli import build_parser
     assert build_parser() is build_parser()
@@ -542,6 +594,17 @@ def test_parser_is_built_once(tmp_path):
     assert json.loads((tmp_path / "mc.json").read_text())["report"]["seed"] == 9
     assert run("--quiet", "--config", path, "montecarlo") == 0
     assert json.loads((tmp_path / "mc.json").read_text())["report"]["seed"] == 77
+
+
+def test_import_leaves_out_numpy_random_and_process_pools():
+    # both are loaded only by the commands that use them
+    src = str(Path(slspec.cli.__file__).parents[1])
+    code = ("import sys, slspec.cli; "
+            "print(sorted(m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out == "[]\n"
 
 
 def test_config_required(capsys):

@@ -27,6 +27,7 @@ from slspec.transfer import (
     ConstantPotential,
     PiecewisePotential,
     SolutionState,
+    StepControl,
     propagate_state,
     transfer_matrix,
 )
@@ -247,6 +248,10 @@ def test_prufer_resolution_validation():
     prob = dirichlet_box()
     with pytest.raises(ValueError):
         prufer_trace(prob, 1.0, resolution=0.0)
+    # pi / 1e-6 samples exceed the step budget of a million
+    with pytest.raises(ValueError, match=r"^resolution = 1e-06 needs at least 3\.14e\+06 "
+                                         r"samples, more than step\.max_steps = 1000000$"):
+        prufer_trace(prob, 1.0, 1e-6, StepControl(max_steps=10 ** 6))
 
 
 # ----------------------------------------------------------------------- JSON

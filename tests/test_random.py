@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import slspec.random
 from slspec.problem import PointInteraction, Problem
 from slspec.random import (
     Ensemble,
@@ -392,3 +393,14 @@ def test_monte_carlo_validation():
         monte_carlo(prob, 4.0, ens, 0, epsilon=1e-6)
     with pytest.raises(ValueError):
         monte_carlo(prob, 4.0, ens, 10, epsilon=0.0)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+def test_monte_carlo_checks_epsilon_before_sampling(epsilon, monkeypatch):
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled before checking epsilon")
+
+    monkeypatch.setattr(slspec.random, "mismatch_samples", no_sampling)
+    ens = Ensemble("lambda", (Uniform(0, 1),), seed=1)
+    with pytest.raises(ValueError, match="^epsilon must be positive$"):
+        monte_carlo(generic_one_site_problem(), 4.0, ens, 10, epsilon=epsilon)

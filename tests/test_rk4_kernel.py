@@ -1,8 +1,9 @@
 """The RK4 step-matrix kernel against the sequential loop it replaced and an
 independent closed form.
 
-The kernel multiplies the step matrices of a pass as a pairwise tree, so its
-rounding differs from stepping (u, u') one step at a time.  The bound stated
+The kernel evaluates each step matrix's entries as quadratics in E and
+multiplies the step matrices of a pass as a pairwise tree, so its rounding
+differs from stepping (u, u') one step at a time.  The bound stated
 in tests/test_golden.py holds pass by pass: every entry within a relative
 1e-12 of the sequential loop's, relative to max(1, |entry|).
 """
@@ -162,6 +163,26 @@ def test_kernel_lanes_match_sequential_passes(walk, es, h_target):
         (a, c), (b, d) = [sequential_column(u, du, e, *samples)
                           for u, du in ((1.0, 0.0), (0.0, 1.0))]
         assert within([t[k] for t in lanes], (a, b, c, d))
+
+
+# |E| far above |V| <= 20; at E = 1e4 and h = 0.01, E h^2 = 1, where the
+# E^2 terms of the step matrices' entries cancel against the others most
+_NODES_FAST = tuple(0.05 * i for i in range(41))
+FAST = GridPotential(_NODES_FAST, tuple(20.0 * math.sin(7.0 * x) for x in _NODES_FAST))
+LARGE_E = (1e4, 9999.5, 5e3, 1e3, -2e3, -1e4)
+
+
+@pytest.mark.parametrize("y, x", [(0.0, 2.0), (2.0, 0.1), (0.3, 0.8)])
+@pytest.mark.parametrize("h_target", [0.01, 0.005])
+def test_kernel_matches_sequential_pass_at_large_energies(y, x, h_target):
+    data = _rk4_pass(FAST, y, x, h_target)
+    samples = sequential_samples(FAST, _walk_points(FAST, y, x), h_target)
+    lanes = _rk4_product(np.array(LARGE_E), data)
+    for k, e in enumerate(LARGE_E):
+        (a, c), (b, d) = [sequential_column(u, du, e, *samples)
+                          for u, du in ((1.0, 0.0), (0.0, 1.0))]
+        assert within(_rk4_product(e, data), (a, b, c, d))
+        assert [t[k] for t in lanes] == _rk4_product(e, data)
 
 
 @pytest.mark.parametrize("full, rest", [(0, 1), (1, 0), (1, 1), (3, 6)])

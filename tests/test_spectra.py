@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slspec.spectra
 from slspec.cli import main
 from slspec.problem import PointInteraction, Problem, problem_from_json, with_site_params
 from slspec.sl2 import IwasawaParams, Mat2, ProjPoint, iwasawa_decompose, proj_class
@@ -316,6 +317,13 @@ def test_dichotomy_validation():
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="^tol must be positive$"):
             classify_dichotomy(prob, 4.0, 0, "alpha", tol)
+
+
+def test_r_factors_are_the_seeded_draws():
+    # the dilation re-tests' factors are written out, so that importing
+    # slspec does not load numpy.random; they are these draws
+    drawn = np.random.default_rng(181_818).uniform(0.1, 10.0, 4).tolist()
+    assert slspec.spectra._R_FACTORS == (0.25, 0.5, 2.0, 4.0, *drawn)
 
 
 # A problem that the degenerate construction built for one generic-theta

@@ -237,6 +237,21 @@ def test_potential_validation():
         GridPotential((0.0, 1.0), (1.0,))
 
 
+def test_grid_potential_equality_is_float_equality():
+    base = GridPotential((0.0, 0.5, 1.0), (0.0, 1.0, 0.0))
+    same = GridPotential([0, 0.5, 1], [0, 1, 0])
+    signed = GridPotential((-0.0, 0.5, 1.0), (0.0, 1.0, -0.0))
+    moved = GridPotential((0.0, 0.25, 1.0), (0.0, 1.0, 0.0))
+    longer = GridPotential((0.0, 0.5, 1.0, 1.5), (0.0, 1.0, 0.0, 0.0))
+    for other in (base, same, signed, moved, longer):
+        floats = (other.x, other.values) == (base.x, base.values)
+        assert (other == base) is (base == other) is floats
+        if floats:
+            assert hash(other) == hash(base)
+    assert base != PiecewisePotential((0.0, 0.5, 1.0), (0.0, 1.0))
+    assert {base: 1}[signed] == 1
+
+
 def test_potential_json_roundtrip():
     pots = [ConstantPotential(2.5),
             PiecewisePotential((0.0, 1.0, 2.5), (1.0, -3.0)),
