@@ -183,7 +183,7 @@ def cmd_transfer(args):
     y = number(block, "y", "transfer", prob.a)
     res = None
     if "trace_resolution" in block:
-        res = check_resolution(prob, number(block, "trace_resolution", "transfer"), step,
+        res = check_resolution(prob, e, number(block, "trace_resolution", "transfer"), step,
                                "transfer.trace_resolution")
     path, fmt = resolve_output(args, cfg)
     m = transfer_matrix(prob.potential, x, y, e, step)

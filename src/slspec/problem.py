@@ -153,18 +153,32 @@ def _wrap_half_pi(d):
     return d
 
 
+def _lift_samples(v, lo, hi, e, step, resolution=math.inf, name="resolution"):
+    """The sample count of a lift walk over [lo, hi] at e, once it is at most step.max_steps.
+
+    The spacing is at most resolution (called name in messages) and at most
+    0.45 / max(1, |E| + max |V|), which caps the speed of the Pruefer phase,
+    so the phase moves by less than 0.45 between samples.
+    """
+    if not resolution > 0.0:
+        raise ValueError(f"{name} must be positive")
+    spacing = min(resolution, 0.45 / max(1.0, abs(e) + v.abs_bound(lo, hi)))
+    need = (hi - lo) / spacing
+    if need > step.max_steps:
+        cause = f"{name} = {resolution!r}" if spacing == resolution else f"E = {e!r}"
+        raise ValueError(f"{cause} needs at least {need:.3g} samples, more than "
+                         f"step.max_steps = {step.max_steps}")
+    return max(1, math.ceil(need))
+
+
 def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
     """Samples (x, normalized state, lifted phase) of the walk from state.x to x_stop.
 
-    The samples are equispaced and the last one sits exactly on x_stop.  The
-    spacing is at most resolution and at most 0.45 / bound, where bound =
-    max(1, |E| + max |V|) caps the speed of the Pruefer phase, so the phase
-    moves by less than pi/2 between samples and phi is lifted from the
-    previous sample without ambiguity.
+    The samples are equispaced, as many as _lift_samples gives before the
+    first propagation, and the last one sits exactly on x_stop.
     """
     lo = state.x
-    bound = max(1.0, abs(e) + v.abs_bound(lo, x_stop))
-    n = max(1, math.ceil((x_stop - lo) / min(resolution, 0.45 / bound)))
+    n = _lift_samples(v, lo, x_stop, e, step, resolution)
     for i in range(1, n + 1):
         x = min(lo + (x_stop - lo) * i / n, x_stop)
         state = _normalized(propagate_state(v, state, x, e, step))
@@ -172,19 +186,10 @@ def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
         yield x, state, phi
 
 
-def check_resolution(problem: Problem, resolution: float, step: StepControl,
+def check_resolution(problem: Problem, e: float, resolution: float, step: StepControl,
                      name: str = "resolution") -> float:
-    """resolution, once it is positive and asks for at most step.max_steps samples.
-
-    A trace takes at least (b - a) / resolution samples, and each one is a
-    propagation of its own; name is the resolution's name in messages.
-    """
-    if not resolution > 0.0:
-        raise ValueError(f"{name} must be positive")
-    need = (problem.b - problem.a) / resolution
-    if need > step.max_steps:
-        raise ValueError(f"{name} = {resolution!r} needs at least {need:.3g} samples, more than "
-                         f"step.max_steps = {step.max_steps}")
+    """resolution, once it is positive and a trace at e takes at most step.max_steps samples."""
+    _lift_samples(problem.potential, problem.a, problem.b, e, step, resolution, name)
     return resolution
 
 
@@ -198,7 +203,7 @@ def prufer_trace(problem: Problem, e: float, resolution: float,
     trace records the x twice: the jump's angular displacement is booked
     with the branch in (-pi/2, pi/2].
     """
-    check_resolution(problem, resolution, step)
+    check_resolution(problem, e, resolution, step)
     v = problem.potential
     state = _normalized(problem.initial_state())
     phi = math.atan2(state.u, state.du)

@@ -15,9 +15,9 @@ that sample's realized problem.
 The degenerate construction places one site between consecutive zeros of the
 unperturbed eigenfunction, at the point where the solution's class equals
 (cos theta, -sin theta): every shear then maps that class to (1, 0) scaled by
-r, so the jump output cannot see the shear value at all.  The zeros and the
-class points are bracketed on the sampled Pruefer lift of problem._lift_walk,
-which prufer_trace uses too, and then refined by bisection.
+r, so the jump output cannot see the shear value at all.  Zeros and class
+points are upward crossings of the Pruefer lift sampled by problem._lift_walk
+(as in prufer_trace), refined by the scan's ITP routine spectra.refine_root.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from .fields import check_keys, is_integer, items, number, tagged
 from .problem import PointInteraction, Problem, _continue_lift, _lift_walk, _normalized
 from .sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
-from .spectra import eigen_test, realized_mismatches
+from .spectra import eigen_test, realized_mismatches, refine_root
 from .transfer import DEFAULT_STEP, StepControl, propagate_state
 
 TARGETS = ("lambda", "r", "theta")
@@ -344,46 +344,46 @@ def monte_carlo(problem: Problem, e: float, ensemble: Ensemble, n_samples: int,
 
 # ------------------------------------------------------- oscillation machinery
 
-def _bisect_zero(v, left_state, x_right, e, step):
-    """Refine the single sign change of u inside (left_state.x, x_right]."""
-    state = left_state
-    ul = state.u
-    lo, hi = state.x, x_right
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        ms = propagate_state(v, state, mid, e, step)
-        if ms.u == 0.0:
-            return mid
-        if (ms.u > 0) == (ul > 0):
-            lo, state = mid, _normalized(ms)
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+# the width to which eigenfunction zeros and class points are refined
+CROSSING_TOL = 1e-12
+
+
+def _rises(v, state, goal, x_stop, e, step):
+    """Each x in (state.x, x_stop] where the Pruefer lift rises through goal + k pi.
+
+    The lift starts at the phase of state, below goal.  Each crossing is
+    bracketed between two samples of _lift_walk (0.45 apart in lift at most)
+    and refined by refine_root on lift(x) - goal, each evaluation propagating
+    from the bracket's left sample.
+    """
+    xa, la = state.x, math.atan2(state.u, state.du)
+    for xb, sb, lb in _lift_walk(v, state, la, x_stop, e, step):
+        if lb >= goal:
+            def f(x, sa=state, la=la, goal=goal):
+                s = propagate_state(v, sa, x, e, step)
+                return _continue_lift(la, math.atan2(s.u, s.du)) - goal
+
+            yield xb if lb == goal else refine_root(f, xa, xb, la - goal, lb - goal,
+                                                    CROSSING_TOL)
+            goal += math.pi
+        xa, state, la = xb, sb, lb
 
 
 def zeros_of_eigenfunction(problem: Problem, e: float,
                            step: StepControl = DEFAULT_STEP):
     """Interior zeros of the left-admissible solution of a jump-free problem.
 
-    Zeros are where the Pruefer lift crosses a multiple of pi; the sampling
-    step is chosen so the lift moves less than pi/2 between samples, which
-    pins each zero to a single sign change of u (nontrivial solutions cannot
-    touch zero without crossing).  Each is refined by bisection to 1e-10.
+    Zeros are where the Pruefer lift rises through a multiple of pi (at a
+    zero it moves at unit speed, so it never falls back through one).
     """
     if problem.interactions:
         raise ValueError("zeros are computed on the interaction-free problem")
-    v = problem.potential
     a, b = problem.a, problem.b
     state = _normalized(problem.initial_state())
-    zeros = []
-    for xi, nxt, _ in _lift_walk(v, state, math.atan2(state.u, state.du), b, e, step):
-        if nxt.u == 0.0:
-            zeros.append(xi)
-        elif state.u != 0.0 and (state.u > 0) != (nxt.u > 0):
-            zeros.append(_bisect_zero(v, state, xi, e, step))
-        state = nxt
+    first = math.pi * (math.floor(math.atan2(state.u, state.du) / math.pi) + 1)
     margin = 1e-7 * (b - a) + 1e-12
-    return [z for z in zeros if a + margin < z < b - margin]
+    return [z for z in _rises(problem.potential, state, first, b, e, step)
+            if a + margin < z < b - margin]
 
 
 def find_class_point(problem: Problem, e: float, t1: float, t2: float,
@@ -391,39 +391,24 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     """The x in [t1, t2) where the solution's class equals target.
 
     Between consecutive zeros the lift rises by exactly pi, so each class is
-    attained; the crossing is found by bisection on the lift.
+    attained; this is the first rise of the lift through the target's angle.
     """
     if problem.interactions:
         raise ValueError("class points are located on the interaction-free problem")
     if not problem.a <= t1 < t2 <= problem.b:
         raise ValueError(f"need a <= t1 < t2 <= b, got [{t1}, {t2}]")
-    v = problem.potential
-    state = _normalized(propagate_state(v, problem.initial_state(), t1, e, step))
+    state = _normalized(propagate_state(problem.potential, problem.initial_state(), t1, e, step))
     if abs(state.u) > 1e-6:
         raise TargetNotBracketed(f"u(t1) = {state.u:.3e}, t1 is not a zero")
     phi1 = math.atan2(state.u, state.du)
     base = math.pi * round(phi1 / math.pi)
     offset = (target.angle - base) % math.pi
-    if offset < 1e-9 or math.pi - offset < 1e-9:
-        return t1  # the zero class itself
-    goal = base + offset
-    xa, sa, la = t1, state, phi1
-    for xb, s, lift in _lift_walk(v, state, phi1, t2, e, step):
-        if lift >= goal:
-            break
-        xa, sa, la = xb, s, lift
-    else:
-        raise TargetNotBracketed(
-            f"lift advanced {la - phi1:.6f} over [t1, t2); are t1, t2 consecutive zeros?")
-    while xb - xa > 1e-12:
-        mid = 0.5 * (xa + xb)
-        sm = _normalized(propagate_state(v, sa, mid, e, step))
-        lm = _continue_lift(la, math.atan2(sm.u, sm.du))
-        if lm >= goal:
-            xb = mid
-        else:
-            xa, sa, la = mid, sm, lm
-    return 0.5 * (xa + xb)
+    if offset < 1e-9 or math.pi - offset < 1e-9 or phi1 >= base + offset:
+        return t1  # the zero class itself, or a class already passed at t1
+    for x in _rises(problem.potential, state, base + offset, t2, e, step):
+        return x
+    raise TargetNotBracketed("the lift stays below the target over [t1, t2); "
+                             "are t1, t2 consecutive zeros?")
 
 
 def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
@@ -445,7 +430,7 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
         raise ValueError("need matching nonempty theta and r lists")
     base = Problem(a, b, v, (), bc_left, bc_right)
     rep = eigen_test(base, e, step)
-    if rep.mismatch > EIGEN_TOL and not allow_non_eigenvalue:
+    if not rep.mismatch <= EIGEN_TOL and not allow_non_eigenvalue:  # NaN fails too
         raise NotUnperturbedEigenvalue(
             f"E = {e} has unperturbed mismatch {rep.mismatch:.3e} > {EIGEN_TOL}")
     need = len(thetas) + 1

@@ -7,7 +7,8 @@ carries the raw angular mismatch for consumers to re-threshold.
 
 The eigenvalue scan evaluates its grid energies as one batch of lanes (see
 transfer), each equal bit for bit to that energy alone; the ITP root
-refinement and the reports run one energy at a time.
+refinement (refine_root, also used on lift crossings by slspec.random) and
+the reports run one energy at a time.
 
 A realization is the problem with one Iwasawa field of its jumps replaced.
 realized_mismatches evaluates a batch of them as one walk at a fixed energy,
@@ -146,20 +147,20 @@ def _guarded(m0, m1):
     return m0 * m1 < 0.0 and abs(m1 - m0) < WRAP_GUARD
 
 
-def _refine(problem, lo, hi, mlo, mhi, tol, step):
-    """A root of the mismatch in the guarded sign change (lo, hi), by ITP.
+def refine_root(f, lo, hi, flo, fhi, tol):
+    """A root of f in the guarded sign change (lo, hi), by ITP; None if there is none.
 
-    The ITP method (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with
-    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1 steps from the
-    regula-falsi point towards the midpoint, never farther from the midpoint
-    than keeps the bracket within one halving of bisection's schedule: it
-    needs at most one evaluation more than bisection, and far fewer on a
-    smooth mismatch.  A trial point x replaces hi only when (lo, x) is a
-    guarded sign change, otherwise it replaces lo; while (lo, hi) is not a
-    guarded sign change (a wrap-around of the cut lies inside) the trial
-    point is the midpoint.  An exact zero is returned as it is; otherwise
-    the result is the midpoint once the bracket is no wider than tol or no
-    float lies strictly between its ends.
+    flo and fhi are f(lo) and f(hi).  The ITP method (Oliveira and Takahashi,
+    ACM TOMS 47(1), 2020) with kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1
+    steps from the regula-falsi point towards the midpoint, never farther
+    from it than keeps the bracket within one halving of bisection's
+    schedule: at most one evaluation more than bisection, far fewer on a
+    smooth f.  A trial point x replaces hi only when (lo, x) is a guarded
+    sign change, otherwise lo; while (lo, hi) is not one (a wrap-around of
+    the cut lies inside) the trial point is the midpoint.  An exact zero is
+    returned as it is, else the midpoint once the bracket is no wider than
+    tol or no float lies strictly between its ends, or None if the bracket
+    is then no guarded sign change: a wrap-around, not a root.
     """
     kappa1 = 0.2 / (hi - lo)
     n_max = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 1
@@ -173,24 +174,24 @@ def _refine(problem, lo, hi, mlo, mhi, tol, step):
         if not lo < mid < hi:
             break
         x = mid
-        if _guarded(mlo, mhi):
+        if _guarded(flo, fhi):
             r = max(0.0, math.ldexp(tol - 2.0 * ulp, n_max - j - 1) - 0.5 * (hi - lo))
-            xf = (lo * mhi - hi * mlo) / (mhi - mlo)
+            xf = (lo * fhi - hi * flo) / (fhi - flo)
             sigma = math.copysign(1.0, mid - xf)
             delta = kappa1 * (hi - lo) ** 2
             xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
             x = xt if abs(xt - mid) <= r else mid - sigma * r
             if not lo < x < hi:
                 x = mid
-        m = _finite(x, boundary_mismatch(problem, x, step))
-        if m == 0.0:
+        fx = f(x)
+        if fx == 0.0:
             return x
-        if _guarded(mlo, m):
-            hi, mhi = x, m
+        if _guarded(flo, fx):
+            hi, fhi = x, fx
         else:
-            lo, mlo = x, m
+            lo, flo = x, fx
         j += 1
-    return 0.5 * (lo + hi)
+    return 0.5 * (lo + hi) if _guarded(flo, fhi) else None
 
 
 def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
@@ -200,11 +201,11 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
 
     The mismatch is evaluated at `grid` equispaced energies, all in one
     batched propagation with one lane per energy; each sign change that is
-    not a wrap-around of the cut is refined by ITP (see _refine), one energy
-    at a time, until the energy bracket is narrower than tol.  Complete only
-    up to the grid resolution: roots closer together than one grid cell can
-    be missed.  A NaN or infinite mismatch, on the grid or in a refinement,
-    raises FloatingPointError naming its energy.
+    not a wrap-around of the cut is refined by refine_root, one energy at a
+    time, to tol; a cell that held a wrap-around and no root gives no
+    report.  Complete only up to the grid resolution: roots closer together
+    than one grid cell can be missed.  A NaN or infinite mismatch, on the
+    grid or in a refinement, raises FloatingPointError naming its energy.
     """
     if not e_lo < e_hi:
         raise ValueError("need e_lo < e_hi")
@@ -212,6 +213,9 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
         raise ValueError("grid must be at least 2")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
+
+    def mismatch(e):  # looked up per call, so wrappers of boundary_mismatch see it
+        return _finite(e, boundary_mismatch(problem, e, step))
     es = [e_lo + (e_hi - e_lo) * i / (grid - 1) for i in range(grid)]
     ms = [_finite(e, m) for e, m in zip(es, boundary_mismatch(problem, np.array(es), step))]
     found = []
@@ -220,10 +224,10 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
         if m0 == 0.0:
             found.append(es[i])
         elif _guarded(m0, m1):
-            found.append(_refine(problem, es[i], es[i + 1], m0, m1, tol, step))
+            found.append(refine_root(mismatch, es[i], es[i + 1], m0, m1, tol))
     if ms[-1] == 0.0:
         found.append(es[-1])
-    return [eigen_test(problem, e, step) for e in sorted(found)]
+    return [eigen_test(problem, e, step) for e in sorted(e for e in found if e is not None)]
 
 
 # ---------------------------------------------------------------- dichotomies

@@ -1,9 +1,9 @@
 """Shared fixtures: the eigenvalue scan checked against the bisection it replaced.
 
-The scan refines each bracket by ITP (slspec.spectra._refine).  The reference
-here is the bisection loop that preceded it, kept only in the tests; both
-tests/test_spectra.py and the scan pins of tests/test_golden.py check the
-scan against it through the fixtures below.
+The scan refines each bracket by ITP (slspec.spectra.refine_root).  The
+reference here is the bisection loop that preceded it, kept only in the
+tests; both tests/test_spectra.py and the scan pins of tests/test_golden.py
+check the scan against it through the fixtures below.
 """
 
 from bisect import bisect_right
@@ -79,21 +79,21 @@ def within_bisection_bound(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
 
     ITP (n0 = 1) takes at most one evaluation more than bisection in every
     cell.  Where bisection found a genuine root (mismatch at most 1e-6),
-    the scan's root lies within tol of it.  In a spurious cell (a
-    wrap-around inside a sign change, no root) both stop wherever their
-    trial paths meet the wrap, so the only position bound is the cell.
+    the scan reports a root within tol of it.  A cell where bisection's
+    root is spurious (a wrap-around inside a sign change, no root) gives
+    no report.
     """
-    es = grid_energies(e_lo, e_hi, grid)
     ref = bisection_by_cell(problem, e_lo, e_hi, grid, tol, step)
     reports, cells = scan_by_cell(problem, e_lo, e_hi, grid, tol, step)
-    assert len(reports) == len(ref)
     assert set(cells) <= set(ref)
-    for rep, (cell, (root, n)) in zip(reports, sorted(ref.items())):
+    genuine = []
+    for cell, (root, n) in sorted(ref.items()):
         assert cells[cell] <= n + 1
         if eigen_test(problem, root, step).mismatch <= 1e-6:
-            assert abs(rep.E - root) <= tol
-        else:
-            assert es[cell] <= rep.E <= es[min(cell + 1, grid - 1)]
+            genuine.append(root)
+    assert len(reports) == len(genuine)
+    for rep, root in zip(reports, genuine):
+        assert abs(rep.E - root) <= tol
     return reports
 
 

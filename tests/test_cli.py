@@ -553,6 +553,40 @@ def test_tiny_trace_resolution_exits_2_at_once(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+@pytest.mark.parametrize("command, block", [
+    ("transfer", {"energy": 1e12, "trace_resolution": 0.05}),
+    ("degenerate", {"energy": 1e12, "thetas": [0.5], "rs": [1.0],
+                    "allow_non_eigenvalue": True}),
+])
+def test_huge_energy_lift_walk_exits_2_at_once(command, block, tmp_path, capsys):
+    # the lift walk's spacing 0.45 / 1e12 would take 7e12 samples over [0, pi];
+    # the step budget caps them before the first one
+    cfg = {"schema": 1, "problem": box_problem_doc(), command: block,
+           "output": {"path": str(tmp_path / "out.json")}}
+    start = time.perf_counter()
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), command) == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: E = 1000000000000.0 needs at least 6.98e+12 samples, "
+        "more than step.max_steps = 500000\n")
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_degenerate_nan_mismatch_is_not_an_eigenvalue(tmp_path, capsys):
+    # the V = 1000 pieces overflow the exact route to a NaN mismatch, which
+    # no tolerance admits as an unperturbed eigenvalue
+    problem = {**box_problem_doc(), "b": 40.0,
+               "potential": {"kind": "piecewise", "breakpoints": [0.0, 10.0, 25.0, 40.0],
+                             "values": [0.0, 1000.0, 1000.0]}}
+    cfg = {"schema": 1, "problem": problem,
+           "degenerate": {"energy": 5.0, "thetas": [0.5, 1.0], "rs": [1.0, 2.0]},
+           "output": {"path": str(tmp_path / "built.json")}}
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "degenerate") == 3
+    assert capsys.readouterr().err == ("numerical failure: E = 5.0 has unperturbed "
+                                       "mismatch nan > 1e-06\n")
+    assert not (tmp_path / "built.json").exists()
+
+
 @pytest.mark.parametrize("epsilon", [0.0, -1.0])
 def test_montecarlo_epsilon_is_checked_before_sampling(epsilon, tmp_path, capsys,
                                                        monkeypatch):

@@ -25,11 +25,18 @@ old pins bit for bit.
 
 The scan pins come from the ITP root refinement.  Each scan first passes
 tests/conftest.py's check against the bisection it replaced: in every
-grid cell at most one evaluation more, and every genuine root within the
-scan's tol of bisection's.  In a cell with a wrap-around and no root the
-reported point is wherever the trial path meets the wrap, so it is only
-bounded by its cell: two of the three such pins below (mismatch 0.59 and
-1.25) moved from bisection's 13.06 and 12.49999999534 to 16.67 and 12.48.
+grid cell at most one evaluation more, every genuine root within the
+scan's tol of bisection's, and no report from a cell with a wrap-around
+and no root.  The three such reports that were pinned before (mismatches
+0.87, 0.59 and 1.25) are gone; the genuine ones kept every bit.
+
+The zeros and class points come from the ITP crossing refinement, which
+took over from two bisections.  The bisections' pins stay as
+BISECTION_ZEROS, and a test checks that ZEROS lies within a bound of them:
+on the exact route zeros within 1e-10 and class points within 1e-12, on
+the grid route within the integration tolerance.  The largest moves were 3.4e-11 (zeros)
+and 6.5e-13 (class points) on the exact route and 1.2e-10 and 3.6e-11 at
+step.tol 1e-7 on the grid route.
 """
 
 import math
@@ -107,7 +114,8 @@ def test_propagate_state_bits(v, x, y, e, step, matrix, state):
 
 
 # a grid potential with two jumps; every scan mixes genuine eigenvalues with
-# sign changes across the cut, which the scan reports with a large mismatch
+# sign changes across the cut, which the scan drops once their refinement
+# ends on the wrap-around
 _SCAN_NODES = tuple(0.05 * i for i in range(21))
 SCAN_PROBLEM = Problem(
     0.0, 1.0,
@@ -120,12 +128,9 @@ SCAN_PROBLEM = Problem(
 # (e_lo, e_hi, grid, refinement tol, step, [(E, mismatch), ...])
 SCANS = [
     (-5.0, 60.0, 10, 1e-10, DEFAULT_STEP,
-     [('0x1.1c71c71c63556p+1', '0x1.be1c6a35ed24cp-1'),
-      ('0x1.1df82fa66085ap+3', '0x1.0000000000000p-53'),
-      ('0x1.0aaaaaaaa8608p+4', '0x1.2db90e9883168p-1')]),
+     [('0x1.1df82fa66085ap+3', '0x1.0000000000000p-53')]),
     (5.0, 30.0, 6, 1e-8, HALVING,
-     [('0x1.1df83007322fep+3', '0x1.0000000000000p-53'),
-      ('0x1.8f643c33668a4p+3', '0x1.40294a51e959bp+0')]),
+     [('0x1.1df83007322fep+3', '0x1.0000000000000p-53')]),
     (20.0, 140.0, 8, 1e-9, StepControl(tol=1e-7),
      [('0x1.f4ce04ca0cedep+6', '0x1.8000000000000p-53')]),
 ]
@@ -252,8 +257,11 @@ ZERO_POTENTIALS = {
 
 # (potential, E, step, zeros, [(theta, class point between the first two
 #  zeros, class point between the last two zeros), ...]); the class sought is
-# (cos theta, -sin theta), as in the degenerate construction
-ZEROS = [
+# (cos theta, -sin theta), as in the degenerate construction.  These are the
+# pins of the two bisections that preceded the ITP crossing refinement (zeros
+# to 1e-10 on the sign of u, class points to 1e-12 on the lift), kept as the
+# reference that ZEROS is checked against.
+BISECTION_ZEROS = [
     ("piecewise", 9.0, DEFAULT_STEP,
      ['0x1.db3990b39611cp-1', '0x1.018ad810e5846p+1', '0x1.80b480b9dcb08p+1',
       '0x1.19754195e5848p+2', '0x1.73602b4a611a8p+2'],
@@ -278,6 +286,32 @@ ZEROS = [
       (2.6, '0x1.ebef403ee02a3p-1', '0x1.62d1e7330b2a6p+2')]),
 ]
 
+# the same outputs from the ITP crossing refinement, to 1e-12 on the lift
+ZEROS = [
+    ("piecewise", 9.0, DEFAULT_STEP,
+     ['0x1.db3990b373f89p-1', '0x1.018ad810d63d1p+1', '0x1.80b480b9e0badp+1',
+      '0x1.19754195e19edp+2', '0x1.73602b4a6530fp+2'],
+     [(0.7, '0x1.98fecd0356749p+0', '0x1.50ba484956470p+2'),
+      (2.6, '0x1.6ff7b1208572bp+0', '0x1.3ee4fff9c9328p+2')]),
+    ("piecewise", 16.5, StepControl(tol=1e-7),
+     ['0x1.31d956700160bp-1', '0x1.6c215a6ad9058p+0', '0x1.163fd410b2922p+1',
+      '0x1.766014d5d324ep+1', '0x1.e40d07815ad79p+1', '0x1.2ae4f416a50ecp+2',
+      '0x1.63c3646c9cb18p+2'],
+     [(0.7, '0x1.11299886f5dc4p+0', '0x1.4b8ff97611f6ep+2'),
+      (2.6, '0x1.effc7fe7d1166p-1', '0x1.444720f9bfc3cp+2')]),
+    ("grid", 9.0, DEFAULT_STEP,
+     ['0x1.de38b589128b8p-1', '0x1.df6f1c979e90cp+0', '0x1.6dbc6b9f4c239p+1',
+      '0x1.0635a7525b11cp+2', '0x1.458b7f8b5c164p+2'],
+     [(0.7, '0x1.7bf5c46f11dfap+0', '0x1.2bf77fca4e0a4p+2'),
+      (2.6, '0x1.5c098dd704aebp+0', '0x1.2311784fa6e16p+2')]),
+    ("grid", 16.5, StepControl(tol=1e-7),
+     ['0x1.3852221f39514p-1', '0x1.5ebb4c2d3e90ap+0', '0x1.0b2593d876feap+1',
+      '0x1.6bfc37b1553b6p+1', '0x1.d74dc4cae917fp+1', '0x1.1f3cf9f9c873fp+2',
+      '0x1.4dd834f7ba194p+2', '0x1.7c478e8217e95p+2'],
+     [(0.7, '0x1.0b401e0c751c0p+0', '0x1.67ae2bd9dbad8p+2'),
+      (2.6, '0x1.ebef403ef61d2p-1', '0x1.62d1e7330c42ep+2')]),
+]
+
 
 @pytest.mark.parametrize("name, e, step, zeros, points", ZEROS)
 def test_zeros_and_class_points_bits(name, e, step, zeros, points):
@@ -288,3 +322,22 @@ def test_zeros_and_class_points_bits(name, e, step, zeros, points):
         target = proj_class(math.cos(theta), -math.sin(theta))
         assert find_class_point(problem, e, got[0], got[1], target, step).hex() == first
         assert find_class_point(problem, e, got[-2], got[-1], target, step).hex() == last
+
+
+@pytest.mark.parametrize("pins, reference", zip(ZEROS, BISECTION_ZEROS))
+def test_zero_pins_within_bound_of_bisection(pins, reference):
+    # the exact route moves by less than the tolerances of the bisections
+    # (1e-10 for zeros, 1e-12 for class points), the grid route by less than
+    # the integration tolerance, since each refinement now propagates from
+    # the left sample of its bracket
+    name, e, step, zeros, points = pins
+    assert reference[:3] == (name, e, step)
+    exact = ZERO_POTENTIALS[name].is_piecewise_constant
+    zero_bound, point_bound = (1e-10, 1e-12) if exact else (step.tol, step.tol)
+
+    def moves(new, old):
+        return [abs(float.fromhex(x) - float.fromhex(y)) for x, y in zip(new, old, strict=True)]
+
+    assert max(moves(zeros, reference[3])) <= zero_bound
+    for (theta, *new), (ref_theta, *old) in zip(points, reference[4], strict=True):
+        assert theta == ref_theta and max(moves(new, old)) <= point_bound
