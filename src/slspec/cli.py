@@ -340,6 +340,8 @@ def cmd_degenerate(args):
                                  prob.a, prob.b, prob.bc_left, prob.bc_right,
                                  step, allow_non_eigenvalue=allow)
     residual = eigen_test(built, e, step).mismatch
+    if not math.isfinite(residual):
+        raise FloatingPointError(f"residual mismatch is {residual!r} at E = {e!r}")
     out = {"schema": 1,
            "problem": problem_to_json(built),
            "eigs": {"e_lo": e - 0.5, "e_hi": e + 0.5, "grid": 201, "tol": 1e-10}}

@@ -6,6 +6,13 @@ admissible data at angle psi is exactly the projective point of angle psi.
 At each interior site x_n the data jumps by left-multiplication with the
 interaction matrix P_alpha H_r E_theta.  Shooting reads only projective
 classes, so walks keep their states at unit norm and no magnitudes.
+
+The Pruefer lift, the continuous phase of (u', u), is followed along one of
+two routes chosen by the potential's kind, as transfer._propagate chooses
+its route.  On piecewise-constant potentials each piece has a closed form
+(_Piece): the state and lift anywhere on it follow from its start, and so
+do its crossings of any goal angle, which random.py solves for zeros and
+class points.  On grids the lift is sampled (_lift_walk).
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ from .transfer import (
     Potential,
     SolutionState,
     StepControl,
+    _const_coeff_matrix,
+    _walk_points,
     potential_from_json,
     potential_to_json,
     propagate_state,
@@ -153,6 +162,95 @@ def _wrap_half_pi(d):
     return d
 
 
+def _class_gap(rough, y, x):
+    """The angle difference near rough that equals the angle of (x, y) mod pi.
+
+    The part mod pi is the angle of (x, y) turned into the right half-plane,
+    so a small gap keeps its relative precision; rough, good to well within
+    pi / 2, only picks the multiple of pi.
+    """
+    fine = math.atan2(y, x) if x >= 0.0 else math.atan2(-y, -x)
+    return fine + math.pi * round((rough - fine) / math.pi)
+
+
+class _Piece:
+    """One piece [p, q] of a walk on which E - V = w is constant.
+
+    The walk enters it at p with data (u, du) and lifted phase phi.  Where
+    w > 0 the scaled phase psi = atan2(sqrt(w) u, u') advances by exactly
+    sqrt(w) per unit length; psi and phi lie in the same quarter turn, so
+    the lift of either fixes the other's.  Where w <= 0, phi' = cos^2 phi +
+    w sin^2 phi is an autonomous flow, so phi is monotone on the piece and
+    moves by less than pi.
+    """
+
+    __slots__ = ("p", "q", "w", "u", "du", "phi", "k", "psi")
+
+    def __init__(self, p, q, w, state, phi):
+        self.p, self.q, self.w, self.u, self.du, self.phi = p, q, w, state.u, state.du, phi
+        if w > 0.0:
+            self.k = math.sqrt(w)
+            self.psi = _continue_lift(phi, math.atan2(self.k * state.u, state.du))
+
+    def at(self, x):
+        """The normalized state and lifted phase at x in [p, q], in closed form from p."""
+        m = _const_coeff_matrix(self.w, x - self.p)
+        s = _normalized(SolutionState(x, m.a * self.u + m.b * self.du,
+                                      m.c * self.u + m.d * self.du))
+        raw = math.atan2(s.u, s.du)
+        if self.w > 0.0:
+            psi = self.psi + self.k * (x - self.p)
+            return s, raw + math.pi * round((psi - math.atan2(self.k * s.u, s.du)) / math.pi)
+        # the turn of the vector (u', u) from p, which is less than pi
+        turn = math.atan2(s.u * self.du - s.du * self.u, s.du * self.du + s.u * self.u)
+        return s, _continue_lift(self.phi + turn, raw)
+
+    def rise(self, goal):
+        """The offset from p at which the lift first reaches goal, or inf if it never does.
+
+        0 if the lift is at goal already, up to rounding.  Where w <= 0 the
+        lift is taken to lie above goal - pi at p, as it does between the
+        crossings of a walk.
+        """
+        c, s = math.cos(goal), math.sin(goal)
+        # h = u cos(goal) - u' sin(goal) vanishes where the class is the goal's
+        h = self.u * c - self.du * s
+        dh = self.du * c + self.w * self.u * s
+        if self.w > 0.0:
+            m = round(goal / math.pi)
+            r = goal - m * math.pi
+            psi_goal = m * math.pi + math.atan2(self.k * math.sin(r), math.cos(r))
+            return max(_class_gap(psi_goal - self.psi, -self.k * h, dh), 0.0) / self.k
+        gap = _class_gap(goal - self.phi, -h, self.du * c + self.u * s)
+        if gap <= 0.0:
+            return 0.0
+        # the lift climbs less than pi, and it crosses the goal's class in one
+        # direction only: upward where phi' > 0 there
+        if gap >= math.pi or c * c + self.w * s * s <= 0.0 or dh == 0.0:
+            return math.inf
+        if self.w == 0.0:
+            t = -h / dh
+        else:
+            # h(p + t) = h cosh(kappa t) + dh sinh(kappa t) / kappa
+            kappa = math.sqrt(-self.w)
+            r = -h * kappa / dh
+            t = math.atanh(r) / kappa if 0.0 <= r < 1.0 else math.inf
+        return t if t >= 0.0 else math.inf
+
+
+def _pieces(v, state, phi, x_stop, e):
+    """The pieces of the walk from state.x to x_stop over a piecewise-constant v.
+
+    Each piece is entered with the state and phase that the one before it
+    leaves at its end, so the walk needs no propagate_state.
+    """
+    pts = _walk_points(v, state.x, x_stop)
+    for p, q in zip(pts, pts[1:]):
+        piece = _Piece(p, q, e - v(0.5 * (p + q)), state, phi)
+        yield piece
+        state, phi = piece.at(q)
+
+
 def _lift_samples(v, lo, hi, e, step, resolution=math.inf, name="resolution"):
     """The sample count of a lift walk over [lo, hi] at e, once it is at most step.max_steps.
 
@@ -175,7 +273,8 @@ def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
     """Samples (x, normalized state, lifted phase) of the walk from state.x to x_stop.
 
     The samples are equispaced, as many as _lift_samples gives before the
-    first propagation, and the last one sits exactly on x_stop.
+    first propagation, and the last one sits exactly on x_stop.  Each is
+    propagated from the one before it.
     """
     lo = state.x
     n = _lift_samples(v, lo, x_stop, e, step, resolution)
@@ -183,6 +282,20 @@ def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
         x = min(lo + (x_stop - lo) * i / n, x_stop)
         state = _normalized(propagate_state(v, state, x, e, step))
         phi = _continue_lift(phi, math.atan2(state.u, state.du))
+        yield x, state, phi
+
+
+def _piece_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
+    """_lift_walk's samples over a piecewise-constant v, each in closed form from its piece."""
+    lo = state.x
+    n = _lift_samples(v, lo, x_stop, e, step, resolution)
+    pieces = _pieces(v, state, phi, x_stop, e)
+    piece = next(pieces)
+    for i in range(1, n + 1):
+        x = min(lo + (x_stop - lo) * i / n, x_stop)
+        while x > piece.q:
+            piece = next(pieces)
+        state, phi = piece.at(x)
         yield x, state, phi
 
 
@@ -199,7 +312,9 @@ def prufer_trace(problem: Problem, e: float, resolution: float,
 
     The walk starts from problem.initial_state().  Samples at spacing <=
     resolution (refined further where the phase can turn fast); zeros of u
-    are the points where phi crosses a multiple of pi.  At each site the
+    are the points where phi crosses a multiple of pi.  On piecewise-constant
+    potentials each sample's phase comes in closed form from the start of its
+    piece, on grids by propagation from the sample before.  At each site the
     trace records the x twice: the jump's angular displacement is booked
     with the branch in (-pi/2, pi/2].
     """
@@ -208,10 +323,11 @@ def prufer_trace(problem: Problem, e: float, resolution: float,
     state = _normalized(problem.initial_state())
     phi = math.atan2(state.u, state.du)
     out = [(state.x, phi)]
+    walk = _piece_walk if v.is_piecewise_constant else _lift_walk
     stops = [(site.x, site.params) for site in problem.interactions]
     stops.append((problem.b, None))
     for x_stop, params in stops:
-        for x, state, phi in _lift_walk(v, state, phi, x_stop, e, step, resolution):
+        for x, state, phi in walk(v, state, phi, x_stop, e, step, resolution):
             out.append((x, phi))
         if params is not None:
             u, du = iwasawa_compose(params).apply((state.u, state.du))

@@ -16,19 +16,30 @@ The degenerate construction places one site between consecutive zeros of the
 unperturbed eigenfunction, at the point where the solution's class equals
 (cos theta, -sin theta): every shear then maps that class to (1, 0) scaled by
 r, so the jump output cannot see the shear value at all.  Zeros and class
-points are upward crossings of the Pruefer lift sampled by problem._lift_walk
-(as in prufer_trace), refined by the scan's ITP routine spectra.refine_root.
+points are the first upward crossings of the Pruefer lift through a goal
+angle plus k pi.  On piecewise-constant potentials each piece gives them in
+closed form (problem._Piece.rise), so a walk needs one propagate_state at
+most, to its start; on grids the lift is sampled by problem._lift_walk and
+each crossing refined by the scan's ITP routine spectra.refine_root.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
 from .fields import check_keys, is_integer, items, number, tagged
-from .problem import PointInteraction, Problem, _continue_lift, _lift_walk, _normalized
+from .problem import (
+    PointInteraction,
+    Problem,
+    _continue_lift,
+    _lift_walk,
+    _normalized,
+    _pieces,
+)
 from .sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
 from .spectra import eigen_test, realized_mismatches, refine_root
 from .transfer import DEFAULT_STEP, StepControl, propagate_state
@@ -157,20 +168,25 @@ def ensemble_from_json(obj) -> Ensemble:
 # ------------------------------------------------------------------- sampling
 
 def _site_rng(seed, sample_index, site_index):
+    """The generator of one sample's Gaussian draw at one site.
+
+    Its blocks [1, i, k, 1], [2, i, k, 1], ... share no word with another
+    sample's, nor with the uniform words at [i + 1, k, 0, 0].
+    """
     return np.random.Generator(
-        np.random.Philox(key=seed, counter=[sample_index, site_index, 0, 0]))
+        np.random.Philox(key=seed, counter=[0, sample_index, site_index, 1]))
 
 
 def _draws(ensemble: Ensemble, lo: int, hi: int):
     """The draws of samples lo..hi-1, one array of hi - lo values per site.
 
-    Sample i draws site k from Philox(key=seed, counter=[i, k, 0, 0]).  A
-    uniform draw is the first word of that stream's first block, counter
-    [i + 1, k, 0, 0], so every fourth word of one stream started at
-    [lo, k, 0, 0] gives the words of samples lo, lo + 1, ..., which become
-    numpy's uniform bit for bit.  Gaussian draws (ziggurat, and the r-target
-    rejection loop) take a varying number of words and keep one generator
-    per sample.
+    A uniform draw of sample i at site k is the first word of the Philox
+    block at counter [i + 1, k, 0, 0], so every fourth word of one stream
+    started at [lo, k, 0, 0] gives the words of samples lo, lo + 1, ...,
+    which become numpy's uniform bit for bit.  Gaussian draws (ziggurat, and
+    the r-target rejection loop) take a varying number of words and keep one
+    generator per sample, _site_rng, whose counter domain is disjoint from
+    every other sample's, so draws of consecutive samples share no word.
     """
     n = hi - lo
     cols, rejected = [], []
@@ -348,7 +364,7 @@ def monte_carlo(problem: Problem, e: float, ensemble: Ensemble, n_samples: int,
 CROSSING_TOL = 1e-12
 
 
-def _rises(v, state, goal, x_stop, e, step):
+def _sampled_rises(v, state, goal, x_stop, e, step):
     """Each x in (state.x, x_stop] where the Pruefer lift rises through goal + k pi.
 
     The lift starts at the phase of state, below goal.  Each crossing is
@@ -369,21 +385,55 @@ def _rises(v, state, goal, x_stop, e, step):
         xa, state, la = xb, sb, lb
 
 
-def zeros_of_eigenfunction(problem: Problem, e: float,
-                           step: StepControl = DEFAULT_STEP):
-    """Interior zeros of the left-admissible solution of a jump-free problem.
+def _piece_rises(v, state, goal, x_stop, e):
+    """_sampled_rises's crossings over a piecewise-constant v, piece by piece in closed form."""
+    for piece in _pieces(v, state, math.atan2(state.u, state.du), x_stop, e):
+        while (t := piece.rise(goal)) <= piece.q - piece.p:
+            yield min(piece.p + t, piece.q)
+            goal += math.pi
 
-    Zeros are where the Pruefer lift rises through a multiple of pi (at a
-    zero it moves at unit speed, so it never falls back through one).
+
+def _rises(v, state, goal, x_stop, e, step):
+    """Where the lift first reaches goal, goal + pi, ... in turn, from state.x to x_stop.
+
+    The route follows the potential's kind: closed form on piecewise-constant
+    potentials, the sampled walk on grids.
     """
+    if v.is_piecewise_constant:
+        return _piece_rises(v, state, goal, x_stop, e)
+    return _sampled_rises(v, state, goal, x_stop, e, step)
+
+
+def _interior_zeros(problem: Problem, e: float, step: StepControl):
+    """The zeros of zeros_of_eigenfunction, one at a time."""
     if problem.interactions:
         raise ValueError("zeros are computed on the interaction-free problem")
     a, b = problem.a, problem.b
     state = _normalized(problem.initial_state())
     first = math.pi * (math.floor(math.atan2(state.u, state.du) / math.pi) + 1)
     margin = 1e-7 * (b - a) + 1e-12
-    return [z for z in _rises(problem.potential, state, first, b, e, step)
-            if a + margin < z < b - margin]
+    for z in _rises(problem.potential, state, first, b, e, step):
+        if z >= b - margin:
+            return
+        if z > a + margin:
+            yield z
+
+
+def zeros_of_eigenfunction(problem: Problem, e: float,
+                           step: StepControl = DEFAULT_STEP):
+    """Interior zeros of the left-admissible solution of a jump-free problem.
+
+    Zeros are where the Pruefer lift rises through a multiple of pi (at a
+    zero it moves at unit speed, so it never falls back through one).  On
+    piecewise-constant potentials each piece gives its zeros in closed form;
+    on grids the sampled lift walk brackets them and refine_root refines
+    them to CROSSING_TOL.  More than step.max_steps zeros is a ValueError,
+    as a walk of more samples is.
+    """
+    zeros = list(islice(_interior_zeros(problem, e, step), step.max_steps + 1))
+    if len(zeros) > step.max_steps:
+        raise ValueError(f"E = {e!r} gives more than step.max_steps = {step.max_steps} zeros")
+    return zeros
 
 
 def find_class_point(problem: Problem, e: float, t1: float, t2: float,
@@ -392,6 +442,9 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
 
     Between consecutive zeros the lift rises by exactly pi, so each class is
     attained; this is the first rise of the lift through the target's angle.
+    The walk propagates once, to t1; on piecewise-constant potentials the
+    rise then comes in closed form, piece by piece, and on grids from the
+    sampled lift walk, refined to CROSSING_TOL.
     """
     if problem.interactions:
         raise ValueError("class points are located on the interaction-free problem")
@@ -422,7 +475,9 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
     the jump sends that class to r_i * (1, 0) for every shear value.  E must
     be an eigenvalue of the jump-free problem; allow_non_eigenvalue skips the
     gate for exploration, in which case nothing guarantees the right boundary
-    match and eigen_test reports the residual mismatch.
+    match and eigen_test reports the residual mismatch.  A mismatch that is
+    not finite is a numerical failure either way (FloatingPointError).  Only
+    the first len(thetas) + 1 interior zeros are located.
     """
     thetas = list(thetas)
     rs = list(rs)
@@ -433,8 +488,10 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
     if not rep.mismatch <= EIGEN_TOL and not allow_non_eigenvalue:  # NaN fails too
         raise NotUnperturbedEigenvalue(
             f"E = {e} has unperturbed mismatch {rep.mismatch:.3e} > {EIGEN_TOL}")
+    if not math.isfinite(rep.mismatch):
+        raise FloatingPointError(f"unperturbed mismatch is {rep.mismatch!r} at E = {e!r}")
     need = len(thetas) + 1
-    zeros = zeros_of_eigenfunction(base, e, step)
+    zeros = list(islice(_interior_zeros(base, e, step), need))
     if len(zeros) < need:
         # endpoint zeros are consecutive-zero partners too; fall back on them
         # when the interior ones do not suffice

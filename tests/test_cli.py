@@ -559,17 +559,21 @@ def test_tiny_trace_resolution_exits_2_at_once(tmp_path, capsys):
                     "allow_non_eigenvalue": True}),
 ])
 def test_huge_energy_lift_walk_exits_2_at_once(command, block, tmp_path, capsys):
-    # the lift walk's spacing 0.45 / 1e12 would take 7e12 samples over [0, pi];
-    # the step budget caps them before the first one
+    # a trace's lift walk at spacing 0.45 / 1e12 would take 7e12 samples over
+    # [0, pi]; the step budget caps them before the first one.  The degenerate
+    # construction solves the box's constant piece in closed form, without
+    # samples, so it finishes (and exits 0) just as fast
+    code = 2 if command == "transfer" else 0
     cfg = {"schema": 1, "problem": box_problem_doc(), command: block,
            "output": {"path": str(tmp_path / "out.json")}}
     start = time.perf_counter()
-    assert run("--quiet", "--config", write_config(tmp_path, cfg), command) == 2
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), command) == code
     assert time.perf_counter() - start < 1.0
-    assert capsys.readouterr().err == (
-        "error: E = 1000000000000.0 needs at least 6.98e+12 samples, "
-        "more than step.max_steps = 500000\n")
-    assert not (tmp_path / "out.json").exists()
+    if code == 2:
+        assert capsys.readouterr().err == (
+            "error: E = 1000000000000.0 needs at least 6.98e+12 samples, "
+            "more than step.max_steps = 500000\n")
+        assert not (tmp_path / "out.json").exists()
 
 
 def test_degenerate_nan_mismatch_is_not_an_eigenvalue(tmp_path, capsys):
@@ -584,6 +588,23 @@ def test_degenerate_nan_mismatch_is_not_an_eigenvalue(tmp_path, capsys):
     assert run("--quiet", "--config", write_config(tmp_path, cfg), "degenerate") == 3
     assert capsys.readouterr().err == ("numerical failure: E = 5.0 has unperturbed "
                                        "mismatch nan > 1e-06\n")
+    assert not (tmp_path / "built.json").exists()
+
+
+def test_degenerate_nan_mismatch_exits_3_when_non_eigenvalues_are_allowed(tmp_path, capsys):
+    # allow_non_eigenvalue admits a finite mismatch above the tolerance, not
+    # a NaN: the overflowing walk is a numerical failure
+    problem = {**box_problem_doc(), "b": 40.0,
+               "potential": {"kind": "piecewise", "breakpoints": [0.0, 10.0, 25.0, 40.0],
+                             "values": [0.0, 1000.0, 1000.0]}}
+    cfg = {"schema": 1, "problem": problem,
+           "degenerate": {"energy": 5.0, "thetas": [0.5, 1.0], "rs": [1.0, 2.0],
+                          "allow_non_eigenvalue": True},
+           "output": {"path": str(tmp_path / "built.json")}}
+    assert run("--config", write_config(tmp_path, cfg), "degenerate") == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "numerical failure: unperturbed mismatch is nan at E = 5.0\n"
     assert not (tmp_path / "built.json").exists()
 
 

@@ -1,11 +1,9 @@
 """Bit-level pins of both propagation routes: float.hex of fixed outputs.
 
 The exact-route propagation values were produced by the separate matrix and
-state integrators that preceded the shared propagation walker, the Monte
-Carlo draws by one Philox generator per (sample, site), which preceded the
-vectorized per-site draws, and the piecewise Pruefer traces, zeros and
-class points by the three sampling loops that preceded the one lift walk.
-Any change in the order of the floating-point operations on either route
+state integrators that preceded the shared propagation walker, and the
+uniform Monte Carlo draws by one Philox generator per (sample, site), which
+preceded the vectorized per-site draws.  Any change in the order of the floating-point operations on either route
 shows up here as a changed bit.
 
 The RK4 (grid) values are pinned from the step-matrix kernel, which
@@ -37,6 +35,14 @@ on the exact route zeros within 1e-10 and class points within 1e-12, on
 the grid route within the integration tolerance.  The largest moves were 3.4e-11 (zeros)
 and 6.5e-13 (class points) on the exact route and 1.2e-10 and 3.6e-11 at
 step.tol 1e-7 on the grid route.
+
+On piecewise-constant potentials the zeros, class points and trace phases
+now come in closed form, piece by piece, instead of from the sampled lift
+walk.  The walk's pins stay as LIFT_WALK_ZEROS and LIFT_WALK_TRACES, and
+tests check the bounds: zeros and class points within CROSSING_TOL
+(largest moves 1.8e-15 and 4.7e-13), trace phases within a relative 1e-12
+(largest move 4.4e-16) at the same sample positions.  The grid pins kept
+every bit.
 """
 
 import math
@@ -45,6 +51,7 @@ import pytest
 
 from slspec.problem import PointInteraction, Problem, prufer_trace
 from slspec.random import (
+    CROSSING_TOL,
     Ensemble,
     Gaussian,
     PointMass,
@@ -143,8 +150,13 @@ def test_eigenvalues_in_range_bits(bisection_bound, e_lo, e_hi, grid, tol, step,
 
 
 # uniform, gaussian and point-mass sites under each target; site 0 of the r
-# ensemble rejects nonpositive gaussian draws (2, 0, 5, 1 and 2 times at the
-# indices below), and the key of the first ensemble is near the top of its range
+# ensemble rejects nonpositive gaussian draws (2, 2, 4, 2 and 3 times at the
+# indices below), and the key of the first ensemble is near the top of its range.
+# The gaussian pins come from each sample's own counter domain [0, i, k, 1];
+# under the earlier layout [i, k, 0, 0] samples 511 and 512 of the r ensemble
+# both drew 0x1.8b9a7fbcb045ap-2 at site 0, because the fifth word of sample
+# 511 was the first word of sample 512.  The uniform and point-mass pins kept
+# every bit.
 DRAW_ENSEMBLES = {
     "lambda": Ensemble("lambda", (Uniform(-1.0, 2.0), Gaussian(0.5, 2.0), PointMass(0.25)),
                        seed=2 ** 64 - 5),
@@ -156,21 +168,21 @@ DRAW_ENSEMBLES = {
 
 # (ensemble, sample index, float.hex of each site's draw)
 DRAWS = [
-    ("lambda", 0, ('0x1.703de4f06ce00p+0', '0x1.663163d846968p-5', '0x1.0000000000000p-2')),
-    ("lambda", 1, ('0x1.80952c96ea2acp+0', '-0x1.a79493dc70022p+0', '0x1.0000000000000p-2')),
-    ("lambda", 511, ('-0x1.0ba5f787d5289p-1', '0x1.7597ca10418b4p-1', '0x1.0000000000000p-2')),
-    ("lambda", 512, ('-0x1.65482f46f6424p-2', '-0x1.561ec8a28f670p-2', '0x1.0000000000000p-2')),
-    ("lambda", 10 ** 6, ('0x1.76e247d997198p-3', '0x1.67d68753f67c6p+1', '0x1.0000000000000p-2')),
-    ("r", 0, ('0x1.13845a81fd595p+0', '0x1.1f3ed53e3e3aep-1', '0x1.8000000000000p+0')),
-    ("r", 1, ('0x1.0d0bd260b2618p+0', '0x1.8919d06f7a8d8p+0', '0x1.8000000000000p+0')),
-    ("r", 511, ('0x1.8b9a7fbcb045ap-2', '0x1.0c3c8c128bd8ap+0', '0x1.8000000000000p+0')),
-    ("r", 512, ('0x1.8b9a7fbcb045ap-2', '0x1.133dcdd3af624p-1', '0x1.8000000000000p+0')),
-    ("r", 10 ** 6, ('0x1.d1fb4552459e6p+0', '0x1.105415fce62cbp+0', '0x1.8000000000000p+0')),
-    ("theta", 0, ('-0x1.389c2e05e9c3ep+3', '0x1.fa852d6e454f5p+2', '0x1.c000000000000p+2')),
-    ("theta", 1, ('0x1.85dfd6548fc00p-5', '0x1.ac3fb86e893aap+2', '0x1.c000000000000p+2')),
-    ("theta", 511, ('0x1.b2f87ef960288p+1', '0x1.0185d286b365cp+1', '0x1.c000000000000p+2')),
-    ("theta", 512, ('-0x1.2f2ce1ecbff56p+3', '0x1.08516dde37ce6p+2', '0x1.c000000000000p+2')),
-    ("theta", 10 ** 6, ('-0x1.e902d3563e3b0p+0', '-0x1.c3acdc836a300p-3', '0x1.c000000000000p+2')),
+    ("lambda", 0, ('0x1.703de4f06ce00p+0', '0x1.4e9e0cfb40cffp+0', '0x1.0000000000000p-2')),
+    ("lambda", 1, ('0x1.80952c96ea2acp+0', '0x1.d44b72a3ba024p+0', '0x1.0000000000000p-2')),
+    ("lambda", 511, ('-0x1.0ba5f787d5289p-1', '0x1.41a1bc3301f0bp+1', '0x1.0000000000000p-2')),
+    ("lambda", 512, ('-0x1.65482f46f6424p-2', '-0x1.18b8e8ee92026p+0', '0x1.0000000000000p-2')),
+    ("lambda", 10 ** 6, ('0x1.76e247d997198p-3', '0x1.0c6864930e857p+0', '0x1.0000000000000p-2')),
+    ("r", 0, ('0x1.31820638879e5p+0', '0x1.1f3ed53e3e3aep-1', '0x1.8000000000000p+0')),
+    ("r", 1, ('0x1.caf95c0fa2478p-1', '0x1.8919d06f7a8d8p+0', '0x1.8000000000000p+0')),
+    ("r", 511, ('0x1.ce1e67d62d11ap-2', '0x1.0c3c8c128bd8ap+0', '0x1.8000000000000p+0')),
+    ("r", 512, ('0x1.fdbb8433ab9aap-1', '0x1.133dcdd3af624p-1', '0x1.8000000000000p+0')),
+    ("r", 10 ** 6, ('0x1.c09a274455a6cp+0', '0x1.105415fce62cbp+0', '0x1.8000000000000p+0')),
+    ("theta", 0, ('-0x1.389c2e05e9c3ep+3', '0x1.a923b29d45d82p+2', '0x1.c000000000000p+2')),
+    ("theta", 1, ('0x1.85dfd6548fc00p-5', '0x1.6c3e8ee7b65e9p+0', '0x1.c000000000000p+2')),
+    ("theta", 511, ('0x1.b2f87ef960288p+1', '0x1.c7ed77cc9a4dfp+1', '0x1.c000000000000p+2')),
+    ("theta", 512, ('-0x1.2f2ce1ecbff56p+3', '-0x1.7a652846284d8p-1', '0x1.c000000000000p+2')),
+    ("theta", 10 ** 6, ('-0x1.e902d3563e3b0p+0', '0x1.ae119fe28fd54p-1', '0x1.c000000000000p+2')),
 ]
 
 
@@ -206,18 +218,18 @@ TRACES = [
     ("piecewise", 1.5, 0.4, DEFAULT_STEP,
      [('0x0.0p+0', '0x1.999999999999ap-3'),
       ('0x1.5555555555555p-3', '0x1.7777777777777p-2'),
-      ('0x1.5555555555555p-2', '0x1.1111111111111p-1'),
-      ('0x1.0000000000000p-1', '0x1.6666666666667p-1'),
-      ('0x1.0000000000000p-1', '0x1.d8d1dab342865p-1'),
+      ('0x1.5555555555555p-2', '0x1.1111111111110p-1'),
+      ('0x1.0000000000000p-1', '0x1.6666666666666p-1'),
+      ('0x1.0000000000000p-1', '0x1.d8d1dab342864p-1'),
       ('0x1.51eb8b851eb85p-1', '0x1.155eb31c309f5p+0'),
       ('0x1.a3d7170a3d70ap-1', '0x1.540364297869dp+0'),
       ('0x1.f5c2a28f5c290p-1', '0x1.9d31cd8cd6c6cp+0'),
-      ('0x1.23d7170a3d70ap+0', '0x1.e59a0a6cb614ep+0'),
+      ('0x1.23d7170a3d70ap+0', '0x1.e59a0a6cb614dp+0'),
       ('0x1.4cccdcccccccdp+0', '0x1.1462a96f4a7d9p+1'),
       ('0x1.4cccdcccccccdp+0', '0x1.3100ee491a75ep+1'),
       ('0x1.7999a5999999ap+0', '0x1.44ba790768c56p+1'),
       ('0x1.a6666e6666666p+0', '0x1.596fc2f76a094p+1'),
-      ('0x1.d333373333333p+0', '0x1.6efe94506e881p+1'),
+      ('0x1.d333373333333p+0', '0x1.6efe94506e880p+1'),
       ('0x1.0000000000000p+1', '0x1.8524c34cb83bdp+1')]),
     ("grid", 0.3, 0.15, StepControl(tol=1e-6),
      [('0x0.0p+0', '0x0.0p+0'),
@@ -242,11 +254,46 @@ TRACES = [
 ]
 
 
+# the piecewise trace as the sampled lift walk gave it, each sample propagated
+# from the one before; TRACES evaluates each sample in closed form from the
+# start of its piece, and a test checks it against this reference (the
+# "close" trace kept every bit)
+LIFT_WALK_TRACES = {
+    "piecewise": [
+        ('0x0.0p+0', '0x1.999999999999ap-3'),
+        ('0x1.5555555555555p-3', '0x1.7777777777777p-2'),
+        ('0x1.5555555555555p-2', '0x1.1111111111111p-1'),
+        ('0x1.0000000000000p-1', '0x1.6666666666667p-1'),
+        ('0x1.0000000000000p-1', '0x1.d8d1dab342865p-1'),
+        ('0x1.51eb8b851eb85p-1', '0x1.155eb31c309f5p+0'),
+        ('0x1.a3d7170a3d70ap-1', '0x1.540364297869dp+0'),
+        ('0x1.f5c2a28f5c290p-1', '0x1.9d31cd8cd6c6cp+0'),
+        ('0x1.23d7170a3d70ap+0', '0x1.e59a0a6cb614ep+0'),
+        ('0x1.4cccdcccccccdp+0', '0x1.1462a96f4a7d9p+1'),
+        ('0x1.4cccdcccccccdp+0', '0x1.3100ee491a75ep+1'),
+        ('0x1.7999a5999999ap+0', '0x1.44ba790768c56p+1'),
+        ('0x1.a6666e6666666p+0', '0x1.596fc2f76a094p+1'),
+        ('0x1.d333373333333p+0', '0x1.6efe94506e881p+1'),
+        ('0x1.0000000000000p+1', '0x1.8524c34cb83bdp+1'),
+    ],
+}
+
+
 @pytest.mark.parametrize("name, e, resolution, step, trace", TRACES)
 def test_prufer_trace_bits(name, e, resolution, step, trace):
     problem = TRACE_PROBLEMS[name]
     got = prufer_trace(problem, e, resolution, step)
     assert [(x.hex(), phi.hex()) for x, phi in got] == trace
+
+
+@pytest.mark.parametrize("name, trace", LIFT_WALK_TRACES.items())
+def test_trace_pins_within_bound_of_lift_walk(name, trace):
+    # the same sample positions, and every phase within a relative 1e-12
+    pins = next(t[-1] for t in TRACES if t[0] == name)
+    assert [x for x, _ in pins] == [x for x, _ in trace]
+    for (_, new), (_, old) in zip(pins, trace, strict=True):
+        new, old = float.fromhex(new), float.fromhex(old)
+        assert abs(new - old) <= 1e-12 * max(1.0, abs(old))
 
 
 ZERO_POTENTIALS = {
@@ -286,19 +333,20 @@ BISECTION_ZEROS = [
       (2.6, '0x1.ebef403ee02a3p-1', '0x1.62d1e7330b2a6p+2')]),
 ]
 
-# the same outputs from the ITP crossing refinement, to 1e-12 on the lift
+# the same outputs from the ITP crossing refinement, to 1e-12 on the lift, on
+# grids, and in closed form piece by piece on the piecewise potential
 ZEROS = [
     ("piecewise", 9.0, DEFAULT_STEP,
-     ['0x1.db3990b373f89p-1', '0x1.018ad810d63d1p+1', '0x1.80b480b9e0badp+1',
-      '0x1.19754195e19edp+2', '0x1.73602b4a6530fp+2'],
-     [(0.7, '0x1.98fecd0356749p+0', '0x1.50ba484956470p+2'),
-      (2.6, '0x1.6ff7b1208572bp+0', '0x1.3ee4fff9c9328p+2')]),
+     ['0x1.db3990b373f86p-1', '0x1.018ad810d63d0p+1', '0x1.80b480b9e0babp+1',
+      '0x1.19754195e19edp+2', '0x1.73602b4a6530ep+2'],
+     [(0.7, '0x1.98fecd0356748p+0', '0x1.50ba484956470p+2'),
+      (2.6, '0x1.6ff7b1208572ap+0', '0x1.3ee4fff9c9169p+2')]),
     ("piecewise", 16.5, StepControl(tol=1e-7),
-     ['0x1.31d956700160bp-1', '0x1.6c215a6ad9058p+0', '0x1.163fd410b2922p+1',
-      '0x1.766014d5d324ep+1', '0x1.e40d07815ad79p+1', '0x1.2ae4f416a50ecp+2',
-      '0x1.63c3646c9cb18p+2'],
-     [(0.7, '0x1.11299886f5dc4p+0', '0x1.4b8ff97611f6ep+2'),
-      (2.6, '0x1.effc7fe7d1166p-1', '0x1.444720f9bfc3cp+2')]),
+     ['0x1.31d9567001608p-1', '0x1.6c215a6ad9057p+0', '0x1.163fd410b2920p+1',
+      '0x1.766014d5d324bp+1', '0x1.e40d07815ad78p+1', '0x1.2ae4f416a50eap+2',
+      '0x1.63c3646c9cb17p+2'],
+     [(0.7, '0x1.11299886f5dc4p+0', '0x1.4b8ff97611f6dp+2'),
+      (2.6, '0x1.effc7fe7d0450p-1', '0x1.444720f9bfa2fp+2')]),
     ("grid", 9.0, DEFAULT_STEP,
      ['0x1.de38b589128b8p-1', '0x1.df6f1c979e90cp+0', '0x1.6dbc6b9f4c239p+1',
       '0x1.0635a7525b11cp+2', '0x1.458b7f8b5c164p+2'],
@@ -313,6 +361,24 @@ ZEROS = [
 ]
 
 
+# the piecewise ZEROS as the sampled lift walk gave them, each crossing
+# bracketed by samples and refined by ITP; ZEROS solves each piece in closed
+# form, and a test checks it against this reference
+LIFT_WALK_ZEROS = [
+    ("piecewise", 9.0, DEFAULT_STEP,
+     ['0x1.db3990b373f89p-1', '0x1.018ad810d63d1p+1', '0x1.80b480b9e0badp+1',
+      '0x1.19754195e19edp+2', '0x1.73602b4a6530fp+2'],
+     [(0.7, '0x1.98fecd0356749p+0', '0x1.50ba484956470p+2'),
+      (2.6, '0x1.6ff7b1208572bp+0', '0x1.3ee4fff9c9328p+2')]),
+    ("piecewise", 16.5, StepControl(tol=1e-7),
+     ['0x1.31d956700160bp-1', '0x1.6c215a6ad9058p+0', '0x1.163fd410b2922p+1',
+      '0x1.766014d5d324ep+1', '0x1.e40d07815ad79p+1', '0x1.2ae4f416a50ecp+2',
+      '0x1.63c3646c9cb18p+2'],
+     [(0.7, '0x1.11299886f5dc4p+0', '0x1.4b8ff97611f6ep+2'),
+      (2.6, '0x1.effc7fe7d1166p-1', '0x1.444720f9bfc3cp+2')]),
+]
+
+
 @pytest.mark.parametrize("name, e, step, zeros, points", ZEROS)
 def test_zeros_and_class_points_bits(name, e, step, zeros, points):
     problem = Problem(0.0, 6.0, ZERO_POTENTIALS[name], (), ProjPoint(0.3), ProjPoint(0.0))
@@ -322,6 +388,10 @@ def test_zeros_and_class_points_bits(name, e, step, zeros, points):
         target = proj_class(math.cos(theta), -math.sin(theta))
         assert find_class_point(problem, e, got[0], got[1], target, step).hex() == first
         assert find_class_point(problem, e, got[-2], got[-1], target, step).hex() == last
+
+
+def _moves(new, old):
+    return [abs(float.fromhex(x) - float.fromhex(y)) for x, y in zip(new, old, strict=True)]
 
 
 @pytest.mark.parametrize("pins, reference", zip(ZEROS, BISECTION_ZEROS))
@@ -335,9 +405,19 @@ def test_zero_pins_within_bound_of_bisection(pins, reference):
     exact = ZERO_POTENTIALS[name].is_piecewise_constant
     zero_bound, point_bound = (1e-10, 1e-12) if exact else (step.tol, step.tol)
 
-    def moves(new, old):
-        return [abs(float.fromhex(x) - float.fromhex(y)) for x, y in zip(new, old, strict=True)]
-
-    assert max(moves(zeros, reference[3])) <= zero_bound
+    assert max(_moves(zeros, reference[3])) <= zero_bound
     for (theta, *new), (ref_theta, *old) in zip(points, reference[4], strict=True):
-        assert theta == ref_theta and max(moves(new, old)) <= point_bound
+        assert theta == ref_theta and max(_moves(new, old)) <= point_bound
+
+
+@pytest.mark.parametrize("pins, reference", zip(ZEROS, LIFT_WALK_ZEROS))
+def test_zero_pins_within_bound_of_lift_walk(pins, reference):
+    # the sampled walk refines each crossing to CROSSING_TOL on its lift;
+    # the closed form lies within that of it
+    name, e, step, zeros, points = pins
+    assert reference[:3] == (name, e, step)
+    assert ZERO_POTENTIALS[name].is_piecewise_constant
+
+    assert max(_moves(zeros, reference[3])) <= CROSSING_TOL
+    for (theta, *new), (ref_theta, *old) in zip(points, reference[4], strict=True):
+        assert theta == ref_theta and max(_moves(new, old)) <= CROSSING_TOL

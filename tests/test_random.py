@@ -8,8 +8,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import slspec.problem
 import slspec.random
-from slspec.problem import PointInteraction, Problem
+from slspec.problem import PointInteraction, Problem, _normalized, prufer_trace
 from slspec.random import (
     CROSSING_TOL,
     Ensemble,
@@ -33,8 +34,14 @@ from slspec.random import (
     zeros_of_eigenfunction,
 )
 from slspec.sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
-from slspec.spectra import eigen_test
-from slspec.transfer import ConstantPotential, PiecewisePotential, propagate_state
+from slspec.spectra import eigen_test, eigenvalues_in_range
+from slspec.transfer import (
+    DEFAULT_STEP,
+    ConstantPotential,
+    PiecewisePotential,
+    StepControl,
+    propagate_state,
+)
 
 PI = math.pi
 DIRICHLET = ProjPoint(0.0)
@@ -84,6 +91,17 @@ def test_sites_look_independent():
     xs, ys = zip(*(sample_realization(ens, i) for i in range(4000)))
     r = np.corrcoef(xs, ys)[0, 1]
     assert abs(r) < 0.05
+
+
+def test_consecutive_samples_share_no_gaussian_words():
+    # site 0 rejects four nonpositive draws at sample 511, so it reads more
+    # than one Philox block; those words are not sample 512's
+    ens = Ensemble("r", (Gaussian(-0.5, 1.0),), seed=20240611)
+    assert sample_realization(ens, 511) != sample_realization(ens, 512)
+    for i in (0, 511, 10 ** 6):
+        words = slspec.random._site_rng(ens.seed, i, 0).bit_generator.random_raw(8)
+        after = slspec.random._site_rng(ens.seed, i + 1, 0).bit_generator.random_raw(8)
+        assert not set(words.tolist()) & set(after.tolist())
 
 
 def test_r_target_rejection_cap():
@@ -182,6 +200,13 @@ def test_zeros_match_dense_sign_sampling():
         signs = np.sign(us)
         count = int(np.sum(signs[1:] * signs[:-1] < 0))
         assert len(zs) == count
+
+
+def test_zeros_beyond_the_step_budget_are_refused():
+    # sin(1e6 x) has about 1e6 zeros on (0, pi), which the closed form would
+    # list one by one without end in sight
+    with pytest.raises(ValueError, match="more than step.max_steps = 1000 zeros"):
+        zeros_of_eigenfunction(free_problem(PI), 1e12, StepControl(max_steps=1000))
 
 
 def test_zeros_reject_interactions():
@@ -344,6 +369,135 @@ def test_crossings_match_mpmath(case):
     assert t1 <= x0 < t2
     x, speed = min(mp_crossings(problem, e, psi), key=lambda c: abs(c[0] - x0))
     assert abs(x0 - x) <= CROSSING_TOL + PHASE_ALLOWANCE / abs(speed)
+
+
+def mp_end_state(problem, e):
+    """(u, u') at b of the solution from problem.initial_state(), at 40 digits."""
+    v = problem.potential
+    with mpmath.workdps(40):
+        start = problem.initial_state()
+        u, du = mpmath.mpf(start.u), mpmath.mpf(start.du)
+        for x0, x1, value in zip(v.breakpoints, v.breakpoints[1:], v.values):
+            w, t = e - mpmath.mpf(value), mpmath.mpf(x1) - mpmath.mpf(x0)
+            k = mpmath.sqrt(w)  # imaginary where w < 0; cos and sin / k stay real
+            c, s = mpmath.cos(k * t), (mpmath.sin(k * t) / k if w != 0 else t)
+            u, du = mpmath.re(c * u + s * du), mpmath.re(-w * s * u + c * du)
+        return u, du
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(crossing_cases())
+def test_trace_end_phase_matches_mpmath(case):
+    # the lifted phase at b is (the zeros passed) pi plus the class angle in
+    # [0, pi), counted from the multiple of pi at or below the start
+    problem, e, _ = case
+    zeros = [x for x, _ in mp_crossings(problem, e, 0.0)]
+    assume(all(abs(x - problem.b) > 1e-9 for x in zeros))
+    start = problem.initial_state()
+    u, du = mp_end_state(problem, e)
+    end = (math.pi * (math.floor(math.atan2(start.u, start.du) / math.pi) + len(zeros))
+           + float(mpmath.atan2(u, du) % mpmath.pi))
+    assert abs(prufer_trace(problem, e, 0.5)[-1][1] - end) <= 1e-10
+
+
+# ------------------------------------- closed form against the sampled walk
+
+@st.composite
+def piece_cases(draw):
+    """A jump-free piecewise problem with pieces above, below and at E, and a target class.
+
+    A piece "at" E has |(E - V) dx^2| <= 1e-10, which the piece matrices
+    treat as degenerate.  Half the problems start at a Dirichlet end on a
+    first piece above E that ends exactly at the solution's first zero.
+    """
+    e = draw(st.floats(0.5, 30.0))
+    n = draw(st.integers(1, 5))
+    lengths = draw(st.lists(st.floats(0.2, 2.0), min_size=n, max_size=n))
+    kinds = draw(st.lists(st.sampled_from(("above", "below", "at")), min_size=n, max_size=n))
+    on_zero = draw(st.booleans())
+    ws = []
+    for i, (length, kind) in enumerate(zip(lengths, kinds)):
+        if on_zero and i == 0:
+            ws.append(draw(st.floats(2.5, 40.0)))
+            lengths[0] = math.pi / math.sqrt(ws[0])
+        elif kind == "at":
+            ws.append(draw(st.floats(-1e-10, 1e-10)) / length ** 2)
+        else:
+            ws.append((1 if kind == "above" else -1) * draw(st.floats(0.05, 40.0)))
+    breaks = [0.0]
+    for length in lengths:
+        breaks.append(breaks[-1] + length)
+    bc = DIRICHLET if on_zero else ProjPoint(draw(st.floats(0.0, 3.1)))
+    problem = Problem(0.0, breaks[-1], PiecewisePotential(breaks, [e - w for w in ws]), (),
+                      bc, DIRICHLET)
+    return problem, e, draw(st.floats(0.01, 3.13))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(piece_cases())
+def test_closed_form_crossings_match_the_sampled_walk(case):
+    problem, e, psi = case
+    v, b = problem.potential, problem.b
+    state = _normalized(problem.initial_state())
+    first = math.pi * (math.floor(math.atan2(state.u, state.du) / math.pi) + 1)
+    exact = list(slspec.random._piece_rises(v, state, first, b, e))
+    sampled = list(slspec.random._sampled_rises(v, state, first, b, e, DEFAULT_STEP))
+    # a zero within reach of b may fall on either side of it
+    assume(all(b - x > 1e-9 for x in exact + sampled))
+    assert len(exact) == len(sampled)
+    # the lift moves at unit speed through every zero
+    for x, y in zip(exact, sampled):
+        assert abs(x - y) <= CROSSING_TOL + PHASE_ALLOWANCE
+    for t1, t2 in zip(exact, exact[1:]):
+        s1 = _normalized(propagate_state(v, problem.initial_state(), t1, e))
+        phi1 = math.atan2(s1.u, s1.du)
+        base = math.pi * round(phi1 / math.pi)
+        goal = base + (psi - base) % math.pi
+        assume(goal > phi1)
+        x = next(slspec.random._piece_rises(v, s1, goal, t2, e))
+        y = next(slspec.random._sampled_rises(v, s1, goal, t2, e, DEFAULT_STEP))
+        speed = math.cos(psi) ** 2 + (e - v(x)) * math.sin(psi) ** 2
+        tol = CROSSING_TOL + PHASE_ALLOWANCE / abs(speed)
+        assert x <= y + tol
+        if y - x > tol:
+            # the lift rose through the goal and fell back below it on a piece
+            # below E, between two samples of the walk, which missed it
+            s = propagate_state(v, s1, x, e)
+            assert proj_class(s.u, s.du).distance(ProjPoint(psi)) < 1e-9
+
+
+def test_construct_degenerate_propagates_a_handful_of_times(monkeypatch):
+    # one propagation for the eigen test and one to each site's zero; the
+    # zeros and class points themselves come piece by piece in closed form
+    v = PiecewisePotential((0.0, 1.0, 2.5, 3.0, 4.5, 6.0), (1.0, -2.0, 5.0, 0.0, 3.0))
+    (report,) = eigenvalues_in_range(Problem(0.0, 6.0, v, (), DIRICHLET, DIRICHLET),
+                                     14.0, 15.5, 200, 1e-12)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return propagate_state(*args, **kwargs)
+
+    for module in (slspec.problem, slspec.random):
+        monkeypatch.setattr(module, "propagate_state", counted)
+    thetas = (0.3, 1.2, 2.0, 2.9)
+    prob = construct_degenerate(v, report.E, thetas, (1.0,) * 4, 0.0, 6.0,
+                                DIRICHLET, DIRICHLET)
+    assert len(prob.interactions) == 4
+    assert len(calls) == 1 + len(thetas)
+
+
+def test_class_point_between_two_samples_of_the_walk():
+    # the lift rises through the target's class at 0.49969, just before the
+    # piece below E, on which it falls back through the class at 0.50052;
+    # the sampled walk saw neither and reported the next rise, at 1.87008
+    v = PiecewisePotential((0.0, 0.5, 1.5, 3.5), (-350.0, 219.0, -2.0))
+    problem = Problem(0.0, 3.5, v, (), ProjPoint(1.0), DIRICHLET)
+    zeros = zeros_of_eigenfunction(problem, 1.0)
+    x0 = find_class_point(problem, 1.0, zeros[2], zeros[3], ProjPoint(0.5))
+    (x, speed), *later = [c for c in mp_crossings(problem, 1.0, 0.5) if zeros[2] < c[0]]
+    assert speed > 0.0 and later[0][1] < 0.0
+    assert abs(x0 - x) <= CROSSING_TOL + PHASE_ALLOWANCE / speed
 
 
 # ----------------------------------------------------- degenerate construction
