@@ -56,6 +56,7 @@ from .spectra import (
     boundary_mismatch,
     eigenvalues_in_range,
     classify_dichotomy,
+    classify_sites,
 )
 from .random import (
     Uniform,

@@ -45,7 +45,7 @@ from .spectra import (
     CrossCheckFailure,
     NotAnEigenvalue,
     PARAMETERS,
-    classify_dichotomy,
+    classify_sites,
     eigen_test,
     eigenvalues_in_range,
 )
@@ -220,12 +220,11 @@ def cmd_eigs(args):
     for rep in reports:
         entry = {"E": rep.E, "mismatch": rep.mismatch}
         if classify:
-            entry["verdicts"] = [
-                {"site": i, "parameter": par,
-                 "verdict": classify_dichotomy(prob, rep.E, i, par, step=step).verdict}
-                for i in range(len(prob.interactions))
-                for par in PARAMETERS
-            ]
+            sites = range(len(prob.interactions))
+            # with no site there is nothing to classify, nor an eigen_test to fail
+            verdicts = classify_sites(prob, rep.E, sites, step=step)[1] if sites else []
+            entry["verdicts"] = [{"site": i, "parameter": v.parameter, "verdict": v.verdict}
+                                 for i, row in zip(sites, verdicts) for v in row]
         results.append(entry)
     if fmt == "csv":
         if classify:
@@ -250,22 +249,17 @@ def cmd_dichotomy(args):
     site = integer(block, "site", "dichotomy", 0)
     tol = number(block, "tol", "dichotomy", 1e-6)
     path, fmt = resolve_output(args, cfg)
-    verdicts = []
-    for par in PARAMETERS:
-        v = classify_dichotomy(prob, e, site, par, tol, step)
-        verdicts.append({
-            "parameter": par,
-            "verdict": v.verdict,
-            "matched_fixed_class": (None if v.matched_fixed_class is None
-                                    else v.matched_fixed_class.angle),
-        })
-    mismatch = eigen_test(prob, e, step).mismatch
+    report, (row,) = classify_sites(prob, e, [site], PARAMETERS, tol, step)
+    verdicts = [{"parameter": v.parameter, "verdict": v.verdict,
+                 "matched_fixed_class": (None if v.matched_fixed_class is None
+                                         else v.matched_fixed_class.angle)}
+                for v in row]
     if fmt == "csv":
         rows = [(e, site, v["parameter"], v["verdict"]) for v in verdicts]
         text = _csv_text(("E", "site", "parameter", "verdict"), rows)
     else:
         text = _json_text({"schema": 1, "command": "dichotomy", "E": e,
-                           "site": site, "mismatch": mismatch,
+                           "site": site, "mismatch": report.mismatch,
                            "verdicts": verdicts})
     _emit(args, path, text)
     return 0

@@ -31,6 +31,7 @@ from .transfer import (
     SolutionState,
     StepControl,
     _const_coeff_matrix,
+    _mapped,
     _walk_points,
     potential_from_json,
     potential_to_json,
@@ -107,14 +108,14 @@ def _normalized(state):
     Zero data is returned as it is.
     """
     if isinstance(state.u, np.ndarray):
-        # lanes are scaled one by one with math, as a lone state would be
-        norms = [math.hypot(u, du) for u, du in zip(state.u.tolist(), state.du.tolist())]
-        if math.inf in norms:
-            halve = np.isinf(norms) & np.isfinite(state.u) & np.isfinite(state.du)
+        # the norms come from math's hypot, lane by lane, as a lone state's would
+        norms = _mapped(math.hypot, state.u, state.du)
+        halve = np.isinf(norms) & np.isfinite(state.u) & np.isfinite(state.du)
+        if halve.any():
             state = SolutionState(state.x, np.where(halve, state.u / 2.0, state.u),
                                   np.where(halve, state.du / 2.0, state.du))
-            norms = [math.hypot(u, du) for u, du in zip(state.u.tolist(), state.du.tolist())]
-        n = np.array([t if t != 0.0 else 1.0 for t in norms])
+            norms = _mapped(math.hypot, state.u, state.du)
+        n = np.where(norms != 0.0, norms, 1.0)
         return SolutionState(state.x, state.u / n, state.du / n)
     n = math.hypot(state.u, state.du)
     if n == math.inf and math.isfinite(state.u) and math.isfinite(state.du):

@@ -247,13 +247,14 @@ def _mc_chunk(args):
     draws = _draws(ensemble, lo, hi)
     field = "alpha" if ensemble.target == "lambda" else ensemble.target
     try:
-        return [_outcome(m) for m in realized_mismatches(problem, e, field, draws, step)]
+        return [_outcome(m) for m in realized_mismatches(problem, e, {field: draws}, step)]
     except (ArithmeticError, RuntimeError):
         pass
     results = []
     for j in range(hi - lo):
         try:
-            (m,) = realized_mismatches(problem, e, field, [col[j:j + 1] for col in draws], step)
+            (m,) = realized_mismatches(problem, e, {field: [col[j:j + 1] for col in draws]},
+                                       step)
             results.append(_outcome(m))
         except (ArithmeticError, RuntimeError):
             results.append((False, math.nan))
@@ -332,12 +333,11 @@ def check_epsilon(epsilon: float, name: str = "epsilon") -> float:
 def summarize_mismatches(mismatches, failures: int, epsilon: float,
                          seed: int) -> MonteCarloReport:
     """Hit count at epsilon and DEFAULT_QUANTILES of one run's mismatches."""
-    hits = sum(1 for m in mismatches if m <= epsilon)
-    if mismatches:
-        arr = np.sort(np.asarray(mismatches))
-        qs = tuple((q, float(np.quantile(arr, q))) for q in DEFAULT_QUANTILES)
-    else:
-        qs = ()
+    arr = np.sort(np.asarray(mismatches, dtype=float))
+    hits = int(np.count_nonzero(arr <= epsilon))
+    qs = ()
+    if arr.size:
+        qs = tuple(zip(DEFAULT_QUANTILES, np.quantile(arr, DEFAULT_QUANTILES).tolist()))
     return MonteCarloReport(samples=len(mismatches) + failures, hits=hits,
                             epsilon=epsilon, mismatch_quantiles=qs, seed=seed,
                             failures=failures)

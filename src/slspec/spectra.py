@@ -10,23 +10,28 @@ transfer), each equal bit for bit to that energy alone; the ITP root
 refinement (refine_root, also used on lift crossings by slspec.random) and
 the reports run one energy at a time.
 
-A realization is the problem with one Iwasawa field of its jumps replaced.
+A realization is the problem with Iwasawa fields of its jumps replaced.
 realized_mismatches evaluates a batch of them as one walk at a fixed energy,
 one lane per realization, each equal bit for bit to eigen_test on that
-realized problem.  The dichotomy re-tests and Monte Carlo both use it.
+realized problem; the lanes' final classes and mismatches are array
+operations over angles that math's atan2 gives lane by lane.  Monte Carlo
+uses it with one field; classify_sites puts the dichotomy re-tests of every
+parameter of every site it classifies into one such walk, after one
+eigen_test that gives all their fixed-class verdicts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
 from .problem import Problem, _wrap_half_pi, propagate_through
-from .sl2 import (TWO_PI, InvalidDilation, ProjPoint, _compose, alpha_fixed_class, proj_class,
-                  r_fixed_classes)
-from .transfer import DEFAULT_STEP, StepControl
+from .sl2 import (TWO_PI, InvalidDilation, ProjPoint, ZeroVector, _compose, alpha_fixed_class,
+                  proj_class, r_fixed_classes)
+from .transfer import DEFAULT_STEP, StepControl, _mapped
 
 ALL_VALUES = "AllValues"
 ONLY_ORIGINAL = "OnlyOriginal"
@@ -85,11 +90,20 @@ def _signed_defect(problem, gamma):
 
 
 def _lane_classes(problem, e, step, jumps=None):
-    """The final class of every lane of one walk; see propagate_through."""
+    """The final class angle of every lane of one walk, as one array; see propagate_through.
+
+    The angles are proj_class's: atan2 per lane through math, then ProjPoint's
+    reduction mod pi and its guard as array operations.  A (0, 0) lane
+    raises ZeroVector; a NaN lane gives a NaN angle.
+    """
     # Python floats overflow to inf and nan without a word; so do the lanes
     with np.errstate(over="ignore", invalid="ignore"):
         final = propagate_through(problem, e, step, jumps).final
-    return [proj_class(u, du) for u, du in zip(final.u.tolist(), final.du.tolist())]
+        u, du = final.u, final.du
+        if ((u == 0.0) & (du == 0.0)).any():
+            raise ZeroVector("the zero vector has no projective class")
+        angles = _mapped(math.atan2, u, du) % math.pi
+    return np.where(angles >= math.pi, 0.0, angles)
 
 
 def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
@@ -101,38 +115,42 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
     """
     if not isinstance(e, np.ndarray):
         return _signed_defect(problem, matching_gamma(problem, e, step))
-    return [_signed_defect(problem, g) for g in _lane_classes(problem, e, step)]
+    with np.errstate(invalid="ignore"):
+        d = (_lane_classes(problem, e, step) - problem.bc_right.angle) % math.pi
+    return np.where(d > math.pi / 2, d - math.pi, d).tolist()
 
 
-def realized_mismatches(problem: Problem, e: float, field: str, columns,
+def realized_mismatches(problem: Problem, e: float, columns,
                         step: StepControl = DEFAULT_STEP):
-    """eigen_test's mismatch at e with one Iwasawa field of every jump replaced.
+    """eigen_test's mismatch at e with Iwasawa fields of the jumps replaced, lane by lane.
 
-    field is "alpha", "r" or "theta"; columns[k] is a 1-D array holding site
-    k's value of that field in each lane, and the other two fields keep the
-    site's own values.  All lanes are one walk at the one energy e, so the
-    exact route builds each piece matrix and the RK4 route each pass's step
-    product once, and each lane's state converges on its own.  Only the
-    jumps differ between lanes: alpha and r enter them through + - * /
-    alone, theta through math per lane, so each lane has the bits of
-    eigen_test on its realized problem.
+    columns maps a field, "alpha", "r" or "theta", to one 1-D array per site
+    holding that site's value of the field in each lane; a field missing
+    from columns keeps every site's own value.  All lanes are one walk at
+    the one energy e, so the exact route builds each piece matrix and the
+    RK4 route each pass's step product once, and each lane's state
+    converges on its own.  Only the jumps differ between lanes: alpha and r
+    enter them through + - * / alone, theta through math per lane, so each
+    lane has the bits of eigen_test on its realized problem.
     """
-    if field not in PARAMETERS:
-        raise ValueError(f"field must be one of {PARAMETERS}")
+    if not set(columns) <= set(PARAMETERS):
+        raise ValueError(f"fields must be among {PARAMETERS}")
     jumps = []
-    for site, col in zip(problem.interactions, columns):
+    for k, site in enumerate(problem.interactions):
         p = site.params
-        if field == "theta":
-            thetas = [t % TWO_PI for t in col.tolist()]
-            ct = np.array([math.cos(t) for t in thetas])
-            st = np.array([math.sin(t) for t in thetas])
+        alpha, r = (columns[f][k] if f in columns else getattr(p, f) for f in ("alpha", "r"))
+        if "theta" in columns:
+            thetas = [t % TWO_PI for t in columns["theta"][k].tolist()]
+            ct = np.array(list(map(math.cos, thetas)))
+            st = np.array(list(map(math.sin, thetas)))
         else:
             ct, st = math.cos(p.theta), math.sin(p.theta)
-        if field == "r" and not (col > 0.0).all():
-            raise InvalidDilation(f"r = {float(col[~(col > 0.0)][0])!r} must be > 0")
-        jumps.append(_compose(col if field == "alpha" else p.alpha,
-                              col if field == "r" else p.r, ct, st))
-    return [g.distance(problem.bc_right) for g in _lane_classes(problem, e, step, jumps)]
+        if "r" in columns and not (r > 0.0).all():
+            raise InvalidDilation(f"r = {float(r[~(r > 0.0)][0])!r} must be > 0")
+        jumps.append(_compose(alpha, r, ct, st))
+    with np.errstate(invalid="ignore"):
+        d = np.abs(_lane_classes(problem, e, step, jumps) - problem.bc_right.angle) % math.pi
+        return np.minimum(d, math.pi - d).tolist()
 
 
 def _finite(e, m):
@@ -239,21 +257,28 @@ _R_FACTORS = (0.25, 0.5, 2.0, 4.0,
               2.600069789982977, 1.9879809928131342, 4.001663524563106, 2.6929767327061156)
 
 
-def _cross_check(problem, e, site_index, parameter, verdict, tol, step):
-    """Re-test e with perturbed values of the parameter, all as lanes of one walk."""
-    params = problem.interactions[site_index].params
+def _retest_values(params, parameter):
+    """The perturbed values of one parameter at which a site's verdict is re-tested."""
     if parameter == "alpha":
-        values = [params.alpha + d for d in _ALPHA_OFFSETS]
-    elif parameter == "r":
-        values = [params.r * f for f in _R_FACTORS]
-    else:
-        # pi-shifts keep the eigenvalue, everything else must lose it
-        values = [params.theta + math.pi, params.theta - math.pi]
-        values += [params.theta + d for d in _THETA_OFFSETS]
-    columns = [np.full(len(values), getattr(site.params, parameter))
-               for site in problem.interactions]
-    columns[site_index] = np.array(values)
-    outcomes = [m <= tol for m in realized_mismatches(problem, e, parameter, columns, step)]
+        return [params.alpha + d for d in _ALPHA_OFFSETS]
+    if parameter == "r":
+        return [params.r * f for f in _R_FACTORS]
+    # pi-shifts keep the eigenvalue, everything else must lose it
+    return ([params.theta + math.pi, params.theta - math.pi]
+            + [params.theta + d for d in _THETA_OFFSETS])
+
+
+def _fixed_class_verdict(params, parameter, cls, tol):
+    """The verdict of one parameter from the class cls just left of its site."""
+    if parameter == "theta":
+        return DichotomyVerdict(parameter, PERIODIC_IN_THETA)
+    fixed = r_fixed_classes(params) if parameter == "r" else (alpha_fixed_class(params),)
+    matched = next((f for f in fixed if cls.distance(f) <= tol), None)
+    return DichotomyVerdict(parameter, ONLY_ORIGINAL if matched is None else ALL_VALUES, matched)
+
+
+def _check_retests(e, parameter, verdict, outcomes):
+    """Raise CrossCheckFailure unless the re-test outcomes (kept or not) fit the verdict."""
     if parameter == "theta":
         if not all(outcomes[:2]):
             raise CrossCheckFailure(f"theta shift by pi lost E = {e}")
@@ -263,6 +288,72 @@ def _cross_check(problem, e, site_index, parameter, verdict, tol, step):
     if any(o != expect_keep for o in outcomes):
         raise CrossCheckFailure(
             f"{parameter} verdict {verdict} contradicted by re-tests {outcomes}")
+
+
+def _cross_check(problem, e, checks, tol, step):
+    """Re-test every (site index, verdict) pair of checks as lanes of one walk at e.
+
+    The checks run in order, so the first contradicted verdict raises.  If
+    the joint walk fails, each verdict's re-tests are walked alone in turn,
+    so the first one whose walk fails raises as it would on its own.
+    """
+    if not checks:
+        return
+    values = [_retest_values(problem.interactions[i].params, v.parameter) for i, v in checks]
+    ends = list(accumulate(map(len, values), initial=0))
+    # every lane holds each site's own fields but for its verdict's one value
+    columns = {par: [np.full(ends[-1], getattr(site.params, par))
+                     for site in problem.interactions]
+               for par in dict.fromkeys(v.parameter for _, v in checks)}
+    for (i, v), vals, lo, hi in zip(checks, values, ends, ends[1:]):
+        columns[v.parameter][i][lo:hi] = vals
+    try:
+        ms = realized_mismatches(problem, e, columns, step)
+    except (ArithmeticError, RuntimeError, ValueError):
+        ms = None
+    for (i, v), lo, hi in zip(checks, ends, ends[1:]):
+        if ms is None:
+            group = realized_mismatches(
+                problem, e, {v.parameter: [c[lo:hi] for c in columns[v.parameter]]}, step)
+        else:
+            group = ms[lo:hi]
+        _check_retests(e, v.parameter, v.verdict, [m <= tol for m in group])
+
+
+def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
+                   tol: float = 1e-6, step: StepControl = DEFAULT_STEP,
+                   cross_check: bool = True):
+    """eigen_test's report at e and the verdict of every parameter at every site.
+
+    sites holds site indices.  Returns (report, verdicts), where
+    verdicts[j][n] is the DichotomyVerdict of parameters[n] at site
+    sites[j] (see classify_dichotomy for their meaning).  One eigen_test
+    gives every fixed-class verdict.  With cross_check the re-tests of all
+    of them, 8 alpha, 8 r and 10 theta values per site, are lanes of one
+    walk at e, and the verdicts are checked site by site in the order of
+    parameters: the first one the re-tests contradict raises
+    CrossCheckFailure.
+    """
+    sites = list(sites)
+    for parameter in parameters:
+        if parameter not in PARAMETERS:
+            raise ValueError(f"parameter must be one of {PARAMETERS}")
+    for i in sites:
+        if not 0 <= i < len(problem.interactions):
+            raise ValueError(f"no interaction site #{i}")
+    if not tol > 0.0:
+        raise ValueError("tol must be positive")
+    report = eigen_test(problem, e, step)
+    if not report.mismatch <= tol:  # a NaN mismatch fails too
+        raise NotAnEigenvalue(
+            f"E = {e} has mismatch {report.mismatch:.3e} > tol {tol}")
+    verdicts = [[_fixed_class_verdict(problem.interactions[i].params, par,
+                                      report.left_limit_classes[i], tol) for par in parameters]
+                for i in sites]
+    if cross_check:
+        _cross_check(problem, e, [(i, v) for i, row in zip(sites, verdicts) for v in row],
+                     tol, step)
+    return report, verdicts
 
 
 def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: str,
@@ -277,35 +368,9 @@ def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: s
     classes arise differently; tol bounds both the mismatch at e and the
     distance to a fixed class.  With cross_check the verdict is confirmed by
     re-testing 8 perturbed parameter values (for theta also the two
-    pi-shifts), all as lanes of one walk at e.
+    pi-shifts), all as lanes of one walk at e.  It is classify_sites for one
+    site and one parameter.
     """
-    if parameter not in PARAMETERS:
-        raise ValueError(f"parameter must be one of {PARAMETERS}")
-    if not 0 <= site_index < len(problem.interactions):
-        raise ValueError(f"no interaction site #{site_index}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
-    report = eigen_test(problem, e, step)
-    if not report.mismatch <= tol:  # a NaN mismatch fails too
-        raise NotAnEigenvalue(
-            f"E = {e} has mismatch {report.mismatch:.3e} > tol {tol}")
-    params = problem.interactions[site_index].params
-    cls = report.left_limit_classes[site_index]
-    matched = None
-    if parameter == "theta":
-        verdict = PERIODIC_IN_THETA
-    elif parameter == "r":
-        first, second = r_fixed_classes(params)
-        if cls.distance(first) <= tol:
-            matched = first
-        elif cls.distance(second) <= tol:
-            matched = second
-        verdict = ALL_VALUES if matched is not None else ONLY_ORIGINAL
-    else:
-        fixed = alpha_fixed_class(params)
-        if cls.distance(fixed) <= tol:
-            matched = fixed
-        verdict = ALL_VALUES if matched is not None else ONLY_ORIGINAL
-    if cross_check:
-        _cross_check(problem, e, site_index, parameter, verdict, tol, step)
-    return DichotomyVerdict(parameter, verdict, matched)
+    ((verdict,),) = classify_sites(problem, e, [site_index], [parameter], tol, step,
+                                   cross_check)[1]
+    return verdict

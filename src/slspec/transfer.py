@@ -12,9 +12,10 @@ arithmetic on the same segment data.
 
 The walker also carries k energies, or k states at one energy, as lanes of
 numpy arrays; a lone float energy runs the same source on Python floats.
-Lanes use only + - * /, which numpy rounds exactly as Python does, while
-everything transcendental stays per lane in math, so a lane reproduces its
-lone run bit for bit.
+Lanes use + - * / and sqrt, which numpy rounds exactly as Python does, as
+whole arrays, while everything transcendental is mapped element by element
+through math (_mapped), so a lane reproduces its lone run bit for bit.  The
+exact piece matrices of a batch of energies are built that way.
 
 An RK4 step is linear in (u, u'), so a pass is one matrix.  Each entry of
 a step matrix is a quadratic in E whose coefficients depend only on the
@@ -294,12 +295,40 @@ def _walk_points(v, y, x):
     return [y] + cuts + [x]
 
 
+def _mapped(f, *arrays):
+    """f of every element (of every tuple of elements) of the float arrays, one call each.
+
+    f is a math function: numpy's own versions can differ from it by an ulp.
+    """
+    return np.array(list(map(f, *(t.tolist() for t in arrays))))
+
+
 def _piece_matrix(w2, dx):
-    """_const_coeff_matrix for one E - V value, or entrywise for a lane array."""
-    if isinstance(w2, np.ndarray):
-        rows = [_const_coeff_matrix(t, dx).entries() for t in w2.tolist()]
-        return Mat2(*np.array(rows).T)
-    return _const_coeff_matrix(w2, dx)
+    """_const_coeff_matrix for one E - V value, or entrywise for a lane array.
+
+    Lanes run its arithmetic in numpy in the same order, with cos, sin,
+    cosh and sinh mapped through math, so each lane has the bits of its
+    float and a lane that overflows raises as the float does.
+    """
+    if not isinstance(w2, np.ndarray):
+        return _const_coeff_matrix(w2, dx)
+    # overflow is silent, as with Python floats, until a lane fails as its float does
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = w2 * dx * dx
+        if not np.isfinite(z).all():
+            for t in w2.tolist():  # raises at the first lane that fails alone
+                _const_coeff_matrix(t, dx)
+        osc, hyp = z > 1e-10, z < -1e-10
+        mid = ~(osc | hyp)
+        c, s = np.empty_like(z), np.empty_like(z)
+        rz = np.sqrt(z[osc])
+        c[osc], s[osc] = _mapped(math.cos, rz), _mapped(math.sin, rz) / rz
+        rz = np.sqrt(-z[hyp])
+        c[hyp], s[hyp] = _mapped(math.cosh, rz), _mapped(math.sinh, rz) / rz
+        t = z[mid]
+        c[mid] = 1.0 - t / 2.0 + t * t / 24.0
+        s[mid] = 1.0 - t / 6.0 + t * t / 120.0
+        return Mat2(c, dx * s, -w2 * dx * s, c)
 
 
 @lru_cache(maxsize=32)

@@ -1,7 +1,8 @@
-"""Batched energy lanes and the vectorized grid sampler agree bit for bit
-with the one-energy and one-point paths they replace in the eigenvalue scan,
-and the realization lanes of Monte Carlo and of the dichotomy re-tests with
-eigen_test on each realized problem."""
+"""Batched energy lanes (their piece matrices and final classes included) and
+the vectorized grid sampler agree bit for bit with the one-energy and
+one-point paths they replace in the eigenvalue scan, and the realization
+lanes of Monte Carlo and of the dichotomy re-tests with eigen_test on each
+realized problem."""
 
 import json
 import math
@@ -9,12 +10,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import slspec.spectra
+
 from slspec.cli import main
-from slspec.problem import (PointInteraction, Problem, _normalized, problem_from_json,
-                            with_site_params)
+from slspec.problem import (PointInteraction, Problem, PropagationResult, _normalized,
+                            problem_from_json, with_site_params)
 from slspec.random import (
     Ensemble,
     Gaussian,
@@ -25,7 +28,7 @@ from slspec.random import (
     monte_carlo,
     sample_realization,
 )
-from slspec.sl2 import IwasawaParams, ProjPoint
+from slspec.sl2 import IwasawaParams, ProjPoint, ZeroVector, proj_class
 from slspec.spectra import (
     boundary_mismatch,
     eigen_test,
@@ -39,6 +42,8 @@ from slspec.transfer import (
     PiecewisePotential,
     SolutionState,
     StepControl,
+    _const_coeff_matrix,
+    _piece_matrix,
 )
 
 finite = dict(allow_nan=False, allow_infinity=False)
@@ -329,7 +334,7 @@ def huge_shear_problem(v):
 def shear_lanes(problem, e, ensemble, n, step):
     """realized_mismatches of samples 0..n-1 as one walk, as Monte Carlo's chunk."""
     (draws,) = _draws(ensemble, 0, n)
-    return [m.hex() for m in realized_mismatches(problem, e, "alpha", [draws], step)]
+    return [m.hex() for m in realized_mismatches(problem, e, {"alpha": [draws]}, step)]
 
 
 def test_chunk_with_some_failing_samples_falls_back_to_samples():
@@ -421,7 +426,7 @@ def realized(problem, e, field, site, values, step):
     columns = [np.full(len(values), getattr(s.params, field)) for s in problem.interactions]
     columns[site] = np.array(values)
     try:
-        return [m.hex() for m in realized_mismatches(problem, e, field, columns, step)]
+        return [m.hex() for m in realized_mismatches(problem, e, {field: columns}, step)]
     except (ArithmeticError, RuntimeError) as exc:
         return type(exc)
 
@@ -455,4 +460,83 @@ def test_grid_realized_lanes_equal_rebuilt_problems(case, e, step):
 def test_realized_field_must_be_an_iwasawa_parameter():
     problem = huge_shear_problem(SHORT_GRID)
     with pytest.raises(ValueError):
-        realized_mismatches(problem, 1.0, "lambda", [np.array([0.5])])
+        realized_mismatches(problem, 1.0, {"lambda": [np.array([0.5])]})
+
+
+# ------------------------------------------------------------- piece matrices
+
+# E - V values by the regime of z = (E - V) dx^2 they give: oscillatory,
+# hyperbolic, the series at |z| <= 1e-10 and its two edges, and zero
+z_targets = st.one_of(st.floats(1e-10, 2e4, exclude_min=True, **finite),
+                      st.floats(-4e5, -1e-10, exclude_max=True, **finite),
+                      st.floats(-1e-10, 1e-10, **finite),
+                      st.sampled_from([1e-10, -1e-10, 0.0, -0.0]))
+# powers of two keep w2 = z / dx^2 exact, so the edge lanes sit on z = +-1e-10
+piece_lengths = st.one_of(st.sampled_from([0.25, -0.5, 1.0, 2.0, -4.0]),
+                          st.floats(-3.0, 3.0, **finite).filter(lambda t: abs(t) > 1e-3))
+
+
+def entry_bits(m):
+    return [[t.hex() for t in np.atleast_1d(e).tolist()] for e in m.entries()]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(z_targets, min_size=1, max_size=40), piece_lengths)
+@example([1e-10, -1e-10, 0.0, 5e-11, 2.0, -2.0], 1.0)
+def test_lane_piece_matrices_equal_per_lane_matrices(zs, dx):
+    w2 = np.array(zs) / dx / dx
+    rows = [_const_coeff_matrix(t, dx).entries() for t in w2.tolist()]
+    assert entry_bits(_piece_matrix(w2, dx)) == [[t.hex() for t in col] for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("w2, dx", [
+    ([1.0, 1e300, -1e6], 1e10),   # z = inf in lane 1 comes before lane 2's cosh
+    ([1.0, -1e6, 1e300], 1.0),    # lane 1's cosh overflows first
+    ([1.0, -1e6], 1.0),           # a cosh overflow and no non-finite z
+    ([math.nan, 2.0], 0.5),
+])
+def test_overflowing_lane_piece_matrix_raises_as_its_float(w2, dx):
+    with pytest.raises(OverflowError) as lone:
+        for t in w2:
+            _const_coeff_matrix(t, dx)
+    with pytest.raises(OverflowError) as lanes:
+        _piece_matrix(np.array(w2), dx)
+    assert str(lanes.value) == str(lone.value)
+
+
+# ----------------------------------------------------------------- lane classes
+
+def with_final_lanes(monkeypatch, u, du):
+    """Make the lanes of every walk in spectra end at (u, du)."""
+    def walk(problem, e, step, jumps=None):
+        return PropagationResult(SolutionState(problem.b, np.array(u), np.array(du)), ())
+    monkeypatch.setattr(slspec.spectra, "propagate_through", walk)
+
+
+def test_zero_lane_has_no_class(monkeypatch):
+    problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 1.0), (0.0,)), (), ProjPoint(0.0),
+                      ProjPoint(0.3))
+    with_final_lanes(monkeypatch, [0.6, 0.0], [0.8, 0.0])
+    with pytest.raises(ZeroVector):
+        boundary_mismatch(problem, np.array([1.0, 2.0]))
+
+
+def test_lane_classes_reduce_like_proj_class(monkeypatch):
+    # atan2(-1e-17, 1) % pi rounds to pi, which ProjPoint maps to 0; a NaN
+    # lane keeps a NaN class and so a NaN mismatch, which Monte Carlo counts
+    # as a failure (test_nan_mismatches_are_failures_not_quantiles)
+    u, du = [-1e-17, math.nan, 0.6, -0.0, 1.0], [1.0, 1.0, -0.8, -1.0, 0.0]
+    problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 1.0), (0.0,)), (), ProjPoint(0.0),
+                      ProjPoint(0.3))
+    with_final_lanes(monkeypatch, u, du)
+    angles = slspec.spectra._lane_classes(problem, np.zeros(5), StepControl())
+    assert angles[0] == 0.0
+    assert math.isnan(angles[1])
+    assert [t.hex() for t in angles.tolist()[2:]] == [
+        proj_class(a, b).angle.hex() for a, b in zip(u[2:], du[2:])]
+    mismatches = realized_mismatches(problem, 1.0, {})
+    assert math.isnan(mismatches[1])
+    assert [m.hex() for i, m in enumerate(mismatches) if i != 1] == [
+        proj_class(a, b).distance(problem.bc_right).hex()
+        for i, (a, b) in enumerate(zip(u, du)) if i != 1]
+

@@ -31,6 +31,7 @@ from slspec.random import (
     mismatch_samples,
     monte_carlo,
     sample_realization,
+    summarize_mismatches,
     zeros_of_eigenfunction,
 )
 from slspec.sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
@@ -662,3 +663,12 @@ def test_monte_carlo_checks_epsilon_before_sampling(epsilon, monkeypatch):
     ens = Ensemble("lambda", (Uniform(0, 1),), seed=1)
     with pytest.raises(ValueError, match="^epsilon must be positive$"):
         monte_carlo(generic_one_site_problem(), 4.0, ens, 10, epsilon=epsilon)
+
+
+def test_summary_counts_hits_at_epsilon_and_interpolates_quantiles():
+    report = summarize_mismatches([0.3, 1e-6, 0.0, 2e-6, 0.1], 2, 1e-6, seed=5)
+    assert (report.samples, report.hits, report.failures) == (7, 2, 2)
+    quantiles = dict(report.mismatch_quantiles)
+    assert (quantiles[0.0], quantiles[0.5], quantiles[1.0]) == (0.0, 2e-6, 0.3)
+    assert quantiles[0.25] == 1e-6 and quantiles[0.9] == pytest.approx(0.22)
+    assert summarize_mismatches([], 3, 1e-6, seed=5).mismatch_quantiles == ()

@@ -21,11 +21,13 @@ from slspec.spectra import (
     NotAnEigenvalue,
     boundary_mismatch,
     classify_dichotomy,
+    classify_sites,
     eigen_test,
     eigenvalues_in_range,
     matching_gamma,
 )
-from slspec.transfer import DEFAULT_STEP, ConstantPotential, PiecewisePotential, propagate_state
+from slspec.transfer import (DEFAULT_STEP, ConstantPotential, GridPotential, IntegrationFailure,
+                             PiecewisePotential, StepControl, propagate_state)
 
 PI = math.pi
 
@@ -390,3 +392,133 @@ def test_theta_countability_scaffold():
             admissible.append(theta)
     assert len(admissible) == 1
     assert abs(admissible[0] - theta0) < 1e-12
+
+
+# ------------------------------------------------------- batched classification
+
+def generic_problem(k, e=9.0):
+    """The box with k sites of generic parameters; the right angle makes e an eigenvalue."""
+    sites = tuple(PointInteraction(PI * (j + 0.7) / (k + 1),
+                                   IwasawaParams(0.3 + 0.2 * j, 1.1 + 0.1 * j, 0.4 + 0.5 * j))
+                  for j in range(k))
+    prob = Problem(0.0, PI, ConstantPotential(0.0), sites, ProjPoint(0.0), ProjPoint(0.0))
+    return Problem(0.0, PI, prob.potential, sites, prob.bc_left, matching_gamma(prob, e))
+
+
+def verdict_bits(v):
+    matched = v.matched_fixed_class
+    return v.parameter, v.verdict, None if matched is None else matched.angle.hex()
+
+
+def classified_one_by_one(problem, e, sites, parameters, tol, step):
+    """classify_dichotomy of each (site, parameter) in turn, or the first failure."""
+    try:
+        return [[verdict_bits(classify_dichotomy(problem, e, i, par, tol, step))
+                 for par in parameters] for i in sites]
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def classified_at_once(problem, e, sites, parameters, tol, step):
+    try:
+        report, verdicts = classify_sites(problem, e, sites, parameters, tol, step)
+    except (ArithmeticError, RuntimeError, ValueError) as exc:
+        return type(exc), str(exc)
+    assert report == eigen_test(problem, e, step)
+    return [[verdict_bits(v) for v in row] for row in verdicts]
+
+
+def tight_grid_problem():
+    """Two sites on a grid potential, classified with at most two RK4 refinements.
+
+    The site-1 theta and alpha re-tests then fail to converge, so the walk
+    of all re-tests fails; walked one group at a time, the site-0 alpha
+    re-tests contradict their verdict before any walk fails.
+    """
+    xs = (0.0, 0.42614069282345335, 0.695018778938658, 0.9240854991551473,
+          1.3958381296162714, 1.5343549962846472)
+    vs = (6.063764206950566, 12.648786692054848, 4.973744496486752, -8.86166548136228,
+          -19.882839017235856, 16.684822682591488)
+    sites = (PointInteraction(0.5036907251272945,
+                              IwasawaParams(-0.4317141447460209, 1.6597690364473792,
+                                            4.017375425483777)),
+             PointInteraction(0.618125489821457,
+                              IwasawaParams(-1.5666998342870304, 1.586104145145881,
+                                            5.863518878973802)))
+    step = StepControl(tol=5.944956419949145e-06, max_refine=2)
+    e = 24.60103476628788
+    prob = Problem(0.0, xs[-1], GridPotential(xs, vs), sites, ProjPoint(0.0), ProjPoint(0.0))
+    prob = Problem(0.0, xs[-1], prob.potential, sites, prob.bc_left,
+                   matching_gamma(prob, e, step))
+    return prob, e, [0, 1], step
+
+
+BUILT_E = float.fromhex("0x1.70d76f6881723p+3")
+CLASSIFY_CASES = [
+    *[(aligned_problem(offset), 4.0, [0], DEFAULT_STEP) for offset in (0.0, PI / 2, 0.123, 0.456)],
+    (dirichlet_box(interactions=[delta_site(PI / 2, 1.0)]), 4.0, [0], DEFAULT_STEP),
+    (dirichlet_box(interactions=[delta_site(1.0, 0.5)]), 2.0, [0], DEFAULT_STEP),
+    (generic_problem(3), 9.0, [0, 1, 2], DEFAULT_STEP),
+    (generic_problem(4), 9.0, [3, 1], DEFAULT_STEP),
+    *[(problem_from_json(BUILT_PROBLEM), BUILT_E, sites, DEFAULT_STEP)
+      for sites in ([0, 1, 2], [2, 1, 0])],
+    tight_grid_problem(),
+]
+
+
+@pytest.mark.parametrize("problem, e, sites, step", CLASSIFY_CASES)
+@pytest.mark.parametrize("parameters", [PARAMETERS, PARAMETERS[::-1], ("alpha",), ("r", "theta")])
+@pytest.mark.parametrize("tol", [1e-6, 1e-3, 1e-2])
+def test_classify_sites_equals_one_by_one(problem, e, sites, step, parameters, tol):
+    assert (classified_at_once(problem, e, sites, parameters, tol, step)
+            == classified_one_by_one(problem, e, sites, parameters, tol, step))
+
+
+def test_failed_walk_of_all_re_tests_keeps_the_order():
+    problem, e, sites, step = tight_grid_problem()
+    with pytest.raises(IntegrationFailure):
+        classify_dichotomy(problem, e, 1, "theta", step=step)
+    with pytest.raises(CrossCheckFailure, match="^alpha verdict OnlyOriginal contradicted"):
+        classify_sites(problem, e, sites, step=step)
+
+
+def test_classify_sites_of_nothing():
+    problem = generic_problem(2)
+    assert classify_sites(problem, 9.0, iter([0, 1]), [])[1] == [[], []]
+    assert classify_sites(problem, 9.0, [])[1] == []
+
+
+def test_first_contradicted_group_raises():
+    # at tol 1e-3 the re-tests contradict both the r and the alpha verdict of
+    # site 0; the groups are checked in the order given
+    problem = problem_from_json(BUILT_PROBLEM)
+    messages = {}
+    for parameter in ("r", "alpha"):
+        with pytest.raises(CrossCheckFailure) as exc:
+            classify_dichotomy(problem, BUILT_E, 0, parameter, 1e-3)
+        messages[parameter] = str(exc.value)
+    assert messages["r"].startswith("r verdict OnlyOriginal contradicted")
+    assert messages["alpha"].startswith("alpha verdict OnlyOriginal contradicted")
+    for parameters, first in ((PARAMETERS, "r"), (PARAMETERS[::-1], "alpha")):
+        with pytest.raises(CrossCheckFailure) as exc:
+            classify_sites(problem, BUILT_E, [0, 1, 2], parameters, 1e-3)
+        assert str(exc.value) == messages[first]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 8])
+def test_classifying_an_eigenvalue_walks_twice(monkeypatch, k):
+    # one eigen_test, and one walk for all 26 k re-tests; at k = 8 the
+    # re-tests contradict a verdict, which is found after that one walk too
+    problem = generic_problem(k)
+    walks = []
+    real = slspec.spectra.propagate_through
+
+    def counted(*args, **kwargs):
+        walks.append(args[1])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(slspec.spectra, "propagate_through", counted)
+    try:
+        classify_sites(problem, 9.0, range(k))
+    except CrossCheckFailure:
+        assert k == 8
+    assert len(walks) == 2
