@@ -20,6 +20,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -127,7 +128,82 @@ def resolve_output(args, cfg):
 # ------------------------------------------------------------------- emitters
 
 def _json_text(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+    """json.dumps(obj, sort_keys=True, indent=2) + "\n", character for character.
+
+    json writes indented text with its pure-Python encoder.  This writer
+    takes the same steps, but formats a list of floats, or of equal-length
+    lists of floats, with one % template (_float_block).
+    """
+    return _json_value(obj, "\n") + "\n"
+
+
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+
+
+def _json_float(t):
+    text = float.__repr__(t)
+    return _NON_FINITE.get(text, text)
+
+
+_SCALARS = {str: encode_basestring_ascii, int: int.__repr__, float: _json_float,
+            bool: lambda t: "true" if t else "false", type(None): lambda t: "null"}
+
+
+def _json_key(key):
+    """A dict key as json writes it: a string, or a scalar's JSON text as one."""
+    if isinstance(key, str):
+        return encode_basestring_ascii(key)
+    if key is None or isinstance(key, (int, float)):
+        return encode_basestring_ascii(_json_value(key, ""))
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {key.__class__.__name__}")
+
+
+def _json_value(obj, nl):
+    """obj as json writes it on a line that starts with nl, its newline and indent."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = nl + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        return _float_block(obj, nl) or (
+            "[" + inner + ("," + inner).join([_json_value(t, inner) for t in obj]) + nl + "]")
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return "{" + inner + ("," + inner).join(
+            [_json_key(k) + ": " + _json_value(t, inner) for k, t in sorted(obj.items())]
+        ) + nl + "}"
+    # subclasses, such as np.float64, as json's isinstance checks take them
+    for kind in (str, int, float):
+        if isinstance(obj, kind):
+            return _SCALARS[kind](obj)
+    raise TypeError(f"Object of type {obj.__class__.__name__} is not JSON serializable")
+
+
+def _float_block(obj, nl):
+    """A non-empty list of floats, or of equal-length lists of floats, as json writes it.
+
+    The items must be exactly float, whose %r is float.__repr__.  None for
+    any other list, and for one holding inf or nan, the only floats whose
+    repr has the letter n: json writes those Infinity and NaN.
+    """
+    kinds = set(map(type, obj))
+    if kinds == {float}:
+        flat, item = obj, "%r"
+    elif kinds <= {list, tuple} and len(set(map(len, obj))) == 1 and obj[0]:
+        flat = [t for row in obj for t in row]
+        if set(map(type, flat)) != {float}:
+            return None
+        inner = nl + "    "
+        item = "[" + inner + ("," + inner).join(["%r"] * len(obj[0])) + nl + "  ]"
+    else:
+        return None
+    inner = nl + "  "
+    text = ("[" + inner + ("," + inner).join([item] * len(obj)) + nl + "]") % tuple(flat)
+    return None if "n" in text else text
 
 
 def _csv_text(header, rows) -> str:

@@ -12,7 +12,9 @@ two routes chosen by the potential's kind, as transfer._propagate chooses
 its route.  On piecewise-constant potentials each piece has a closed form
 (_Piece): the state and lift anywhere on it follow from its start, and so
 do its crossings of any goal angle, which random.py solves for zeros and
-class points.  On grids the lift is sampled (_lift_walk).
+class points.  A trace walks the piece ends with _Piece.at and then takes
+the phases of all its samples from their pieces' starts in one array pass
+(_piece_phases).  On grids the lift is sampled (_lift_walk).
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import numpy as np
 from .fields import check_keys, items, number
 from .sl2 import IwasawaParams, ProjPoint, iwasawa_compose
 from .transfer import (
+    _BLOCK,
     DEFAULT_STEP,
     DomainError,
     Potential,
@@ -32,6 +35,7 @@ from .transfer import (
     StepControl,
     _const_coeff_matrix,
     _mapped,
+    _piece_matrix,
     _walk_points,
     potential_from_json,
     potential_to_json,
@@ -174,6 +178,10 @@ def _class_gap(rough, y, x):
     return fine + math.pi * round((rough - fine) / math.pi)
 
 
+def _phase_failure(x, e):
+    return FloatingPointError(f"the Pruefer phase at x = {x!r} is not finite at E = {e!r}")
+
+
 class _Piece:
     """One piece [p, q] of a walk on which E - V = w is constant.
 
@@ -185,26 +193,35 @@ class _Piece:
     moves by less than pi.
     """
 
-    __slots__ = ("p", "q", "w", "u", "du", "phi", "k", "psi")
+    __slots__ = ("p", "q", "e", "w", "u", "du", "phi", "k", "psi")
 
-    def __init__(self, p, q, w, state, phi):
-        self.p, self.q, self.w, self.u, self.du, self.phi = p, q, w, state.u, state.du, phi
+    def __init__(self, p, q, e, w, state, phi):
+        self.p, self.q, self.e, self.w = p, q, e, w
+        self.u, self.du, self.phi = state.u, state.du, phi
+        self.k = self.psi = math.nan
         if w > 0.0:
             self.k = math.sqrt(w)
             self.psi = _continue_lift(phi, math.atan2(self.k * state.u, state.du))
 
     def at(self, x):
-        """The normalized state and lifted phase at x in [p, q], in closed form from p."""
+        """The normalized state and lifted phase at x in [p, q], in closed form from p.
+
+        A state that is not finite there is a FloatingPointError.
+        """
         m = _const_coeff_matrix(self.w, x - self.p)
         s = _normalized(SolutionState(x, m.a * self.u + m.b * self.du,
                                       m.c * self.u + m.d * self.du))
         raw = math.atan2(s.u, s.du)
         if self.w > 0.0:
             psi = self.psi + self.k * (x - self.p)
-            return s, raw + math.pi * round((psi - math.atan2(self.k * s.u, s.du)) / math.pi)
-        # the turn of the vector (u', u) from p, which is less than pi
-        turn = math.atan2(s.u * self.du - s.du * self.u, s.du * self.du + s.u * self.u)
-        return s, _continue_lift(self.phi + turn, raw)
+            gap = psi - math.atan2(self.k * s.u, s.du)
+        else:
+            # the turn of the vector (u', u) from p, which is less than pi
+            turn = math.atan2(s.u * self.du - s.du * self.u, s.du * self.du + s.u * self.u)
+            gap = self.phi + turn - raw
+        if not math.isfinite(gap):
+            raise _phase_failure(x, self.e)
+        return s, raw + math.pi * round(gap / math.pi)
 
     def rise(self, goal):
         """The offset from p at which the lift first reaches goal, or inf if it never does.
@@ -247,7 +264,7 @@ def _pieces(v, state, phi, x_stop, e):
     """
     pts = _walk_points(v, state.x, x_stop)
     for p, q in zip(pts, pts[1:]):
-        piece = _Piece(p, q, e - v(0.5 * (p + q)), state, phi)
+        piece = _Piece(p, q, e, e - v(0.5 * (p + q)), state, phi)
         yield piece
         state, phi = piece.at(q)
 
@@ -286,25 +303,43 @@ def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
         yield x, state, phi
 
 
-def _piece_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
-    """_lift_walk's samples over a piecewise-constant v, each in closed form from its piece."""
-    lo = state.x
-    n = _lift_samples(v, lo, x_stop, e, step, resolution)
-    pieces = _pieces(v, state, phi, x_stop, e)
-    piece = next(pieces)
-    for i in range(1, n + 1):
-        x = min(lo + (x_stop - lo) * i / n, x_stop)
-        while x > piece.q:
-            piece = next(pieces)
-        state, phi = piece.at(x)
-        yield x, state, phi
-
-
 def check_resolution(problem: Problem, e: float, resolution: float, step: StepControl,
                      name: str = "resolution") -> float:
     """resolution, once it is positive and a trace at e takes at most step.max_steps samples."""
     _lift_samples(problem.potential, problem.a, problem.b, e, step, resolution, name)
     return resolution
+
+
+def _piece_phases(pieces, xs, at, e):
+    """The lifted phase at each x of xs on its piece pieces[at], as _Piece.at gives it.
+
+    One array pass over all samples, in blocks of at most transfer._BLOCK:
+    each sample's piece matrix, normalization and angles run _Piece.at's
+    arithmetic in numpy in the same order, with hypot and atan2 mapped
+    through math and np.round rounding half to even as round does, so each
+    phase has the bits of its scalar evaluation.
+    """
+    data = np.array([(pc.p, pc.w, pc.u, pc.du, pc.phi, pc.k, pc.psi) for pc in pieces])
+    out = []
+    for i in range(0, len(xs), _BLOCK):
+        x = xs[i:i + _BLOCK]
+        p, w, u, du, phi, k, psi = data[at[i:i + _BLOCK]].T
+        # overflow and NaN are silent, as with Python floats, until the check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            dx = x - p
+            m = _piece_matrix(w, dx)
+            s = _normalized(SolutionState(x, m.a * u + m.b * du, m.c * u + m.d * du))
+            raw = _mapped(math.atan2, s.u, s.du)
+            pos = w > 0.0
+            # the scaled phase where w > 0, the turn from p elsewhere
+            t = _mapped(math.atan2, np.where(pos, k * s.u, s.u * du - s.du * u),
+                        np.where(pos, s.du, s.du * du + s.u * u))
+            gap = np.where(pos, psi + k * dx - t, phi + t - raw)
+        bad = ~np.isfinite(gap)
+        if bad.any():
+            raise _phase_failure(x[bad][0].item(), e)
+        out += (raw + math.pi * np.round(gap / math.pi)).tolist()
+    return out
 
 
 def prufer_trace(problem: Problem, e: float, resolution: float,
@@ -313,29 +348,50 @@ def prufer_trace(problem: Problem, e: float, resolution: float,
 
     The walk starts from problem.initial_state().  Samples at spacing <=
     resolution (refined further where the phase can turn fast); zeros of u
-    are the points where phi crosses a multiple of pi.  On piecewise-constant
-    potentials each sample's phase comes in closed form from the start of its
-    piece, on grids by propagation from the sample before.  At each site the
-    trace records the x twice: the jump's angular displacement is booked
-    with the branch in (-pi/2, pi/2].
+    are the points where phi crosses a multiple of pi.  On grids each
+    sample is propagated from the one before.  On piecewise-constant
+    potentials a scalar walk finds each piece's start and the state at each
+    stop's last sample, and one array pass (_piece_phases) gives every
+    sample's phase in closed form from the start of its piece.  At each site
+    the trace records the x twice: the jump's angular displacement is
+    booked with the branch in (-pi/2, pi/2].
     """
     check_resolution(problem, e, resolution, step)
     v = problem.potential
     state = _normalized(problem.initial_state())
     phi = math.atan2(state.u, state.du)
     out = [(state.x, phi)]
-    walk = _piece_walk if v.is_piecewise_constant else _lift_walk
+    # piecewise-constant v: the walk's pieces, and where in out each stop's
+    # samples go, their positions and their pieces
+    pieces, runs = [], []
     stops = [(site.x, site.params) for site in problem.interactions]
     stops.append((problem.b, None))
     for x_stop, params in stops:
-        for x, state, phi in walk(v, state, phi, x_stop, e, step, resolution):
-            out.append((x, phi))
+        if v.is_piecewise_constant:
+            lo = state.x
+            n = _lift_samples(v, lo, x_stop, e, step, resolution)
+            xs = np.minimum(lo + (x_stop - lo) * np.arange(1, n + 1) / n, x_stop)
+            walk = list(_pieces(v, state, phi, x_stop, e))
+            # the first piece that ends at or after each sample
+            at = len(pieces) + np.searchsorted([pc.q for pc in walk], xs, side="left")
+            pieces += walk
+            runs.append((len(out), xs, at))
+            out += [None] * n
+            # the jump acts on the last sample's state, even an ulp short of the stop
+            state, phi = pieces[at[-1]].at(xs[-1].item())
+        else:
+            for x, state, phi in _lift_walk(v, state, phi, x_stop, e, step, resolution):
+                out.append((x, phi))
         if params is not None:
             u, du = iwasawa_compose(params).apply((state.u, state.du))
-            jump = _wrap_half_pi(math.atan2(u, du) - math.atan2(state.u, state.du))
-            phi += jump
+            phi += _wrap_half_pi(math.atan2(u, du) - math.atan2(state.u, state.du))
             state = SolutionState(x_stop, u, du)
             out.append((x_stop, phi))
+    if runs:
+        phases = iter(_piece_phases(pieces, np.concatenate([xs for _, xs, _ in runs]),
+                                    np.concatenate([at for _, _, at in runs]), e))
+        for i, xs, _ in runs:
+            out[i:i + len(xs)] = zip(xs.tolist(), phases)
     return out
 
 

@@ -15,7 +15,8 @@ numpy arrays; a lone float energy runs the same source on Python floats.
 Lanes use + - * / and sqrt, which numpy rounds exactly as Python does, as
 whole arrays, while everything transcendental is mapped element by element
 through math (_mapped), so a lane reproduces its lone run bit for bit.  The
-exact piece matrices of a batch of energies are built that way.
+exact piece matrices of a batch of energies, or of a batch of trace samples
+each with its own length from its piece's start, are built that way.
 
 An RK4 step is linear in (u, u'), so a pass is one matrix.  Each entry of
 a step matrix is a quadratic in E whose coefficients depend only on the
@@ -300,24 +301,27 @@ def _mapped(f, *arrays):
 
     f is a math function: numpy's own versions can differ from it by an ulp.
     """
-    return np.array(list(map(f, *(t.tolist() for t in arrays))))
+    return np.fromiter(map(f, *(t.tolist() for t in arrays)), float, count=arrays[0].size)
 
 
 def _piece_matrix(w2, dx):
-    """_const_coeff_matrix for one E - V value, or entrywise for a lane array.
+    """_const_coeff_matrix for one E - V value, or entrywise for lane arrays.
 
-    Lanes run its arithmetic in numpy in the same order, with cos, sin,
-    cosh and sinh mapped through math, so each lane has the bits of its
-    float and a lane that overflows raises as the float does.
+    w2 is a float or a lane array; with an array, dx is one length for all
+    lanes or an array of one length per lane.  Lanes run its arithmetic in
+    numpy in the same order, with cos, sin, cosh and sinh mapped through
+    math, so each lane has the bits of its floats and a lane that overflows
+    raises as its floats do.
     """
     if not isinstance(w2, np.ndarray):
         return _const_coeff_matrix(w2, dx)
-    # overflow is silent, as with Python floats, until a lane fails as its float does
+    # overflow is silent, as with Python floats, until a lane fails as its floats do
     with np.errstate(over="ignore", invalid="ignore"):
         z = w2 * dx * dx
         if not np.isfinite(z).all():
-            for t in w2.tolist():  # raises at the first lane that fails alone
-                _const_coeff_matrix(t, dx)
+            # raises at the first lane that fails alone
+            for t, d in zip(*(a.tolist() for a in np.broadcast_arrays(w2, dx))):
+                _const_coeff_matrix(t, d)
         osc, hyp = z > 1e-10, z < -1e-10
         mid = ~(osc | hyp)
         c, s = np.empty_like(z), np.empty_like(z)

@@ -1,11 +1,14 @@
-"""Shared fixtures: the eigenvalue scan checked against the bisection it replaced.
+"""Shared fixtures: fast paths checked against the scalar loops they replaced.
 
 The scan refines each bracket by ITP (slspec.spectra.refine_root).  The
 reference here is the bisection loop that preceded it, kept only in the
 tests; both tests/test_spectra.py and the scan pins of tests/test_golden.py
-check the scan against it through the fixtures below.
+check the scan against it through the fixtures below.  Likewise the trace
+of a piecewise-constant problem, whose phases come from one array pass, is
+checked against the walk that called _Piece.at once per sample.
 """
 
+import math
 from bisect import bisect_right
 from collections import Counter
 
@@ -13,8 +16,10 @@ import numpy as np
 import pytest
 
 import slspec.spectra
+from slspec.problem import _lift_samples, _normalized, _pieces, _wrap_half_pi
+from slspec.sl2 import iwasawa_compose
 from slspec.spectra import WRAP_GUARD, boundary_mismatch, eigen_test, eigenvalues_in_range
-from slspec.transfer import DEFAULT_STEP
+from slspec.transfer import DEFAULT_STEP, SolutionState
 
 
 def grid_energies(e_lo, e_hi, grid):
@@ -107,3 +112,41 @@ def bisection_bound():
 def counted_scan():
     """scan_by_cell: the scan's reports and its evaluations per grid cell."""
     return scan_by_cell
+
+
+def scalar_piece_trace(problem, e, resolution, step=DEFAULT_STEP):
+    """prufer_trace on a piecewise-constant potential, one _Piece.at call per sample.
+
+    Each sample is evaluated on the first piece that ends at or after it,
+    the pieces taken in turn as the walk reaches them, and each jump acts on
+    the state of the last sample before its site.
+    """
+    v = problem.potential
+    state = _normalized(problem.initial_state())
+    phi = math.atan2(state.u, state.du)
+    out = [(state.x, phi)]
+    stops = [(site.x, site.params) for site in problem.interactions]
+    stops.append((problem.b, None))
+    for x_stop, params in stops:
+        lo = state.x
+        n = _lift_samples(v, lo, x_stop, e, step, resolution)
+        pieces = _pieces(v, state, phi, x_stop, e)
+        piece = next(pieces)
+        for i in range(1, n + 1):
+            x = min(lo + (x_stop - lo) * i / n, x_stop)
+            while x > piece.q:
+                piece = next(pieces)
+            state, phi = piece.at(x)
+            out.append((x, phi))
+        if params is not None:
+            u, du = iwasawa_compose(params).apply((state.u, state.du))
+            phi += _wrap_half_pi(math.atan2(u, du) - math.atan2(state.u, state.du))
+            state = SolutionState(x_stop, u, du)
+            out.append((x_stop, phi))
+    return out
+
+
+@pytest.fixture(scope="session")
+def piece_trace_reference():
+    """scalar_piece_trace: the trace with one _Piece.at call per sample."""
+    return scalar_piece_trace

@@ -10,6 +10,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -385,6 +386,72 @@ def test_transfer_outside_domain_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == ("error: x = 31.0 outside potential domain "
                                        "[0.0, 30.0]\n")
     assert not (tmp_path / "t.json").exists()
+
+
+def test_non_finite_trace_sample_exits_3(tmp_path, capsys):
+    # on a forbidden piece of length 236.5 the closed form reaches 9 sinh(709.5) / 3,
+    # which overflows, so the state at the trace's last sample is NaN
+    problem = {**box_problem_doc(), "b": 236.5,
+               "potential": {"kind": "constant", "value": 9.0}}
+    cfg = {"schema": 1, "problem": problem,
+           "transfer": {"energy": 0.0, "trace_resolution": 0.1, "x": 1.0},
+           "output": {"path": str(tmp_path / "t.json")}}
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "transfer") == 3
+    assert capsys.readouterr().err == ("numerical failure: the Pruefer phase at x = 236.5 "
+                                       "is not finite at E = 0.0\n")
+    assert not (tmp_path / "t.json").exists()
+
+
+# ----------------------------------------------------------------------- JSON
+
+def json_dumps_text(obj):
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+json_floats = st.floats() | st.sampled_from([math.inf, -math.inf, math.nan, -0.0])
+json_scalars = (st.none() | st.booleans() | st.integers() | json_floats
+                | json_floats.map(np.float64) | st.text())
+# the shapes the template formats: float lists and equal-length float rows,
+# with inf, nan or np.float64 among the items
+float_items = json_floats | json_floats.map(np.float64)
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+float_rows = st.tuples(st.integers(0, 4), st.sampled_from([finite_floats, float_items])).flatmap(
+    lambda shape: st.lists(st.lists(shape[1], min_size=shape[0], max_size=shape[0])
+                           | st.tuples(*[shape[1]] * shape[0]), max_size=6))
+
+
+def json_dicts(values):
+    # one key type per dict: json sorts the keys, and mixed types do not compare
+    return (st.dictionaries(st.text(), values, max_size=5)
+            | st.dictionaries(st.integers() | st.booleans(), values, max_size=4)
+            | st.dictionaries(json_floats, values, max_size=4)
+            | st.dictionaries(st.none(), values))
+
+
+json_documents = st.recursive(
+    json_scalars | st.lists(float_items) | st.lists(finite_floats) | float_rows
+    | st.lists(st.lists(json_floats, max_size=3)),
+    lambda children: (st.lists(children, max_size=5) | st.tuples(children, children)
+                      | json_dicts(children)),
+    max_leaves=30)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(json_documents)
+def test_json_text_equals_indented_json_dumps(doc):
+    assert slspec.cli._json_text(doc) == json_dumps_text(doc)
+
+
+@pytest.mark.parametrize("doc", [
+    object(), [1.0, {1}], {"a": [[1.0, 2.0], [np.int64(3), 4.0]]}, {(1, 2): 0.5},
+    {"a": 1, 2: 0.5}, [b"bytes"], {"x": np.array([1.0])},
+])
+def test_json_text_refuses_what_json_refuses(doc):
+    with pytest.raises(TypeError) as want:
+        json_dumps_text(doc)
+    with pytest.raises(TypeError) as got:
+        slspec.cli._json_text(doc)
+    assert str(got.value) == str(want.value)
 
 
 # ----------------------------------------------------------------- validation

@@ -504,6 +504,31 @@ def test_overflowing_lane_piece_matrix_raises_as_its_float(w2, dx):
     assert str(lanes.value) == str(lone.value)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.tuples(z_targets, piece_lengths), min_size=1, max_size=40))
+@example([(1e-10, 1.0), (-1e-10, 0.25), (0.0, -4.0), (-0.0, 2.0), (5e-11, -0.5), (2.0, 1.0)])
+def test_lane_piece_matrices_of_lane_lengths_equal_per_lane_matrices(lanes):
+    dx = np.array([d for _, d in lanes])
+    w2 = np.array([z for z, _ in lanes]) / dx / dx
+    rows = [_const_coeff_matrix(t, d).entries() for t, d in zip(w2.tolist(), dx.tolist())]
+    assert entry_bits(_piece_matrix(w2, dx)) == [[t.hex() for t in col] for col in zip(*rows)]
+
+
+@pytest.mark.parametrize("w2, dx", [
+    ([1.0, 1.0, -1e6], [1.0, 1e200, 1.0]),    # z = inf in lane 1 comes before lane 2's cosh
+    ([1.0, -1e6, 1.0], [2.0, 1.0, 1e200]),    # lane 1's cosh overflows first
+    ([-1e6, -1e6], [1e-3, 1.0]),              # a cosh overflow and no non-finite z
+    ([2.0, 2.0], [0.5, math.nan]),
+])
+def test_overflowing_lane_piece_matrix_of_lane_lengths_raises_as_its_floats(w2, dx):
+    with pytest.raises(OverflowError) as lone:
+        for t, d in zip(w2, dx):
+            _const_coeff_matrix(t, d)
+    with pytest.raises(OverflowError) as lanes:
+        _piece_matrix(np.array(w2), np.array(dx))
+    assert str(lanes.value) == str(lone.value)
+
+
 # ----------------------------------------------------------------- lane classes
 
 def with_final_lanes(monkeypatch, u, du):

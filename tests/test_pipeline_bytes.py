@@ -1,4 +1,4 @@
-"""The degenerate -> eigs -> dichotomy -> montecarlo pipeline keeps its output bytes.
+"""The degenerate -> eigs -> dichotomy -> transfer -> montecarlo pipeline keeps its bytes.
 
 One small piecewise-constant problem runs through cli.main, each step's
 config built from the output before it, as a study does.  Every output
@@ -34,6 +34,8 @@ PINNED = {
     "eigs.json": "ceb92e5e47cec89b70c00814ba13ec477d41eb5086dd978d7883e384d43a4727",
     "mc.json": "bb5a3a98fcfd1786c7e3575c3f9cbdbefc5cbb4f398cdb564c51ddaf20b864ed",
     "mc_hist.csv": "2861cfeed487a49de84663f1a4bd5c1c1dca863c912b8ba8d2abf8499c55fdd6",
+    "transfer.csv": "98a427a7218e83be03496af0f3508cd40447214639a3953d9a6179885df6ac2c",
+    "transfer.json": "cebe6a50e6ecc0d4640e473ab8e15183bfe3e5b3f5568c728c7cd12bb1ad46fc",
 }
 
 
@@ -55,6 +57,11 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path):
     problem = built["problem"]
     run(tmp_path, {"problem": problem, "dichotomy": {"energy": results[0]["E"], "site": 1}},
         "dichotomy", "dichotomy.json")
+    # the trace crosses the three built sites, so its jumps are in the pinned bytes
+    transfer = {"energy": results[0]["E"], "trace_resolution": 0.05}
+    run(tmp_path, {"problem": problem, "transfer": transfer}, "transfer", "transfer.json")
+    run(tmp_path, {"problem": problem, "transfer": transfer}, "transfer", "transfer.csv",
+        "--format", "csv")
     run(tmp_path, {"problem": problem, "montecarlo": dict(MONTECARLO, energy=results[0]["E"])},
         "montecarlo", "mc.json")
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()

@@ -4,11 +4,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import slspec.problem
 from slspec.problem import (
     PointInteraction,
     Problem,
+    _Piece,
     _normalized,
+    _piece_phases,
     problem_from_json,
     problem_to_json,
     propagate_through,
@@ -242,6 +247,102 @@ def test_prufer_jump_branch_bounded():
     jumps = [(p1 - p0) for (x0, p0), (x1, p1) in zip(trace, trace[1:]) if x1 == x0]
     assert len(jumps) == 1
     assert -PI / 2 < jumps[0] <= PI / 2
+
+
+def trace_bits(trace):
+    assert all(type(x) is float and type(phi) is float for x, phi in trace)
+    return [(x.hex(), phi.hex()) for x, phi in trace]
+
+
+@st.composite
+def piece_trace_cases(draw):
+    """A piecewise-constant problem, an energy and a resolution for a trace.
+
+    Piece ends sit on multiples of 1/8, some pieces take V = E (so E - V = 0
+    there) and some sites sit on piece ends.  With E and V small the
+    resolution, a power of two, sets the spacing, so samples fall on piece
+    ends too.
+    """
+    e = draw(st.sampled_from([0.25, 0.5, 1.5, 6.0, 30.0]) | st.floats(-10.0, 40.0))
+    gaps = draw(st.lists(st.integers(1, 12), min_size=1, max_size=6))
+    ends = [0.125 * k for k in np.cumsum([0] + gaps).tolist()]
+    values = draw(st.lists(st.just(e) | st.sampled_from([0.0, 2.0, -1.0]) | st.floats(-20.0, 40.0),
+                           min_size=len(gaps), max_size=len(gaps)))
+    a, b = ends[0], ends[-1]
+    inside = draw(st.lists(st.sampled_from(ends[1:-1]) if len(ends) > 2 else st.nothing()))
+    inside += draw(st.lists(st.floats(a, b, exclude_min=True, exclude_max=True), max_size=3))
+    sites = [PointInteraction(x, IwasawaParams(draw(st.floats(-3.0, 3.0)), draw(st.floats(0.2, 5.0)),
+                                               draw(st.floats(0.0, 2 * PI))))
+             for x in sorted(set(inside))]
+    problem = Problem(a, b, PiecewisePotential(tuple(ends), tuple(values)), tuple(sites),
+                      ProjPoint(draw(st.floats(0.0, PI))), ProjPoint(0.0))
+    resolution = draw(st.sampled_from([0.125, 0.0625, 0.03125]) | st.floats(0.01, 0.5))
+    return problem, e, resolution
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(piece_trace_cases(), st.integers(1, 9))
+def test_piece_trace_equals_the_per_sample_walk(piece_trace_reference, case, block):
+    problem, e, resolution = case
+    want = trace_bits(piece_trace_reference(problem, e, resolution))
+    # a small block puts seams between the samples of one piece and of one stop
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slspec.problem, "_BLOCK", block)
+        assert trace_bits(prufer_trace(problem, e, resolution)) == want
+
+
+def test_piece_trace_samples_a_piece_end(piece_trace_reference):
+    # the samples at 1.0 and 1.5 are the ends of the first two pieces, and a
+    # site sits on the second; E - V is 0.25, 0 and -0.5 on the pieces
+    v = PiecewisePotential((0.0, 1.0, 1.5, 2.0), (0.0, 0.25, 0.75))
+    prob = Problem(0.0, 2.0, v, (PointInteraction(1.5, IwasawaParams(0.7, 1.3, 0.4)),),
+                   ProjPoint(0.3), ProjPoint(0.0))
+    trace = prufer_trace(prob, 0.25, 0.125)
+    xs = [x for x, _ in trace]
+    assert xs.count(1.0) == 1 and xs.count(1.5) == 2
+    assert trace_bits(trace) == trace_bits(piece_trace_reference(prob, 0.25, 0.125))
+
+
+@pytest.mark.parametrize("lo, x, n", [(0.238, 0.8278063027663567, 7),
+                                      (0.013, 0.8667221738868139, 11),
+                                      (0.523, 1.2901266705813412, 13),
+                                      (0.507, 0.9542796329604123, 5)])
+def test_jump_acts_on_the_last_sample_an_ulp_short_of_its_site(piece_trace_reference,
+                                                              lo, x, n):
+    # lo + (x - lo) * n / n rounds one ulp below x: the n samples between the
+    # two sites end an ulp short of the second, and its jump acts there
+    v = PiecewisePotential((0.0, 0.6, 2.0), (0.0, 0.5))
+    sites = (PointInteraction(lo, IwasawaParams(0.7, 1.3, 0.4)),
+             PointInteraction(x, IwasawaParams(-0.4, 0.6, 2.0)))
+    prob = Problem(0.0, 2.0, v, sites, ProjPoint(0.3), ProjPoint(0.0))
+    resolution = (x - lo) / n * 1.0001
+    trace = prufer_trace(prob, 0.75, resolution)
+    xs = [t for t, _ in trace]
+    assert xs[xs.index(x) - n - 1] == lo and xs[xs.index(x) - 1] < x
+    assert trace_bits(trace) == trace_bits(piece_trace_reference(prob, 0.75, resolution))
+
+
+def test_piece_trace_longer_than_a_block(piece_trace_reference):
+    v = PiecewisePotential((0.0, 2.5, 4.0, 7.0), (1.0, 9.0, -3.0))
+    prob = Problem(0.0, 7.0, v, (PointInteraction(4.0, IwasawaParams(-0.5, 2.0, 1.1)),),
+                   ProjPoint(1.0), ProjPoint(0.0))
+    trace = prufer_trace(prob, 4.0, 1e-4)
+    assert len(trace) > slspec.problem._BLOCK + 3
+    assert trace_bits(trace) == trace_bits(piece_trace_reference(prob, 4.0, 1e-4))
+
+
+def test_non_finite_phase_is_a_floating_point_error():
+    # cosh(3 * 236.5) is finite, but 9 times sinh of it over 3 is not
+    v = ConstantPotential(9.0)
+    piece = _Piece(0.0, 236.5, 0.0, -9.0, SolutionState(0.0, 0.0, 1.0), 0.0)
+    message = r"^the Pruefer phase at x = 236\.5 is not finite at E = 0\.0$"
+    with pytest.raises(FloatingPointError, match=message):
+        piece.at(236.5)
+    with pytest.raises(FloatingPointError, match=message):
+        _piece_phases([piece], np.array([1.0, 236.5]), np.array([0, 0]), 0.0)
+    prob = Problem(0.0, 236.5, v, (), ProjPoint(0.0), ProjPoint(0.0))
+    with pytest.raises(FloatingPointError, match=message):
+        prufer_trace(prob, 0.0, 0.1)
 
 
 def test_prufer_resolution_validation():
