@@ -13,6 +13,7 @@ from .sl2 import (
     Mat2,
     IwasawaParams,
     ProjPoint,
+    NumericalFailure,
     NonUnimodular,
     InvalidDilation,
     ZeroVector,
@@ -51,6 +52,7 @@ from .spectra import (
     EigenReport,
     DichotomyVerdict,
     NotAnEigenvalue,
+    CrossCheckFailure,
     eigen_test,
     matching_gamma,
     boundary_mismatch,

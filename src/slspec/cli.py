@@ -6,9 +6,9 @@ are rejected anywhere.  All tolerances live in the config (never in flags),
 so a config fully determines the result; reruns produce byte-identical
 output files regardless of the worker count.
 
-Exit codes: 0 success; 3 numerical failure (NUMERICAL_ERRORS, overflow
-included); 2 any other ValueError: a malformed flag, matrix or config, whose
-fields slspec.fields reads and names.
+Exit codes: 0 success; 3 numerical failure, any ArithmeticError (overflow and
+every slspec.NumericalFailure); 2 any other ValueError: a malformed flag,
+matrix or config, whose fields slspec.fields reads and names.
 """
 
 from __future__ import annotations
@@ -28,37 +28,14 @@ import numpy as np
 from .fields import boolean, check_keys, integer, number, numbers, string
 from .problem import (Problem, check_resolution, problem_from_json, problem_to_json,
                       prufer_trace)
-from .random import (
-    InsufficientOscillation,
-    NotUnperturbedEigenvalue,
-    TargetNotBracketed,
-    UnsupportedSupport,
-    check_epsilon,
-    construct_degenerate,
-    ensemble_from_json,
-    ensemble_to_json,
-    mismatch_samples,
-    report_to_json,
-    summarize_mismatches,
-)
-from .sl2 import Mat2, ZeroVector, iwasawa_compose, iwasawa_decompose
-from .spectra import (
-    CrossCheckFailure,
-    NotAnEigenvalue,
-    PARAMETERS,
-    classify_sites,
-    eigen_test,
-    eigenvalues_in_range,
-)
-from .transfer import DEFAULT_STEP, IntegrationFailure, StepControl, transfer_matrix
+from .random import (check_epsilon, construct_degenerate, ensemble_from_json, ensemble_to_json,
+                     mismatch_samples, report_to_json, summarize_mismatches)
+from .sl2 import Mat2, iwasawa_compose, iwasawa_decompose
+from .spectra import PARAMETERS, classify_sites, eigen_test, eigenvalues_in_range
+from .transfer import DEFAULT_STEP, StepControl, transfer_matrix
 
 TOP_KEYS = {"schema", "problem", "step", "transfer", "eigs", "dichotomy",
             "montecarlo", "degenerate", "output"}
-
-# exit 3; several are ValueErrors, which otherwise exit 2
-NUMERICAL_ERRORS = (IntegrationFailure, NotAnEigenvalue, CrossCheckFailure,
-                    InsufficientOscillation, NotUnperturbedEigenvalue,
-                    UnsupportedSupport, TargetNotBracketed, ZeroVector, ArithmeticError)
 
 
 # ------------------------------------------------------------- config loading
@@ -87,11 +64,14 @@ def load_config(path):
     return cfg
 
 
-def _block(cfg, name, required, optional):
-    """The command block name of cfg, checked to hold exactly the given keys."""
+def _inputs(args, name, required, optional):
+    """(config, problem, step control, command block name checked to hold the given keys)."""
+    cfg = load_config(args.config)
+    prob = parse_problem_block(cfg)
+    step = parse_step_block(cfg)
     if name not in cfg:
         raise ValueError(f"config is missing the '{name}' block")
-    return check_keys(cfg[name], name, required, optional)
+    return cfg, prob, step, check_keys(cfg[name], name, required, optional)
 
 
 def parse_problem_block(cfg) -> Problem:
@@ -250,10 +230,7 @@ def cmd_decompose(args):
 
 
 def cmd_transfer(args):
-    cfg = load_config(args.config)
-    prob = parse_problem_block(cfg)
-    step = parse_step_block(cfg)
-    block = _block(cfg, "transfer", {"energy"}, {"x", "y", "trace_resolution"})
+    cfg, prob, step, block = _inputs(args, "transfer", {"energy"}, {"x", "y", "trace_resolution"})
     e = number(block, "energy", "transfer")
     x = number(block, "x", "transfer", prob.b)
     y = number(block, "y", "transfer", prob.a)
@@ -281,10 +258,7 @@ def cmd_transfer(args):
 
 
 def cmd_eigs(args):
-    cfg = load_config(args.config)
-    prob = parse_problem_block(cfg)
-    step = parse_step_block(cfg)
-    block = _block(cfg, "eigs", {"e_lo", "e_hi", "grid"}, {"tol", "classify"})
+    cfg, prob, step, block = _inputs(args, "eigs", {"e_lo", "e_hi", "grid"}, {"tol", "classify"})
     e_lo = number(block, "e_lo", "eigs")
     e_hi = number(block, "e_hi", "eigs")
     grid = integer(block, "grid", "eigs", 2)
@@ -317,10 +291,7 @@ def cmd_eigs(args):
 
 
 def cmd_dichotomy(args):
-    cfg = load_config(args.config)
-    prob = parse_problem_block(cfg)
-    step = parse_step_block(cfg)
-    block = _block(cfg, "dichotomy", {"energy", "site"}, {"tol"})
+    cfg, prob, step, block = _inputs(args, "dichotomy", {"energy", "site"}, {"tol"})
     e = number(block, "energy", "dichotomy")
     site = integer(block, "site", "dichotomy", 0)
     tol = number(block, "tol", "dichotomy", 1e-6)
@@ -354,10 +325,8 @@ def _histogram(mismatches, bins):
 
 
 def cmd_montecarlo(args):
-    cfg = load_config(args.config)
-    prob = parse_problem_block(cfg)
-    step = parse_step_block(cfg)
-    block = _block(cfg, "montecarlo", {"energy", "ensemble", "samples", "epsilon"}, {"bins"})
+    cfg, prob, step, block = _inputs(args, "montecarlo",
+                                     {"energy", "ensemble", "samples", "epsilon"}, {"bins"})
     e = number(block, "energy", "montecarlo")
     with _prefixed("montecarlo.ensemble"):
         ensemble = ensemble_from_json(block["ensemble"])
@@ -392,13 +361,11 @@ def cmd_montecarlo(args):
 
 
 def cmd_degenerate(args):
-    cfg = load_config(args.config)
-    prob = parse_problem_block(cfg)
-    step = parse_step_block(cfg)
+    cfg, prob, step, block = _inputs(args, "degenerate", {"energy", "thetas", "rs"},
+                                     {"allow_non_eigenvalue"})
     if prob.interactions:
         raise ValueError("degenerate construction starts from a problem "
                          "without interactions")
-    block = _block(cfg, "degenerate", {"energy", "thetas", "rs"}, {"allow_non_eigenvalue"})
     e = number(block, "energy", "degenerate")
     thetas = numbers(block, "thetas", "degenerate")
     rs = numbers(block, "rs", "degenerate")
@@ -463,7 +430,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NUMERICAL_ERRORS as exc:
+    except ArithmeticError as exc:  # before ValueError: many numerical failures are both
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:

@@ -40,7 +40,7 @@ from .problem import (
     _normalized,
     _pieces,
 )
-from .sl2 import InvalidDilation, IwasawaParams, ProjPoint, proj_class
+from .sl2 import InvalidDilation, IwasawaParams, NumericalFailure, ProjPoint, proj_class
 from .spectra import eigen_test, realized_mismatches, refine_root
 from .transfer import DEFAULT_STEP, StepControl, propagate_state
 
@@ -53,11 +53,11 @@ EIGEN_TOL = 1e-6
 DEFAULT_QUANTILES = (0.0, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
 
 
-class UnsupportedSupport(ValueError):
+class UnsupportedSupport(NumericalFailure, ValueError):
     """An r-target draw stayed nonpositive past the rejection cap."""
 
 
-class InsufficientOscillation(ValueError):
+class InsufficientOscillation(NumericalFailure, ValueError):
     """Too few interior zeros for the requested number of sites."""
 
     def __init__(self, message, zeros_found):
@@ -65,11 +65,11 @@ class InsufficientOscillation(ValueError):
         self.zeros_found = zeros_found
 
 
-class NotUnperturbedEigenvalue(ValueError):
+class NotUnperturbedEigenvalue(NumericalFailure, ValueError):
     """The construction requires E to be an eigenvalue of the jump-free problem."""
 
 
-class TargetNotBracketed(ValueError):
+class TargetNotBracketed(NumericalFailure, ValueError):
     """t1, t2 are not consecutive zeros of the propagated solution."""
 
 
@@ -239,16 +239,17 @@ def _outcome(m):
 def _mc_chunk(args):
     """(ok, mismatch) of samples lo..hi-1, evaluated as one batch of lanes.
 
-    A failure in any lane fails the batch; the chunk is then evaluated one
-    sample at a time, so the failures are counted per sample.  A lane whose
-    walk overflowed to a NaN mismatch fails on its own.
+    A numerical failure (any ArithmeticError) in any lane fails the batch;
+    the chunk is then evaluated one sample at a time, so the failures are
+    counted per sample.  A lane whose walk overflowed to a NaN mismatch
+    fails on its own.
     """
     problem, e, ensemble, lo, hi, step = args
     draws = _draws(ensemble, lo, hi)
     field = "alpha" if ensemble.target == "lambda" else ensemble.target
     try:
         return [_outcome(m) for m in realized_mismatches(problem, e, {field: draws}, step)]
-    except (ArithmeticError, RuntimeError):
+    except ArithmeticError:
         pass
     results = []
     for j in range(hi - lo):
@@ -256,7 +257,7 @@ def _mc_chunk(args):
             (m,) = realized_mismatches(problem, e, {field: [col[j:j + 1] for col in draws]},
                                        step)
             results.append(_outcome(m))
-        except (ArithmeticError, RuntimeError):
+        except ArithmeticError:
             results.append((False, math.nan))
     return results
 

@@ -28,7 +28,11 @@ class InvalidDilation(ValueError):
     """Dilation factor r must be strictly positive."""
 
 
-class ZeroVector(ValueError):
+class NumericalFailure(ArithmeticError):
+    """The numbers failed, not the input; each subclass is also a ValueError or RuntimeError."""
+
+
+class ZeroVector(NumericalFailure, ValueError):
     """The zero vector has no projective class."""
 
 

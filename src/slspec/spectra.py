@@ -29,8 +29,8 @@ from itertools import accumulate
 import numpy as np
 
 from .problem import Problem, _wrap_half_pi, propagate_through
-from .sl2 import (TWO_PI, InvalidDilation, ProjPoint, ZeroVector, _compose, alpha_fixed_class,
-                  proj_class, r_fixed_classes)
+from .sl2 import (TWO_PI, InvalidDilation, NumericalFailure, ProjPoint, ZeroVector, _compose,
+                  alpha_fixed_class, proj_class, r_fixed_classes)
 from .transfer import DEFAULT_STEP, StepControl, _mapped
 
 ALL_VALUES = "AllValues"
@@ -43,11 +43,11 @@ PARAMETERS = ("theta", "r", "alpha")
 WRAP_GUARD = math.pi / 2
 
 
-class NotAnEigenvalue(ValueError):
+class NotAnEigenvalue(NumericalFailure, ValueError):
     """The classifier was handed an energy whose mismatch exceeds tolerance."""
 
 
-class CrossCheckFailure(RuntimeError):
+class CrossCheckFailure(NumericalFailure, RuntimeError):
     """Perturbed re-tests contradicted the fixed-class verdict."""
 
 
@@ -309,7 +309,7 @@ def _cross_check(problem, e, checks, tol, step):
         columns[v.parameter][i][lo:hi] = vals
     try:
         ms = realized_mismatches(problem, e, columns, step)
-    except (ArithmeticError, RuntimeError, ValueError):
+    except ArithmeticError:
         ms = None
     for (i, v), lo, hi in zip(checks, ends, ends[1:]):
         if ms is None:
@@ -321,18 +321,16 @@ def _cross_check(problem, e, checks, tol, step):
 
 
 def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
-                   tol: float = 1e-6, step: StepControl = DEFAULT_STEP,
-                   cross_check: bool = True):
+                   tol: float = 1e-6, step: StepControl = DEFAULT_STEP):
     """eigen_test's report at e and the verdict of every parameter at every site.
 
     sites holds site indices.  Returns (report, verdicts), where
     verdicts[j][n] is the DichotomyVerdict of parameters[n] at site
     sites[j] (see classify_dichotomy for their meaning).  One eigen_test
-    gives every fixed-class verdict.  With cross_check the re-tests of all
-    of them, 8 alpha, 8 r and 10 theta values per site, are lanes of one
-    walk at e, and the verdicts are checked site by site in the order of
-    parameters: the first one the re-tests contradict raises
-    CrossCheckFailure.
+    gives every fixed-class verdict.  The re-tests of all of them, 8 alpha,
+    8 r and 10 theta values per site, are lanes of one walk at e, and the
+    verdicts are checked site by site in the order of parameters: the first
+    one the re-tests contradict raises CrossCheckFailure.
     """
     sites = list(sites)
     for parameter in parameters:
@@ -350,15 +348,12 @@ def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
     verdicts = [[_fixed_class_verdict(problem.interactions[i].params, par,
                                       report.left_limit_classes[i], tol) for par in parameters]
                 for i in sites]
-    if cross_check:
-        _cross_check(problem, e, [(i, v) for i, row in zip(sites, verdicts) for v in row],
-                     tol, step)
+    _cross_check(problem, e, [(i, v) for i, row in zip(sites, verdicts) for v in row], tol, step)
     return report, verdicts
 
 
 def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: str,
-                       tol: float = 1e-6, step: StepControl = DEFAULT_STEP,
-                       cross_check: bool = True) -> DichotomyVerdict:
+                       tol: float = 1e-6, step: StepControl = DEFAULT_STEP) -> DichotomyVerdict:
     """Decide whether varying one Iwasawa parameter at one site keeps e an eigenvalue.
 
     theta always yields PeriodicInTheta (pi-shifts and nothing else keep the
@@ -366,11 +361,10 @@ def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: s
     eigenfunction's class just left of the site lies on the corresponding
     fixed class(es); for r the matched class is reported since the two fixed
     classes arise differently; tol bounds both the mismatch at e and the
-    distance to a fixed class.  With cross_check the verdict is confirmed by
-    re-testing 8 perturbed parameter values (for theta also the two
-    pi-shifts), all as lanes of one walk at e.  It is classify_sites for one
-    site and one parameter.
+    distance to a fixed class.  The verdict is confirmed by re-testing 8
+    perturbed parameter values (for theta also the two pi-shifts), all as
+    lanes of one walk at e.  It is classify_sites for one site and one
+    parameter.
     """
-    ((verdict,),) = classify_sites(problem, e, [site_index], [parameter], tol, step,
-                                   cross_check)[1]
+    ((verdict,),) = classify_sites(problem, e, [site_index], [parameter], tol, step)[1]
     return verdict

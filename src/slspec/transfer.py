@@ -39,10 +39,10 @@ from functools import cached_property, lru_cache, reduce
 import numpy as np
 
 from .fields import number, numbers, tagged
-from .sl2 import Mat2
+from .sl2 import Mat2, NumericalFailure
 
 
-class IntegrationFailure(RuntimeError):
+class IntegrationFailure(NumericalFailure, RuntimeError):
     """Step control could not reach the requested tolerance."""
 
 
@@ -271,19 +271,22 @@ def _const_coeff_matrix(w2, dx):
     [[C, dx*S], [-w2*dx*S, C]] with C, S the trig/hyperbolic pair in z = w2*dx^2.
     """
     z = w2 * dx * dx
-    if not math.isfinite(z):
-        raise OverflowError(f"piece of length {dx!r} at E - V = {w2!r} overflows")
-    if z > 1e-10:
-        rz = math.sqrt(z)
-        c = math.cos(rz)
-        s = math.sin(rz) / rz
-    elif z < -1e-10:
-        rz = math.sqrt(-z)
-        c = math.cosh(rz)
-        s = math.sinh(rz) / rz
-    else:
-        c = 1.0 - z / 2.0 + z * z / 24.0
-        s = 1.0 - z / 6.0 + z * z / 120.0
+    try:
+        if not math.isfinite(z):
+            raise OverflowError
+        if z > 1e-10:
+            rz = math.sqrt(z)
+            c = math.cos(rz)
+            s = math.sin(rz) / rz
+        elif z < -1e-10:
+            rz = math.sqrt(-z)
+            c = math.cosh(rz)  # overflows once rz passes about 710
+            s = math.sinh(rz) / rz
+        else:
+            c = 1.0 - z / 2.0 + z * z / 24.0
+            s = 1.0 - z / 6.0 + z * z / 120.0
+    except OverflowError:
+        raise OverflowError(f"piece of length {dx!r} at E - V = {w2!r} overflows") from None
     return Mat2(c, dx * s, -w2 * dx * s, c)
 
 
@@ -318,20 +321,24 @@ def _piece_matrix(w2, dx):
     # overflow is silent, as with Python floats, until a lane fails as its floats do
     with np.errstate(over="ignore", invalid="ignore"):
         z = w2 * dx * dx
-        if not np.isfinite(z).all():
+        try:
+            if not np.isfinite(z).all():
+                raise OverflowError
+            osc, hyp = z > 1e-10, z < -1e-10
+            mid = ~(osc | hyp)
+            c, s = np.empty_like(z), np.empty_like(z)
+            rz = np.sqrt(z[osc])
+            c[osc], s[osc] = _mapped(math.cos, rz), _mapped(math.sin, rz) / rz
+            rz = np.sqrt(-z[hyp])
+            c[hyp], s[hyp] = _mapped(math.cosh, rz), _mapped(math.sinh, rz) / rz
+            t = z[mid]
+            c[mid] = 1.0 - t / 2.0 + t * t / 24.0
+            s[mid] = 1.0 - t / 6.0 + t * t / 120.0
+        except OverflowError:
             # raises at the first lane that fails alone
             for t, d in zip(*(a.tolist() for a in np.broadcast_arrays(w2, dx))):
                 _const_coeff_matrix(t, d)
-        osc, hyp = z > 1e-10, z < -1e-10
-        mid = ~(osc | hyp)
-        c, s = np.empty_like(z), np.empty_like(z)
-        rz = np.sqrt(z[osc])
-        c[osc], s[osc] = _mapped(math.cos, rz), _mapped(math.sin, rz) / rz
-        rz = np.sqrt(-z[hyp])
-        c[hyp], s[hyp] = _mapped(math.cosh, rz), _mapped(math.sinh, rz) / rz
-        t = z[mid]
-        c[mid] = 1.0 - t / 2.0 + t * t / 24.0
-        s[mid] = 1.0 - t / 6.0 + t * t / 120.0
+            raise
         return Mat2(c, dx * s, -w2 * dx * s, c)
 
 

@@ -297,7 +297,7 @@ def test_criterion_6_dichotomy_exclusivity():
                 ("alpha", [params.alpha + d for d in ALPHA_OFFSETS], "alpha"),
                 ("r", [params.r * f for f in R_FACTORS], "r"),
                 ("theta", [params.theta + d for d in THETA_OFFSETS], "theta")):
-            verdict = classify_dichotomy(prob, e, 0, par, cross_check=False).verdict
+            verdict = classify_dichotomy(prob, e, 0, par).verdict
             outcomes = [
                 eigen_test(with_site_params(prob, 0, **{field: val}), e).mismatch <= 1e-6
                 for val in values]
@@ -313,14 +313,11 @@ def test_criterion_6_dichotomy_exclusivity():
             else:
                 assert verdict == ONLY_ORIGINAL
         if kind == "alpha":
-            assert classify_dichotomy(prob, e, 0, "alpha",
-                                      cross_check=False).verdict == ALL_VALUES
+            assert classify_dichotomy(prob, e, 0, "alpha").verdict == ALL_VALUES
         if kind == "r":
-            assert classify_dichotomy(prob, e, 0, "r",
-                                      cross_check=False).verdict == ALL_VALUES
+            assert classify_dichotomy(prob, e, 0, "r").verdict == ALL_VALUES
         if kind == "generic":
-            assert classify_dichotomy(prob, e, 0, "alpha",
-                                      cross_check=False).verdict == ONLY_ORIGINAL
+            assert classify_dichotomy(prob, e, 0, "alpha").verdict == ONLY_ORIGINAL
 
 
 # --------------------------------------------------------------- criterion 7

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import slspec
 import slspec.cli
 from slspec.cli import main
 from slspec.problem import problem_from_json
@@ -402,6 +403,29 @@ def test_non_finite_trace_sample_exits_3(tmp_path, capsys):
     assert not (tmp_path / "t.json").exists()
 
 
+def shear_box_doc():
+    # V = 0 on [0, 3], Dirichlet ends, a shear alpha = 8 at x = 1
+    return {**box_problem_doc([{"x": 1.0, "alpha": 8.0, "r": 1.0, "theta": 0.0}]), "b": 3.0}
+
+
+@pytest.mark.parametrize("command, problem, block, piece", [
+    ("eigs", shear_box_doc(), {"e_lo": -1e6, "e_hi": -1e5, "grid": 3},
+     "piece of length 1.0 at E - V = -1000000.0"),
+    ("dichotomy", shear_box_doc(), {"energy": -1e6, "site": 0},
+     "piece of length 1.0 at E - V = -1000000.0"),
+    ("transfer", {**box_problem_doc(), "b": 30.0, "potential": {"kind": "constant",
+                                                                "value": 1000.0}},
+     {"energy": 1.0}, "piece of length 30.0 at E - V = -999.0"),
+], ids=["eigs", "dichotomy", "transfer"])
+def test_overflowing_cosh_names_the_piece(command, problem, block, piece, tmp_path, capsys):
+    # the closed form's cosh overflows on a long forbidden piece with z = w dx^2 finite
+    cfg = {"schema": 1, "problem": problem, command: block,
+           "output": {"path": str(tmp_path / "out.json")}}
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), command) == 3
+    assert capsys.readouterr().err == f"numerical failure: {piece} overflows\n"
+    assert not (tmp_path / "out.json").exists()
+
+
 # ----------------------------------------------------------------------- JSON
 
 def json_dumps_text(obj):
@@ -718,15 +742,58 @@ def test_parser_is_built_once(tmp_path):
     assert json.loads((tmp_path / "mc.json").read_text())["report"]["seed"] == 77
 
 
+def python(*argv):
+    """A fresh interpreter run with argv, importing this slspec."""
+    src = str(Path(slspec.cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
 def test_import_leaves_out_numpy_random_and_process_pools():
     # both are loaded only by the commands that use them
-    src = str(Path(slspec.cli.__file__).parents[1])
     code = ("import sys, slspec.cli; "
             "print(sorted(m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules))")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True, timeout=60).stdout
-    assert out == "[]\n"
+    res = python("-c", code)
+    assert (res.returncode, res.stdout) == (0, "[]\n")
+
+
+def test_module_entry_point_exits_with_the_code_of_main(tmp_path):
+    shear = {"schema": 1, "problem": shear_box_doc(),
+             "eigs": {"e_lo": -1e6, "e_hi": -1e5, "grid": 3}}
+    good = {"schema": 1, "problem": box_problem_doc(),
+            "eigs": {"e_lo": 0.5, "e_hi": 5.0, "grid": 20}}
+    runs = [python("-m", "slspec.cli", *argv) for argv in (
+        ["eigs"],
+        ["--config", write_config(tmp_path, shear, "shear.json"), "eigs"],
+        ["--config", write_config(tmp_path, good, "good.json"), "eigs"])]
+    assert [res.returncode for res in runs] == [2, 3, 0]
+    assert runs[0].stderr == "error: this command requires --config\n"
+    assert runs[1].stderr == ("numerical failure: piece of length 1.0 at "
+                              "E - V = -1000000.0 overflows\n")
+    assert [r["E"] for r in json.loads(runs[2].stdout)["results"]] == pytest.approx([1.0, 4.0])
+
+
+NUMERICAL_FAILURES = {
+    "ZeroVector": ValueError, "IntegrationFailure": RuntimeError,
+    "NotAnEigenvalue": ValueError, "CrossCheckFailure": RuntimeError,
+    "UnsupportedSupport": ValueError, "InsufficientOscillation": ValueError,
+    "NotUnperturbedEigenvalue": ValueError, "TargetNotBracketed": ValueError,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NUMERICAL_FAILURES))
+def test_numerical_failures_are_arithmetic_errors(name):
+    # main exits 3 on any ArithmeticError, checked before ValueError's exit 2
+    cls = getattr(slspec, name)
+    assert issubclass(cls, slspec.NumericalFailure)
+    assert issubclass(cls, ArithmeticError) and issubclass(cls, NUMERICAL_FAILURES[name])
+
+
+@pytest.mark.parametrize("name", ["NonUnimodular", "InvalidDilation", "DomainError"])
+def test_config_errors_are_not_arithmetic_errors(name):
+    cls = getattr(slspec, name)
+    assert issubclass(cls, ValueError) and not issubclass(cls, ArithmeticError)
 
 
 def test_config_required(capsys):

@@ -565,3 +565,31 @@ def test_lane_classes_reduce_like_proj_class(monkeypatch):
         proj_class(a, b).distance(problem.bc_right).hex()
         for i, (a, b) in enumerate(zip(u, du)) if i != 1]
 
+
+def test_zero_lane_fails_its_sample_alone(monkeypatch):
+    # a lane ending at (0, 0) raises ZeroVector, a numerical failure: Monte
+    # Carlo walks the chunk again one sample at a time, counts that sample as
+    # one failure and keeps the other samples' mismatches
+    problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 0.5, 1.0), (0.0, 2.0)),
+                      (PointInteraction(0.3, IwasawaParams(0.0, 1.0, 0.0)),), ProjPoint(0.4),
+                      ProjPoint(1.0))
+    ensemble = Ensemble("lambda", (Uniform(0.0, 1.0),), seed=11)
+    step = StepControl()
+    shears = _draws(ensemble, 0, 40)[0].tolist()
+    mismatches, failures = lanes(problem, 1.0, ensemble, 40, step)
+    assert failures == 0
+    kept = [m for m, a in zip(mismatches, shears) if a <= 0.9]
+    walk = slspec.spectra.propagate_through
+
+    def zeroing(problem, e, step, jumps=None):
+        # with r = 1 and theta = 0 a site's jump is [[1, alpha], [0, 1]]
+        result = walk(problem, e, step, jumps)
+        keep = jumps[0].b <= 0.9
+        final = SolutionState(result.final.x, result.final.u * keep, result.final.du * keep)
+        return PropagationResult(final, result.lefts)
+
+    monkeypatch.setattr(slspec.spectra, "propagate_through", zeroing)
+    with pytest.raises(ZeroVector):
+        realized_mismatches(problem, 1.0, {"alpha": [np.array(shears)]}, step)
+    assert 0 < len(kept) < 40
+    assert lanes(problem, 1.0, ensemble, 40, step) == (kept, 40 - len(kept))
