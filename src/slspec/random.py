@@ -103,9 +103,6 @@ class PointMass:
     value: float
 
 
-SiteDistribution = Uniform | Gaussian | PointMass
-
-
 def distribution_to_json(d) -> dict:
     if isinstance(d, Uniform):
         return {"kind": "uniform", "lo": d.lo, "hi": d.hi}
@@ -248,14 +245,13 @@ def _mc_chunk(args):
     draws = _draws(ensemble, lo, hi)
     field = "alpha" if ensemble.target == "lambda" else ensemble.target
     try:
-        return [_outcome(m) for m in realized_mismatches(problem, e, {field: draws}, step)]
+        return [_outcome(m) for m in realized_mismatches(problem, e, field, draws, step)]
     except ArithmeticError:
         pass
     results = []
     for j in range(hi - lo):
         try:
-            (m,) = realized_mismatches(problem, e, {field: [col[j:j + 1] for col in draws]},
-                                       step)
+            (m,) = realized_mismatches(problem, e, field, [col[j:j + 1] for col in draws], step)
             results.append(_outcome(m))
         except ArithmeticError:
             results.append((False, math.nan))

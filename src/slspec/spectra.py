@@ -10,28 +10,29 @@ transfer), each equal bit for bit to that energy alone; the ITP root
 refinement (refine_root, also used on lift crossings by slspec.random) and
 the reports run one energy at a time.
 
-A realization is the problem with Iwasawa fields of its jumps replaced.
+A realization is the problem with one Iwasawa field of its jumps replaced.
 realized_mismatches evaluates a batch of them as one walk at a fixed energy,
 one lane per realization, each equal bit for bit to eigen_test on that
 realized problem; the lanes' final classes and mismatches are array
 operations over angles that math's atan2 gives lane by lane.  Monte Carlo
-uses it with one field; classify_sites puts the dichotomy re-tests of every
-parameter of every site it classifies into one such walk, after one
-eigen_test that gives all their fixed-class verdicts.
+uses it.  A dichotomy re-test changes site k alone, so it ends in the class
+of T_k J' w_k: J' is its jump, w_k the class just left of the site, and the
+site map T_k carries data from just right of site k to b.  classify_sites
+takes every w_k from the eigen_test that gives the fixed-class verdicts,
+builds the maps once, backwards from b, and walks no re-test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
 from .problem import Problem, _wrap_half_pi, propagate_through
-from .sl2 import (TWO_PI, InvalidDilation, NumericalFailure, ProjPoint, ZeroVector, _compose,
-                  alpha_fixed_class, proj_class, r_fixed_classes)
-from .transfer import DEFAULT_STEP, StepControl, _mapped
+from .sl2 import (TWO_PI, InvalidDilation, Mat2, NumericalFailure, ProjPoint, ZeroVector,
+                  _compose, alpha_fixed_class, iwasawa_compose, proj_class, r_fixed_classes)
+from .transfer import DEFAULT_STEP, StepControl, _mapped, transfer_matrix
 
 ALL_VALUES = "AllValues"
 ONLY_ORIGINAL = "OnlyOriginal"
@@ -89,21 +90,22 @@ def _signed_defect(problem, gamma):
     return _wrap_half_pi(gamma.angle - problem.bc_right.angle)
 
 
-def _lane_classes(problem, e, step, jumps=None):
-    """The final class angle of every lane of one walk, as one array; see propagate_through.
+def _class_angles(u, du):
+    """The class angle of every lane (u, du), as proj_class gives it, as one array.
 
-    The angles are proj_class's: atan2 per lane through math, then ProjPoint's
-    reduction mod pi and its guard as array operations.  A (0, 0) lane
-    raises ZeroVector; a NaN lane gives a NaN angle.
+    atan2 per lane through math, then ProjPoint's reduction mod pi and its
+    guard; a (0, 0) lane raises ZeroVector and a NaN lane gives NaN.
     """
-    # Python floats overflow to inf and nan without a word; so do the lanes
-    with np.errstate(over="ignore", invalid="ignore"):
-        final = propagate_through(problem, e, step, jumps).final
-        u, du = final.u, final.du
-        if ((u == 0.0) & (du == 0.0)).any():
-            raise ZeroVector("the zero vector has no projective class")
-        angles = _mapped(math.atan2, u, du) % math.pi
+    if ((u == 0.0) & (du == 0.0)).any():
+        raise ZeroVector("the zero vector has no projective class")
+    angles = _mapped(math.atan2, u, du) % math.pi
     return np.where(angles >= math.pi, 0.0, angles)
+
+
+def _mismatches(problem, u, du):
+    """eigen_test's mismatch of every lane (u, du) at b, as a list."""
+    d = np.abs(_class_angles(u, du) - problem.bc_right.angle) % math.pi
+    return np.minimum(d, math.pi - d).tolist()
 
 
 def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
@@ -115,42 +117,45 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
     """
     if not isinstance(e, np.ndarray):
         return _signed_defect(problem, matching_gamma(problem, e, step))
-    with np.errstate(invalid="ignore"):
-        d = (_lane_classes(problem, e, step) - problem.bc_right.angle) % math.pi
+    # Python floats overflow to inf and nan without a word; so do the lanes
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = propagate_through(problem, e, step).final
+        d = (_class_angles(final.u, final.du) - problem.bc_right.angle) % math.pi
     return np.where(d > math.pi / 2, d - math.pi, d).tolist()
 
 
-def realized_mismatches(problem: Problem, e: float, columns,
-                        step: StepControl = DEFAULT_STEP):
-    """eigen_test's mismatch at e with Iwasawa fields of the jumps replaced, lane by lane.
+def _site_jumps(params, field, values):
+    """P_alpha H_r E_theta of params with field set to each of the array values, as lanes.
 
-    columns maps a field, "alpha", "r" or "theta", to one 1-D array per site
-    holding that site's value of the field in each lane; a field missing
-    from columns keeps every site's own value.  All lanes are one walk at
-    the one energy e, so the exact route builds each piece matrix and the
-    RK4 route each pass's step product once, and each lane's state
-    converges on its own.  Only the jumps differ between lanes: alpha and r
-    enter them through + - * / alone, theta through math per lane, so each
-    lane has the bits of eigen_test on its realized problem.
+    Each lane has the bits of iwasawa_compose: theta goes through math per lane.
     """
-    if not set(columns) <= set(PARAMETERS):
-        raise ValueError(f"fields must be among {PARAMETERS}")
-    jumps = []
-    for k, site in enumerate(problem.interactions):
-        p = site.params
-        alpha, r = (columns[f][k] if f in columns else getattr(p, f) for f in ("alpha", "r"))
-        if "theta" in columns:
-            thetas = [t % TWO_PI for t in columns["theta"][k].tolist()]
-            ct = np.array(list(map(math.cos, thetas)))
-            st = np.array(list(map(math.sin, thetas)))
-        else:
-            ct, st = math.cos(p.theta), math.sin(p.theta)
-        if "r" in columns and not (r > 0.0).all():
-            raise InvalidDilation(f"r = {float(r[~(r > 0.0)][0])!r} must be > 0")
-        jumps.append(_compose(alpha, r, ct, st))
-    with np.errstate(invalid="ignore"):
-        d = np.abs(_lane_classes(problem, e, step, jumps) - problem.bc_right.angle) % math.pi
-        return np.minimum(d, math.pi - d).tolist()
+    alpha, r = (values if f == field else getattr(params, f) for f in ("alpha", "r"))
+    if field == "r" and not (r > 0.0).all():
+        raise InvalidDilation(f"r = {float(r[~(r > 0.0)][0])!r} must be > 0")
+    if field == "theta":
+        thetas = values % TWO_PI  # numpy's float remainder is Python's
+        return _compose(alpha, r, _mapped(math.cos, thetas), _mapped(math.sin, thetas))
+    return _compose(alpha, r, math.cos(params.theta), math.sin(params.theta))
+
+
+def realized_mismatches(problem: Problem, e: float, field: str, columns,
+                        step: StepControl = DEFAULT_STEP):
+    """eigen_test's mismatch at e with one Iwasawa field of the jumps replaced, lane by lane.
+
+    field is "alpha", "r" or "theta"; columns holds one 1-D array per site
+    with that site's value of the field in each lane.  All lanes are one
+    walk at e, which builds each piece matrix or RK4 pass product once; each
+    lane's state converges on its own and has the bits of eigen_test on its
+    realized problem.
+    """
+    if field not in PARAMETERS:
+        raise ValueError(f"field must be one of {PARAMETERS}")
+    jumps = [_site_jumps(site.params, field, col)
+             for site, col in zip(problem.interactions, columns)]
+    # Python floats overflow to inf and nan without a word; so do the lanes
+    with np.errstate(over="ignore", invalid="ignore"):
+        final = propagate_through(problem, e, step, jumps).final
+        return _mismatches(problem, final.u, final.du)
 
 
 def _finite(e, m):
@@ -277,8 +282,9 @@ def _fixed_class_verdict(params, parameter, cls, tol):
     return DichotomyVerdict(parameter, ONLY_ORIGINAL if matched is None else ALL_VALUES, matched)
 
 
-def _check_retests(e, parameter, verdict, outcomes):
-    """Raise CrossCheckFailure unless the re-test outcomes (kept or not) fit the verdict."""
+def _check_retests(e, parameter, verdict, mismatches, tol):
+    """Raise CrossCheckFailure unless the re-tests keeping e (mismatch <= tol) fit the verdict."""
+    outcomes = [m <= tol for m in mismatches]
     if parameter == "theta":
         if not all(outcomes[:2]):
             raise CrossCheckFailure(f"theta shift by pi lost E = {e}")
@@ -290,34 +296,29 @@ def _check_retests(e, parameter, verdict, outcomes):
             f"{parameter} verdict {verdict} contradicted by re-tests {outcomes}")
 
 
-def _cross_check(problem, e, checks, tol, step):
-    """Re-test every (site index, verdict) pair of checks as lanes of one walk at e.
+def _cross_check(problem, e, lefts, checks, tol, step):
+    """Re-test every (site index, verdict) pair of checks at e from the site maps, in order.
 
-    The checks run in order, so the first contradicted verdict raises.  If
-    the joint walk fails, each verdict's re-tests are walked alone in turn,
-    so the first one whose walk fails raises as it would on its own.
+    A re-test with jump J' at site k ends in the class of T_k J' lefts[k]
+    (see the module docstring).  The maps are built backwards from b, from
+    transfer_matrix between consecutive sites and the sites' own jumps, each
+    rescaled to a largest entry of 1 since only classes are read.  The first
+    contradicted verdict raises.
     """
-    if not checks:
-        return
-    values = [_retest_values(problem.interactions[i].params, v.parameter) for i, v in checks]
-    ends = list(accumulate(map(len, values), initial=0))
-    # every lane holds each site's own fields but for its verdict's one value
-    columns = {par: [np.full(ends[-1], getattr(site.params, par))
-                     for site in problem.interactions]
-               for par in dict.fromkeys(v.parameter for _, v in checks)}
-    for (i, v), vals, lo, hi in zip(checks, values, ends, ends[1:]):
-        columns[v.parameter][i][lo:hi] = vals
-    try:
-        ms = realized_mismatches(problem, e, columns, step)
-    except ArithmeticError:
-        ms = None
-    for (i, v), lo, hi in zip(checks, ends, ends[1:]):
-        if ms is None:
-            group = realized_mismatches(
-                problem, e, {v.parameter: [c[lo:hi] for c in columns[v.parameter]]}, step)
-        else:
-            group = ms[lo:hi]
-        _check_retests(e, v.parameter, v.verdict, [m <= tol for m in group])
+    sites = problem.interactions
+    maps, x, t = {}, problem.b, Mat2.identity()
+    for k in range(len(sites) - 1, min((i for i, _ in checks), default=len(sites)) - 1, -1):
+        t = t @ transfer_matrix(problem.potential, x, sites[k].x, e, step)
+        top = max(map(abs, t.entries()))
+        maps[k] = t = Mat2(*(c / top for c in t.entries()))
+        t, x = t @ iwasawa_compose(sites[k].params), sites[k].x
+    for i, v in checks:
+        params = sites[i].params
+        jumps = _site_jumps(params, v.parameter, np.array(_retest_values(params, v.parameter)))
+        # overflow and NaN are silent, as in a walk, and fail their re-test
+        with np.errstate(over="ignore", invalid="ignore"):
+            ms = _mismatches(problem, *maps[i].apply(jumps.apply(lefts[i].vector())))
+        _check_retests(e, v.parameter, v.verdict, ms, tol)
 
 
 def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
@@ -328,9 +329,10 @@ def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
     verdicts[j][n] is the DichotomyVerdict of parameters[n] at site
     sites[j] (see classify_dichotomy for their meaning).  One eigen_test
     gives every fixed-class verdict.  The re-tests of all of them, 8 alpha,
-    8 r and 10 theta values per site, are lanes of one walk at e, and the
-    verdicts are checked site by site in the order of parameters: the first
-    one the re-tests contradict raises CrossCheckFailure.
+    8 r and 10 theta values per site, come from the site maps at e with no
+    further walk (see _cross_check), and the verdicts are checked site by
+    site in the order of parameters: the first one the re-tests contradict
+    raises CrossCheckFailure.
     """
     sites = list(sites)
     for parameter in parameters:
@@ -348,7 +350,8 @@ def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
     verdicts = [[_fixed_class_verdict(problem.interactions[i].params, par,
                                       report.left_limit_classes[i], tol) for par in parameters]
                 for i in sites]
-    _cross_check(problem, e, [(i, v) for i, row in zip(sites, verdicts) for v in row], tol, step)
+    _cross_check(problem, e, report.left_limit_classes,
+                 [(i, v) for i, row in zip(sites, verdicts) for v in row], tol, step)
     return report, verdicts
 
 
@@ -362,8 +365,8 @@ def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: s
     fixed class(es); for r the matched class is reported since the two fixed
     classes arise differently; tol bounds both the mismatch at e and the
     distance to a fixed class.  The verdict is confirmed by re-testing 8
-    perturbed parameter values (for theta also the two pi-shifts), all as
-    lanes of one walk at e.  It is classify_sites for one site and one
+    perturbed parameter values (for theta also the two pi-shifts), all from
+    the site maps at e.  It is classify_sites for one site and one
     parameter.
     """
     ((verdict,),) = classify_sites(problem, e, [site_index], [parameter], tol, step)[1]

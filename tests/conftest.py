@@ -5,7 +5,9 @@ reference here is the bisection loop that preceded it, kept only in the
 tests; both tests/test_spectra.py and the scan pins of tests/test_golden.py
 check the scan against it through the fixtures below.  Likewise the trace
 of a piecewise-constant problem, whose phases come from one array pass, is
-checked against the walk that called _Piece.at once per sample.
+checked against the walk that called _Piece.at once per sample, and the
+dichotomy re-tests, which classify_sites takes from its site maps, against
+a walk of each re-test group (spectra.realized_mismatches).
 """
 
 import math
@@ -18,7 +20,8 @@ import pytest
 import slspec.spectra
 from slspec.problem import _lift_samples, _normalized, _pieces, _wrap_half_pi
 from slspec.sl2 import iwasawa_compose
-from slspec.spectra import WRAP_GUARD, boundary_mismatch, eigen_test, eigenvalues_in_range
+from slspec.spectra import (PARAMETERS, WRAP_GUARD, _retest_values, boundary_mismatch,
+                            classify_sites, eigen_test, eigenvalues_in_range, realized_mismatches)
 from slspec.transfer import DEFAULT_STEP, SolutionState
 
 
@@ -150,3 +153,38 @@ def scalar_piece_trace(problem, e, resolution, step=DEFAULT_STEP):
 def piece_trace_reference():
     """scalar_piece_trace: the trace with one _Piece.at call per sample."""
     return scalar_piece_trace
+
+
+def mapped_and_walked_retests(problem, e, step=DEFAULT_STEP):
+    """[(site, parameter, mapped, walked)] for every re-test group of every site at e.
+
+    mapped holds the group's mismatches as classify_sites takes them from
+    its site maps, every group recorded and none judged (tol = pi passes
+    any energy); walked holds realized_mismatches of a walk with the group's
+    values at its site, or the ArithmeticError that walk raised.
+    """
+    sites = range(len(problem.interactions))
+    mapped = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slspec.spectra, "_check_retests",
+                   lambda e, parameter, verdict, mismatches, tol: mapped.append(mismatches))
+        classify_sites(problem, e, sites, PARAMETERS, math.pi, step)
+    out = []
+    for (i, parameter), ms in zip([(i, p) for i in sites for p in PARAMETERS], mapped,
+                                  strict=True):
+        values = _retest_values(problem.interactions[i].params, parameter)
+        columns = [np.full(len(values), getattr(site.params, parameter))
+                   for site in problem.interactions]
+        columns[i] = np.array(values)
+        try:
+            walked = realized_mismatches(problem, e, parameter, columns, step)
+        except ArithmeticError as exc:
+            walked = exc
+        out.append((i, parameter, ms, walked))
+    return out
+
+
+@pytest.fixture(scope="session")
+def retest_reference():
+    """mapped_and_walked_retests: each re-test group from the site maps and from a walk."""
+    return mapped_and_walked_retests

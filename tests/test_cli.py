@@ -171,6 +171,20 @@ def test_dichotomy_table(tmp_path):
     assert doc["mismatch"] <= 1e-8
 
 
+def test_dichotomy_csv_table(tmp_path, capsys):
+    cfg = {
+        "schema": 1,
+        "problem": box_problem_doc([{"x": PI / 2, "alpha": 0.0, "r": 1.0, "theta": 0.0}]),
+        "dichotomy": {"energy": 4.0, "site": 0},
+    }
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "--format", "csv",
+               "dichotomy") == 0
+    assert capsys.readouterr().out == ("E,site,parameter,verdict\n"
+                                       "4.0,0,theta,PeriodicInTheta\n"
+                                       "4.0,0,r,AllValues\n"
+                                       "4.0,0,alpha,OnlyOriginal\n")
+
+
 def test_dichotomy_not_an_eigenvalue_exits_3(tmp_path, capsys):
     cfg = {
         "schema": 1,
@@ -314,6 +328,23 @@ def test_degenerate_insufficient_oscillation_exits_3(tmp_path, capsys):
     assert "zeros" in capsys.readouterr().err
 
 
+def test_degenerate_refuses_csv(tmp_path, capsys):
+    cfg = degenerate_config(tmp_path)
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "--format", "csv",
+               "degenerate") == 2
+    assert capsys.readouterr().err == "error: degenerate emits a problem config; use json format\n"
+    assert not (tmp_path / "built.json").exists()
+
+
+def test_degenerate_refuses_a_problem_with_interactions(tmp_path, capsys):
+    cfg = degenerate_config(tmp_path)
+    cfg["problem"]["interactions"] = [{"x": 1.0, "alpha": 0.0, "r": 1.0, "theta": 0.0}]
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "degenerate") == 2
+    assert capsys.readouterr().err == ("error: degenerate construction starts from a problem "
+                                       "without interactions\n")
+    assert not (tmp_path / "built.json").exists()
+
+
 def test_degenerate_rerun_byte_identical(tmp_path):
     cfg = degenerate_config(tmp_path)
     path = write_config(tmp_path, cfg)
@@ -337,6 +368,15 @@ def test_transfer_matrix_output(tmp_path):
     a, b, c, d = doc["matrix"]
     assert abs(a) < 1e-12 and abs(b - 1.0) < 1e-12
     assert abs(doc["det"] - 1.0) < 1e-12
+
+
+def test_transfer_matrix_csv(tmp_path, capsys):
+    cfg = {"schema": 1, "problem": box_problem_doc(),
+           "transfer": {"energy": 1.0, "x": PI / 2, "y": 0.0}}
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "--format", "csv",
+               "transfer") == 0
+    assert capsys.readouterr().out == ("a,b,c,d\n"
+                                       "6.123233995736766e-17,1.0,-1.0,6.123233995736766e-17\n")
 
 
 def test_transfer_prufer_trace_csv(tmp_path):

@@ -29,6 +29,7 @@ MONTECARLO = {"samples": 96, "epsilon": 0.02, "bins": 12,
 
 PINNED = {
     "built.json": "6906270e91fdb1a9278ac7bc8e0bbcfa55d44120c694433828bfa87d5d2e0563",
+    "dichotomy.csv": "398867788cf7e582a5b00bdf4af2b616d8aaacca7bdd00a6665a98b509171376",
     "dichotomy.json": "7801853cd2a52260ea1f10f4b6c317b6d3585a02658eed106572e97372fdfd6b",
     "eigs.csv": "859cad8468fd6482d92b68377eaee851fefe7062c6e930b0a977bb8b5b7724b2",
     "eigs.json": "ceb92e5e47cec89b70c00814ba13ec477d41eb5086dd978d7883e384d43a4727",
@@ -55,8 +56,9 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path):
     results = json.loads((tmp_path / "eigs.json").read_text())["results"]
     assert len(results) == 1 and len(results[0]["verdicts"]) == 9
     problem = built["problem"]
-    run(tmp_path, {"problem": problem, "dichotomy": {"energy": results[0]["E"], "site": 1}},
-        "dichotomy", "dichotomy.json")
+    dichotomy = {"problem": problem, "dichotomy": {"energy": results[0]["E"], "site": 1}}
+    run(tmp_path, dichotomy, "dichotomy", "dichotomy.json")
+    run(tmp_path, dichotomy, "dichotomy", "dichotomy.csv", "--format", "csv")
     # the trace crosses the three built sites, so its jumps are in the pinned bytes
     transfer = {"energy": results[0]["E"], "trace_resolution": 0.05}
     run(tmp_path, {"problem": problem, "transfer": transfer}, "transfer", "transfer.json")

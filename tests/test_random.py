@@ -542,6 +542,18 @@ def test_construct_degenerate_insufficient_oscillation():
     assert info.value.zeros_found == 1
 
 
+def test_construct_degenerate_falls_back_on_both_end_zeros():
+    # sin has no interior zero on (0, pi): its zero pair is the two ends, and
+    # the class point (1, 0) between them, where u' = 0, is pi/2
+    prob = construct_degenerate(ConstantPotential(0.0), 1.0, [0.0], [1.0],
+                                0.0, PI, DIRICHLET, DIRICHLET)
+    assert len(prob.interactions) == 1
+    assert abs(prob.interactions[0].x - PI / 2) < 1e-12
+    for alpha in (-5.0, 1.0, 5.0):
+        assert eigen_test(slspec.problem.with_site_params(prob, 0, alpha=alpha),
+                          1.0).mismatch <= 1e-7
+
+
 def test_construct_degenerate_nontrivial_rotations_and_dilations():
     # theta multiples of pi keep the continuation proportional to the
     # eigenfunction, so arbitrary dilations are harmless too

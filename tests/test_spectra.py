@@ -431,9 +431,9 @@ def classified_at_once(problem, e, sites, parameters, tol, step):
 def tight_grid_problem():
     """Two sites on a grid potential, classified with at most two RK4 refinements.
 
-    The site-1 theta and alpha re-tests then fail to converge, so the walk
-    of all re-tests fails; walked one group at a time, the site-0 alpha
-    re-tests contradict their verdict before any walk fails.
+    A walk of the site-1 theta or alpha re-tests then fails to converge, but
+    the site maps do converge; the site-0 alpha re-tests contradict their
+    verdict.
     """
     xs = (0.0, 0.42614069282345335, 0.695018778938658, 0.9240854991551473,
           1.3958381296162714, 1.5343549962846472)
@@ -474,10 +474,25 @@ def test_classify_sites_equals_one_by_one(problem, e, sites, step, parameters, t
             == classified_one_by_one(problem, e, sites, parameters, tol, step))
 
 
-def test_failed_walk_of_all_re_tests_keeps_the_order():
+@pytest.mark.parametrize("problem, e, sites, step", CLASSIFY_CASES)
+def test_site_maps_keep_the_walked_outcomes(retest_reference, problem, e, sites, step):
+    # every re-test keeps or loses e as a walk of its realization does, at
+    # each tol classified above, wherever that walk converges
+    unwalked = []
+    for i, parameter, mapped, walked in retest_reference(problem, e, step):
+        if isinstance(walked, IntegrationFailure):
+            unwalked.append((i, parameter))
+            continue
+        for tol in (1e-6, 1e-3, 1e-2):
+            assert [m <= tol for m in mapped] == [m <= tol for m in walked]
+    on_grid = not problem.potential.is_piecewise_constant
+    assert unwalked == ([(1, "theta"), (1, "alpha")] if on_grid else [])
+
+
+def test_site_maps_classify_where_a_re_test_walk_fails():
     problem, e, sites, step = tight_grid_problem()
-    with pytest.raises(IntegrationFailure):
-        classify_dichotomy(problem, e, 1, "theta", step=step)
+    assert classify_dichotomy(problem, e, 1, "theta", step=step).verdict == PERIODIC_IN_THETA
+    assert classify_dichotomy(problem, e, 1, "alpha", step=step).verdict == ONLY_ORIGINAL
     with pytest.raises(CrossCheckFailure, match="^alpha verdict OnlyOriginal contradicted"):
         classify_sites(problem, e, sites, step=step)
 
@@ -506,19 +521,24 @@ def test_first_contradicted_group_raises():
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
-def test_classifying_an_eigenvalue_walks_twice(monkeypatch, k):
-    # one eigen_test, and one walk for all 26 k re-tests; at k = 8 the
-    # re-tests contradict a verdict, which is found after that one walk too
+def test_classifying_an_eigenvalue_walks_once(monkeypatch, k):
+    # one eigen_test, and the site maps, one transfer_matrix per site, for
+    # all 26 k re-tests; at k = 8 the re-tests contradict a verdict, which is
+    # found with no further walk too
     problem = generic_problem(k)
-    walks = []
-    real = slspec.spectra.propagate_through
+    calls = []
 
-    def counted(*args, **kwargs):
-        walks.append(args[1])
-        return real(*args, **kwargs)
-    monkeypatch.setattr(slspec.spectra, "propagate_through", counted)
+    def counted(name):
+        real = getattr(slspec.spectra, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(slspec.spectra, name, call)
+    for name in ("propagate_through", "transfer_matrix", "realized_mismatches"):
+        counted(name)
     try:
         classify_sites(problem, 9.0, range(k))
     except CrossCheckFailure:
         assert k == 8
-    assert len(walks) == 2
+    assert calls == ["propagate_through"] + ["transfer_matrix"] * k
