@@ -8,7 +8,12 @@ carries the raw angular mismatch for consumers to re-threshold.
 The eigenvalue scan evaluates its grid energies as one batch of lanes (see
 transfer), each equal bit for bit to that energy alone; the ITP root
 refinement (refine_root, also used on lift crossings by slspec.random) and
-the reports run one energy at a time.
+the reports run one energy at a time.  The lifted end angle rises strictly
+with E (d theta_b / dE is the integral of u^2 / rho^2), and no jump, being
+unimodular and independent of E, stops it rising: the oscillation-theorem
+argument of SLEIGN2.  So the signed mismatch rises except where it wraps
+from pi/2 down to -pi/2, and the scan refines only the sign changes where
+it rises; a cell where it falls holds a wrap-around of the cut.
 
 A realization is the problem with one Iwasawa field of its jumps replaced.
 realized_mismatches evaluates a batch of them as one walk at a fixed energy,
@@ -124,14 +129,20 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
     return np.where(d > math.pi / 2, d - math.pi, d).tolist()
 
 
+def _check_dilations(r):
+    """Raise InvalidDilation naming the first lane of the array r that is not > 0."""
+    if not (r > 0.0).all():
+        raise InvalidDilation(f"r = {float(r[~(r > 0.0)][0])!r} must be > 0")
+
+
 def _site_jumps(params, field, values):
     """P_alpha H_r E_theta of params with field set to each of the array values, as lanes.
 
     Each lane has the bits of iwasawa_compose: theta goes through math per lane.
     """
     alpha, r = (values if f == field else getattr(params, f) for f in ("alpha", "r"))
-    if field == "r" and not (r > 0.0).all():
-        raise InvalidDilation(f"r = {float(r[~(r > 0.0)][0])!r} must be > 0")
+    if field == "r":
+        _check_dilations(r)
     if field == "theta":
         thetas = values % TWO_PI  # numpy's float remainder is Python's
         return _compose(alpha, r, _mapped(math.cos, thetas), _mapped(math.sin, thetas))
@@ -223,12 +234,15 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
     """Eigenvalues found by bracketing sign changes of the signed mismatch.
 
     The mismatch is evaluated at `grid` equispaced energies, all in one
-    batched propagation with one lane per energy; each sign change that is
-    not a wrap-around of the cut is refined by refine_root, one energy at a
-    time, to tol; a cell that held a wrap-around and no root gives no
-    report.  Complete only up to the grid resolution: roots closer together
-    than one grid cell can be missed.  A NaN or infinite mismatch, on the
-    grid or in a refinement, raises FloatingPointError naming its energy.
+    batched propagation with one lane per energy; each guarded sign change
+    where it rises (m0 < 0 < m1) is refined by refine_root, one energy at a
+    time, to tol, and a refinement that ends on no guarded sign change
+    gives no report.  A sign change where the mismatch falls is a
+    wrap-around of the cut, since the lifted end angle rises with E (see
+    the module docstring), and is not refined.  Complete only up to the
+    grid resolution: roots closer together than one grid cell can be
+    missed.  A NaN or infinite mismatch, on the grid or in a refinement,
+    raises FloatingPointError naming its energy.
     """
     if not e_lo < e_hi:
         raise ValueError("need e_lo < e_hi")
@@ -246,7 +260,7 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
         m0, m1 = ms[i], ms[i + 1]
         if m0 == 0.0:
             found.append(es[i])
-        elif _guarded(m0, m1):
+        elif m0 < 0.0 < m1 and _guarded(m0, m1):
             found.append(refine_root(mismatch, es[i], es[i + 1], m0, m1, tol))
     if ms[-1] == 0.0:
         found.append(es[-1])
@@ -302,23 +316,43 @@ def _cross_check(problem, e, lefts, checks, tol, step):
     A re-test with jump J' at site k ends in the class of T_k J' lefts[k]
     (see the module docstring).  The maps are built backwards from b, from
     transfer_matrix between consecutive sites and the sites' own jumps, each
-    rescaled to a largest entry of 1 since only classes are read.  The first
-    contradicted verdict raises.
+    rescaled to a largest entry of 1 since only classes are read.  All
+    re-tests of all groups are one lane array, and the groups are judged in
+    order from its mismatches: the first contradicted verdict raises.  A
+    nonpositive r or a zero end vector in any lane raises before any
+    judgment.
     """
+    if not checks:
+        return
     sites = problem.interactions
     maps, x, t = {}, problem.b, Mat2.identity()
-    for k in range(len(sites) - 1, min((i for i, _ in checks), default=len(sites)) - 1, -1):
+    for k in range(len(sites) - 1, min(i for i, _ in checks) - 1, -1):
         t = t @ transfer_matrix(problem.potential, x, sites[k].x, e, step)
         top = max(map(abs, t.entries()))
         maps[k] = t = Mat2(*(c / top for c in t.entries()))
         t, x = t @ iwasawa_compose(sites[k].params), sites[k].x
+    # every re-test of every group is one lane: its site's map and w repeated,
+    # its jump composed from the site's parameters with one field replaced
+    fields, counts, rows = {f: [] for f in PARAMETERS}, [], []
     for i, v in checks:
         params = sites[i].params
-        jumps = _site_jumps(params, v.parameter, np.array(_retest_values(params, v.parameter)))
-        # overflow and NaN are silent, as in a walk, and fail their re-test
-        with np.errstate(over="ignore", invalid="ignore"):
-            ms = _mismatches(problem, *maps[i].apply(jumps.apply(lefts[i].vector())))
-        _check_retests(e, v.parameter, v.verdict, ms, tol)
+        values = _retest_values(params, v.parameter)
+        for f, col in fields.items():
+            col += values if f == v.parameter else [getattr(params, f)] * len(values)
+        counts.append(len(values))
+        rows.append(maps[i].entries() + lefts[i].vector())
+    ta, tb, tc, td, w1, w2 = np.repeat(np.array(rows), counts, axis=0).T
+    thetas, r, alpha = (np.array(col) for col in fields.values())
+    _check_dilations(r)
+    thetas %= TWO_PI  # as _site_jumps; a site's own theta is already reduced
+    jumps = _compose(alpha, r, _mapped(math.cos, thetas), _mapped(math.sin, thetas))
+    # overflow and NaN are silent, as in a walk, and fail their re-test
+    with np.errstate(over="ignore", invalid="ignore"):
+        ms = _mismatches(problem, *Mat2(ta, tb, tc, td).apply(jumps.apply((w1, w2))))
+    start = 0
+    for (_, v), n in zip(checks, counts):
+        _check_retests(e, v.parameter, v.verdict, ms[start:start + n], tol)
+        start += n
 
 
 def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,

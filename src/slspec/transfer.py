@@ -25,8 +25,12 @@ energy-independent data (cut points, step sizes, potential samples, and
 from them those coefficients) is cached, so a scan's root refinements,
 which walk the same segments at many energies, build it once.  At each
 energy the quadratics are evaluated for all steps (and lanes) at once,
-multiplied as a pairwise tree and applied to each column.  Each pass
-agrees with stepping (u, u') one step at a time within a relative 1e-12.
+multiplied as a pairwise tree and applied to each column.  For one float
+energy the tree's levels run in numpy while they are wide and the last
+ones, from at most 32 matrices on, on Python floats: the same pairs in the
+same operand order, each * and + rounded as numpy rounds it, so the
+product keeps every bit.  Each pass agrees with stepping (u, u') one step
+at a time within a relative 1e-12.
 """
 
 from __future__ import annotations
@@ -411,19 +415,42 @@ def _step_matrices(e, data):
     return m
 
 
-def _tree_product(m):
+def _tree_product(m, width=1):
     """M[n-1] ... M[0] of the stacked matrices m as a pairwise tree of + - * /.
 
     Each level multiplies neighbours; an odd last matrix waits a level.
+    With a larger width the levels stop once at most width matrices are
+    left, and those are returned, stacked, for the rest of the tree.
     """
-    while m.shape[-1] > 1:
+    while m.shape[-1] > width:
         even = m.shape[-1] & ~1
         early, late = m[..., 0:even:2], m[..., 1:even:2]
         p = late[:, 0:1] * early[0:1] + late[:, 1:2] * early[1:2]
         if even < m.shape[-1]:
             p = np.concatenate((p, m[..., even:]), axis=-1)
         m = p
-    return m[..., 0]
+    return m[..., 0] if width == 1 else m
+
+
+# a single energy's tree leaves numpy once a level is at most this wide:
+# below that a level costs more in numpy calls than in float arithmetic
+_FLOAT_TAIL = 32
+
+
+def _float_tree(m):
+    """The product (a, b, c, d) of the (2, 2, n) matrices m: _tree_product on Python floats.
+
+    The same pairs in the same operand order; Python rounds each * and +
+    as numpy does, with no fused multiply-add, and overflows as silently.
+    """
+    ms = list(zip(*m.reshape(4, -1).tolist()))
+    while len(ms) > 1:
+        p = [(la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed)
+             for (ea, eb, ec, ed), (la, lb, lc, ld) in zip(ms[0::2], ms[1::2])]
+        if len(ms) & 1:
+            p.append(ms[-1])
+        ms = p
+    return list(ms[0])
 
 
 # lanes enter the step-matrix kernel in blocks of at most this many
@@ -438,7 +465,7 @@ def _rk4_product(e, data):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if not isinstance(e, np.ndarray):
-            return _tree_product(_step_matrices(e, data)).ravel().tolist()
+            return _float_tree(_tree_product(_step_matrices(e, data), _FLOAT_TAIL))
         per = max(1, _BLOCK // len(data[0]))
         blocks = [_tree_product(_step_matrices(e[i:i + per], data))
                   for i in range(0, e.size, per)]

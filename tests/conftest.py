@@ -105,6 +105,26 @@ def within_bisection_bound(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
     return reports
 
 
+def unrefined_downward_cells(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
+    """The scan's downward sign changes (m0 > 0 > m1), after checking none was refined.
+
+    The lifted end angle rises with E, so the signed mismatch only falls
+    where it wraps from pi/2 to -pi/2: such a cell holds a wrap-around, and
+    the scan spends no evaluation on it.
+    """
+    ms = boundary_mismatch(problem, np.array(grid_energies(e_lo, e_hi, grid)), step)
+    downward = {i for i in range(grid - 1) if ms[i] > 0.0 > ms[i + 1]}
+    _, cells = scan_by_cell(problem, e_lo, e_hi, grid, tol, step)
+    assert not downward & set(cells)
+    return downward
+
+
+@pytest.fixture(scope="session")
+def downward_unrefined():
+    """unrefined_downward_cells: the scan's downward cells, checked to get no evaluation."""
+    return unrefined_downward_cells
+
+
 @pytest.fixture(scope="session")
 def bisection_bound():
     """within_bisection_bound: the scan's reports, checked against bisection."""

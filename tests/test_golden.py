@@ -120,9 +120,9 @@ def test_propagate_state_bits(v, x, y, e, step, matrix, state):
     assert (s.u.hex(), s.du.hex()) == state
 
 
-# a grid potential with two jumps; every scan mixes genuine eigenvalues with
-# sign changes across the cut, which the scan drops once their refinement
-# ends on the wrap-around
+# a grid potential with two jumps; the scans mix genuine eigenvalues with
+# sign changes across the cut, which the scan does not refine where the
+# mismatch falls and drops where a refinement ends on the wrap-around
 _SCAN_NODES = tuple(0.05 * i for i in range(21))
 SCAN_PROBLEM = Problem(
     0.0, 1.0,
@@ -147,6 +147,12 @@ SCANS = [
 def test_eigenvalues_in_range_bits(bisection_bound, e_lo, e_hi, grid, tol, step, found):
     reports = bisection_bound(SCAN_PROBLEM, e_lo, e_hi, grid, tol, step)
     assert [(r.E.hex(), r.mismatch.hex()) for r in reports] == found
+
+
+def test_scans_refine_no_downward_cell(downward_unrefined):
+    # the first two scans each have downward guarded sign changes, the third none
+    downward = [downward_unrefined(SCAN_PROBLEM, *scan[:5]) for scan in SCANS]
+    assert downward == [{0, 2}, {1}, set()]
 
 
 # uniform, gaussian and point-mass sites under each target; site 0 of the r

@@ -3,13 +3,17 @@
 One small piecewise-constant problem runs through cli.main, each step's
 config built from the output before it, as a study does.  Every output
 file's sha256 is pinned: a change to the propagation, the classification or
-the Monte Carlo summary that moves any bit of any output fails here.  The
-pins were recorded with Python 3.11 and numpy 2 on x86-64 Linux; another
-libm may round a transcendental differently and move them.
+the Monte Carlo summary that moves any bit of any output fails here.  A
+classified eigs scan of a two-jump grid problem is pinned the same way, so
+the RK4 route, the scan's refinements and its skipped wrap-around cell are
+covered too.  The pins were recorded with Python 3.11 and numpy 2 on
+x86-64 Linux; another libm may round a transcendental differently and move
+them.
 """
 
 import hashlib
 import json
+import math
 
 from slspec.cli import main
 
@@ -37,6 +41,24 @@ PINNED = {
     "mc_hist.csv": "2861cfeed487a49de84663f1a4bd5c1c1dca863c912b8ba8d2abf8499c55fdd6",
     "transfer.csv": "98a427a7218e83be03496af0f3508cd40447214639a3953d9a6179885df6ac2c",
     "transfer.json": "cebe6a50e6ecc0d4640e473ab8e15183bfe3e5b3f5568c728c7cd12bb1ad46fc",
+}
+
+# a two-jump grid problem (tests/test_golden.py's SCAN_PROBLEM) and a scan
+# window holding two eigenvalues, near 99.6 and 125.2, with a sign change
+# across the cut between them, where the mismatch falls from 0.16 to -0.16
+_NODES = [0.05 * i for i in range(21)]
+GRID_PROBLEM = {
+    "a": 0.0, "b": 1.0, "bc_left": 0.0, "bc_right": 0.3,
+    "interactions": [{"x": 0.35, "alpha": 0.8, "r": 1.3, "theta": 0.4},
+                     {"x": 0.725, "alpha": -0.5, "r": 0.9, "theta": 2.2}],
+    "potential": {"kind": "grid", "x": _NODES,
+                  "values": [3.0 * math.cos(2.5 * x) + x * x for x in _NODES]},
+}
+GRID_EIGS = {"e_lo": 0.0, "e_hi": 140.0, "grid": 12, "classify": True}
+
+GRID_PINNED = {
+    "grid_eigs.csv": "b27af4e46e19b866ed4323ed15e722c33fd751523a8dd1604c0422b61665350a",
+    "grid_eigs.json": "a86fdc11a4c5cd71e298a68fd388508c27b82d5e4ea55d9c7315a775379b5df0",
 }
 
 
@@ -69,3 +91,14 @@ def test_pipeline_outputs_keep_their_bytes(tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir()) if not p.name.endswith("_cfg.json")}
     assert got == PINNED
+
+
+def test_grid_scan_keeps_its_bytes(tmp_path):
+    cfg = {"problem": GRID_PROBLEM, "eigs": GRID_EIGS}
+    run(tmp_path, cfg, "eigs", "grid_eigs.json")
+    run(tmp_path, cfg, "eigs", "grid_eigs.csv", "--format", "csv")
+    results = json.loads((tmp_path / "grid_eigs.json").read_text())["results"]
+    assert len(results) == 2
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir()) if not p.name.endswith("_cfg.json")}
+    assert got == GRID_PINNED

@@ -22,8 +22,12 @@ from slspec.transfer import (
     IntegrationFailure,
     StepControl,
     _BLOCK,
+    _FLOAT_TAIL,
+    _float_tree,
     _rk4_pass,
     _rk4_product,
+    _step_matrices,
+    _tree_product,
     _walk_points,
     transfer_matrix,
 )
@@ -195,6 +199,58 @@ def test_lanes_across_blocks_match_lone_energies(full, rest):
     got = _rk4_product(es, data)
     for k, e in enumerate(es.tolist()):
         assert [t[k] for t in got] == _rk4_product(e, data)
+
+
+# ------------------------------------------------------- the float tail
+
+def float_bits(xs):
+    return np.array(xs, dtype=float).view(np.uint64).tolist()
+
+
+# widths with an odd level far up the tree, and some below the tail width
+TREE_WIDTHS = st.one_of(st.integers(1, 3000),
+                        st.sampled_from([1, 2, 3, _FLOAT_TAIL, _FLOAT_TAIL + 1, 2 * _FLOAT_TAIL + 1,
+                                         255, 1001, 2047, 2999, 3001]))
+# no NaN: the step matrices come from finite coefficients at a finite E, so a
+# NaN in the tree is made by inf - inf or 0 * inf and is the machine's one
+# default NaN; where two NaNs of different payloads meet, numpy's vector
+# loops and Python's scalar ops may keep different ones
+SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324])
+
+
+@st.composite
+def stacks(draw):
+    """(2, 2, n) matrices of magnitudes up to 1e150, so that products overflow
+    to inf and NaN, with zeros of either sign, infinities and subnormals mixed in."""
+    n = draw(TREE_WIDTHS)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = rng.uniform(-2.0, 2.0, (2, 2, n)) * 10.0 ** rng.integers(-150, 151, (2, 2, n))
+    special = rng.random((2, 2, n)) < draw(st.sampled_from([0.0, 0.01, 0.2]))
+    m[special] = rng.choice(SPECIALS, special.sum())
+    if draw(st.booleans()):  # mostly zeros, so that signed zeros reach the product
+        zero = rng.random((2, 2, n)) < 0.95
+        m[zero] = rng.choice([0.0, -0.0], zero.sum())
+    return m
+
+
+@settings(max_examples=150, deadline=None)
+@given(stacks())
+def test_float_tail_keeps_the_tree_bits(m):
+    # the tree's last levels on Python floats round, overflow and make NaN
+    # exactly as numpy's levels do
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        want = _tree_product(m).ravel().tolist()
+        got = _float_tree(_tree_product(m, _FLOAT_TAIL))
+        assert float_bits(_float_tree(m)) == float_bits(want)
+    assert float_bits(got) == float_bits(want)
+
+
+@pytest.mark.parametrize("h_target", [0.1, 0.01, 0.0005])
+@pytest.mark.parametrize("e", [-20.0, 3.25, 1e4])
+def test_single_energy_product_is_the_numpy_tree(h_target, e):
+    data = _rk4_pass(GRID, 0.0, 1.0, h_target)
+    want = _tree_product(_step_matrices(e, data)).ravel().tolist()
+    assert float_bits(_rk4_product(e, data)) == float_bits(want)
 
 
 # ------------------------------------------------------------- closed form
