@@ -171,20 +171,10 @@ def iwasawa_decompose(m: Mat2, tol: float = DET_TOL) -> IwasawaParams:
     return IwasawaParams(alpha, r, math.atan2(st, ct))
 
 
-def proj_apply(m: Mat2, p: ProjPoint, tol: float = DET_TOL,
-               require_sl2: bool = True) -> ProjPoint:
-    """Induced action of m on RP^1.
-
-    Any invertible matrix acts bijectively; by default we insist on a
-    unimodular m because that is the only case the spectral machinery uses.
-    Pass require_sl2=False to act with a general invertible matrix.
-    """
-    det = m.det
-    if require_sl2:
-        if abs(det - 1.0) > tol:
-            raise NonUnimodular(f"det = {det!r} is not 1 within {tol}")
-    elif det == 0.0:
-        raise NonUnimodular("singular matrix does not act on RP^1")
+def proj_apply(m: Mat2, p: ProjPoint, tol: float = DET_TOL) -> ProjPoint:
+    """Induced action of the unimodular m on RP^1; NonUnimodular if |det m - 1| > tol."""
+    if abs(m.det - 1.0) > tol:
+        raise NonUnimodular(f"det = {m.det!r} is not 1 within {tol}")
     w1, w2 = m.apply(p.vector())
     return proj_class(w1, w2)
 

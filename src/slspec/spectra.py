@@ -12,8 +12,10 @@ the reports run one energy at a time.  The lifted end angle rises strictly
 with E (d theta_b / dE is the integral of u^2 / rho^2), and no jump, being
 unimodular and independent of E, stops it rising: the oscillation-theorem
 argument of SLEIGN2.  So the signed mismatch rises except where it wraps
-from pi/2 down to -pi/2, and the scan refines only the sign changes where
-it rises; a cell where it falls holds a wrap-around of the cut.
+from pi/2 down to -pi/2.  Plus pi wherever it lies below its value at a
+cell's start, it is the end angle less a constant across any cell where
+that angle rises by less than pi, and the scan refines each cell where
+this lift ends above its target, 0 or pi.
 
 A realization is the problem with one Iwasawa field of its jumps replaced.
 realized_mismatches evaluates a batch of them as one walk at a fixed energy,
@@ -44,10 +46,6 @@ ONLY_ORIGINAL = "OnlyOriginal"
 PERIODIC_IN_THETA = "PeriodicInTheta"
 
 PARAMETERS = ("theta", "r", "alpha")
-
-# near-pi jumps of the signed mismatch are wrap-arounds, not roots
-WRAP_GUARD = math.pi / 2
-
 
 class NotAnEigenvalue(NumericalFailure, ValueError):
     """The classifier was handed an energy whose mismatch exceeds tolerance."""
@@ -176,25 +174,19 @@ def _finite(e, m):
     return m
 
 
-def _guarded(m0, m1):
-    """Whether mismatches m0 and m1 straddle a root rather than a wrap-around."""
-    return m0 * m1 < 0.0 and abs(m1 - m0) < WRAP_GUARD
-
-
 def refine_root(f, lo, hi, flo, fhi, tol):
-    """A root of f in the guarded sign change (lo, hi), by ITP; None if there is none.
+    """A root of f in (lo, hi), where flo = f(lo) < 0 < f(hi) = fhi, by ITP.
 
-    flo and fhi are f(lo) and f(hi).  The ITP method (Oliveira and Takahashi,
-    ACM TOMS 47(1), 2020) with kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1
-    steps from the regula-falsi point towards the midpoint, never farther
-    from it than keeps the bracket within one halving of bisection's
-    schedule: at most one evaluation more than bisection, far fewer on a
-    smooth f.  A trial point x replaces hi only when (lo, x) is a guarded
-    sign change, otherwise lo; while (lo, hi) is not one (a wrap-around of
-    the cut lies inside) the trial point is the midpoint.  An exact zero is
-    returned as it is, else the midpoint once the bracket is no wider than
-    tol or no float lies strictly between its ends, or None if the bracket
-    is then no guarded sign change: a wrap-around, not a root.
+    The ITP method (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with
+    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1 steps from the
+    regula-falsi point towards the midpoint, never farther from it than
+    keeps the bracket within one halving of bisection's schedule: at most
+    one evaluation more than bisection, far fewer on a smooth f.  A trial
+    point x replaces hi when f(x) > 0, otherwise lo, so the bracket keeps
+    f(lo) < 0 < f(hi).  An exact zero is returned as it is, else the
+    midpoint once the bracket is no wider than tol or no float lies
+    strictly between its ends.  Where f is continuous but for downward
+    jumps, the bracket closes on an upward crossing, a root.
     """
     kappa1 = 0.2 / (hi - lo)
     n_max = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 1
@@ -207,47 +199,53 @@ def refine_root(f, lo, hi, flo, fhi, tol):
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        x = mid
-        if _guarded(flo, fhi):
-            r = max(0.0, math.ldexp(tol - 2.0 * ulp, n_max - j - 1) - 0.5 * (hi - lo))
-            xf = (lo * fhi - hi * flo) / (fhi - flo)
-            sigma = math.copysign(1.0, mid - xf)
-            delta = kappa1 * (hi - lo) ** 2
-            xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-            x = xt if abs(xt - mid) <= r else mid - sigma * r
-            if not lo < x < hi:
-                x = mid
+        r = max(0.0, math.ldexp(tol - 2.0 * ulp, n_max - j - 1) - 0.5 * (hi - lo))
+        xf = (lo * fhi - hi * flo) / (fhi - flo)
+        sigma = math.copysign(1.0, mid - xf)
+        delta = kappa1 * (hi - lo) ** 2
+        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+        x = xt if abs(xt - mid) <= r else mid - sigma * r
+        if not lo < x < hi:
+            x = mid
         fx = f(x)
         if fx == 0.0:
             return x
-        if _guarded(flo, fx):
+        if fx > 0.0:
             hi, fhi = x, fx
         else:
             lo, flo = x, fx
         j += 1
-    return 0.5 * (lo + hi) if _guarded(flo, fhi) else None
+    return 0.5 * (lo + hi)
+
+
+def _lifted(m, m0, t):
+    """The mismatch m plus pi where it lies below m0, the cell's first mismatch, less t."""
+    return (m if m >= m0 else m + math.pi) - t
 
 
 def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
                          tol: float = 1e-10,
                          step: StepControl = DEFAULT_STEP):
-    """Eigenvalues found by bracketing sign changes of the signed mismatch.
+    """Eigenvalues found by refining each grid cell where the lifted mismatch passes its target.
 
     The mismatch is evaluated at `grid` equispaced energies, all in one
-    batched propagation with one lane per energy; each guarded sign change
-    where it rises (m0 < 0 < m1) is refined by refine_root, one energy at a
-    time, to tol, and a refinement that ends on no guarded sign change
-    gives no report.  A sign change where the mismatch falls is a
-    wrap-around of the cut, since the lifted end angle rises with E (see
-    the module docstring), and is not refined.  Complete only up to the
-    grid resolution: roots closer together than one grid cell can be
-    missed.  A NaN or infinite mismatch, on the grid or in a refinement,
-    raises FloatingPointError naming its energy.
+    batched propagation with one lane per energy.  A cell starting at
+    m0 != 0 is refined by refine_root, one energy at a time, to tol, on its
+    lift (_lifted, target 0 if m0 < 0, else pi) when that ends above 0:
+    every sign change where the mismatch rises, whatever its jump, and
+    every cell where it falls without changing sign, but no downward wrap
+    (m0 > 0 > m1).  Complete only up to the grid resolution: a cell across
+    which the end angle rises by more than pi can lose its roots.  A grid
+    above step.max_steps is a ValueError before any propagation; a NaN or
+    infinite mismatch, on the grid or in a refinement, raises
+    FloatingPointError naming its energy.
     """
     if not e_lo < e_hi:
         raise ValueError("need e_lo < e_hi")
     if grid < 2:
         raise ValueError("grid must be at least 2")
+    if grid > step.max_steps:
+        raise ValueError(f"grid = {grid} is more than step.max_steps = {step.max_steps}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
@@ -257,14 +255,18 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
     ms = [_finite(e, m) for e, m in zip(es, boundary_mismatch(problem, np.array(es), step))]
     found = []
     for i in range(grid - 1):
-        m0, m1 = ms[i], ms[i + 1]
+        m0 = ms[i]
         if m0 == 0.0:
             found.append(es[i])
-        elif m0 < 0.0 < m1 and _guarded(m0, m1):
-            found.append(refine_root(mismatch, es[i], es[i + 1], m0, m1, tol))
+            continue
+        t = 0.0 if m0 < 0.0 else math.pi
+        f1 = _lifted(ms[i + 1], m0, t)
+        if f1 > 0.0:
+            found.append(refine_root(lambda e, m0=m0, t=t: _lifted(mismatch(e), m0, t),
+                                     es[i], es[i + 1], m0 - t, f1, tol))
     if ms[-1] == 0.0:
         found.append(es[-1])
-    return [eigen_test(problem, e, step) for e in sorted(e for e in found if e is not None)]
+    return [eigen_test(problem, e, step) for e in sorted(found)]
 
 
 # ---------------------------------------------------------------- dichotomies

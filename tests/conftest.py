@@ -20,8 +20,8 @@ import pytest
 import slspec.spectra
 from slspec.problem import _lift_samples, _normalized, _pieces, _wrap_half_pi
 from slspec.sl2 import iwasawa_compose
-from slspec.spectra import (PARAMETERS, WRAP_GUARD, _retest_values, boundary_mismatch,
-                            classify_sites, eigen_test, eigenvalues_in_range, realized_mismatches)
+from slspec.spectra import (PARAMETERS, _retest_values, boundary_mismatch, classify_sites,
+                            eigen_test, eigenvalues_in_range, realized_mismatches)
 from slspec.transfer import DEFAULT_STEP, SolutionState
 
 
@@ -30,31 +30,39 @@ def grid_energies(e_lo, e_hi, grid):
 
 
 def bisection_by_cell(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
-    """The scan with the bisection refinement that ITP replaced.
+    """The scan with the bisection refinement that ITP replaced, on the same lift.
 
-    Returns {grid cell: (root, evaluations)}; a grid energy whose mismatch
-    is exactly zero is a root of its own cell, found with no evaluation.
+    A cell starting at mismatch m0 != 0 is bisected, on the sign of the
+    mismatch plus pi where it lies below m0, less the target 0 (m0 < 0) or
+    pi (m0 > 0), when that lift ends above 0.  Returns {grid cell: (root,
+    evaluations)}; a grid energy whose mismatch is exactly zero is a root
+    of its own cell, found with no evaluation.
     """
     es = grid_energies(e_lo, e_hi, grid)
     ms = boundary_mismatch(problem, np.array(es), step)
     roots = {}
     for i in range(grid - 1):
-        m0, m1 = ms[i], ms[i + 1]
+        m0 = ms[i]
         if m0 == 0.0:
             roots[i] = (es[i], 0)
-        elif m0 * m1 < 0.0 and abs(m1 - m0) < WRAP_GUARD:
-            lo, hi, mlo, n = es[i], es[i + 1], m0, 0
+            continue
+        t = 0.0 if m0 < 0.0 else math.pi
+
+        def lift(m, m0=m0, t=t):
+            return (m if m >= m0 else m + math.pi) - t
+        if lift(ms[i + 1]) > 0.0:
+            lo, hi, n = es[i], es[i + 1], 0
             while hi - lo > tol:
                 mid = 0.5 * (lo + hi)
-                mm = boundary_mismatch(problem, mid, step)
+                fm = lift(boundary_mismatch(problem, mid, step))
                 n += 1
-                if mm == 0.0:
+                if fm == 0.0:
                     lo = hi = mid
                     break
-                if mm * mlo < 0.0 and abs(mm - mlo) < WRAP_GUARD:
+                if fm > 0.0:
                     hi = mid
                 else:
-                    lo, mlo = mid, mm
+                    lo = mid
             roots[i] = (0.5 * (lo + hi), n)
     if ms[-1] == 0.0:
         roots[grid - 1] = (es[-1], 0)
@@ -86,21 +94,16 @@ def within_bisection_bound(problem, e_lo, e_hi, grid, tol, step=DEFAULT_STEP):
     """The scan's reports, after checking them cell by cell against bisection.
 
     ITP (n0 = 1) takes at most one evaluation more than bisection in every
-    cell.  Where bisection found a genuine root (mismatch at most 1e-6),
-    the scan reports a root within tol of it.  A cell where bisection's
-    root is spurious (a wrap-around inside a sign change, no root) gives
-    no report.
+    cell.  Every root bisection finds is genuine (mismatch at most 1e-6),
+    and the scan reports one root within tol of each, from the same cells.
     """
     ref = bisection_by_cell(problem, e_lo, e_hi, grid, tol, step)
     reports, cells = scan_by_cell(problem, e_lo, e_hi, grid, tol, step)
     assert set(cells) <= set(ref)
-    genuine = []
     for cell, (root, n) in sorted(ref.items()):
         assert cells[cell] <= n + 1
-        if eigen_test(problem, root, step).mismatch <= 1e-6:
-            genuine.append(root)
-    assert len(reports) == len(genuine)
-    for rep, root in zip(reports, genuine):
+        assert eigen_test(problem, root, step).mismatch <= 1e-6, (cell, root)
+    for rep, (_, (root, _)) in zip(reports, sorted(ref.items()), strict=True):
         assert abs(rep.E - root) <= tol
     return reports
 

@@ -98,6 +98,19 @@ def test_eigs_grid_of_one_is_config_error(tmp_path, capsys):
     assert "grid" in capsys.readouterr().err
 
 
+def test_eigs_grid_above_step_budget_exits_2_at_once(tmp_path, capsys):
+    # a grid of 1e15 energies is refused before it is listed or propagated
+    cfg = {"schema": 1, "problem": box_problem_doc(),
+           "eigs": {"e_lo": 0.5, "e_hi": 20.0, "grid": 10**15},
+           "output": {"path": str(tmp_path / "eigs.json")}}
+    start = time.perf_counter()
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "eigs") == 2
+    assert time.perf_counter() - start < 1.0
+    assert capsys.readouterr().err == (
+        "error: grid = 1000000000000000 is more than step.max_steps = 500000\n")
+    assert not (tmp_path / "eigs.json").exists()
+
+
 def test_eigs_rerun_is_byte_identical(tmp_path):
     cfg = {
         "schema": 1,

@@ -21,12 +21,19 @@ zeros and class points kept every bit.  tests/test_rk4_kernel.py checks
 the kernel against a copy of the sequential loop, which reproduces the
 old pins bit for bit.
 
-The scan pins come from the ITP root refinement.  Each scan first passes
-tests/conftest.py's check against the bisection it replaced: in every
-grid cell at most one evaluation more, every genuine root within the
-scan's tol of bisection's, and no report from a cell with a wrap-around
-and no root.  The three such reports that were pinned before (mismatches
-0.87, 0.59 and 1.25) are gone; the genuine ones kept every bit.
+The scan pins come from the ITP root refinement of the lifted mismatch: in
+a cell starting at mismatch m0, the mismatch plus pi wherever it lies below
+m0, less its target 0 (m0 < 0) or pi.  Each scan first passes
+tests/conftest.py's check against bisection of the same lift: in every
+grid cell at most one evaluation more, every root of bisection genuine,
+and one report within the scan's tol of each.  Three reports from cells
+with a wrap-around and no root, pinned before (mismatches 0.87, 0.59 and
+1.25), went when the scan stopped reporting such cells.  When the lift
+took over from a guard against jumps of pi / 2 or more, which never
+refined a cell where the mismatch falls without changing sign, the first
+scan gained 51.336 and the third 51.336 and 99.583, each from such a
+cell; every root pinned before kept every bit.  The fourth scan was added
+then, for such a cell.
 
 The zeros and class points come from the ITP crossing refinement, which
 took over from two bisections.  The bisections' pins stay as
@@ -121,8 +128,9 @@ def test_propagate_state_bits(v, x, y, e, step, matrix, state):
 
 
 # a grid potential with two jumps; the scans mix genuine eigenvalues with
-# sign changes across the cut, which the scan does not refine where the
-# mismatch falls and drops where a refinement ends on the wrap-around
+# sign changes across the cut, where the mismatch falls and which the scan
+# does not refine, and cells where the mismatch falls without changing sign,
+# which hold a root
 _SCAN_NODES = tuple(0.05 * i for i in range(21))
 SCAN_PROBLEM = Problem(
     0.0, 1.0,
@@ -135,11 +143,23 @@ SCAN_PROBLEM = Problem(
 # (e_lo, e_hi, grid, refinement tol, step, [(E, mismatch), ...])
 SCANS = [
     (-5.0, 60.0, 10, 1e-10, DEFAULT_STEP,
-     [('0x1.1df82fa66085ap+3', '0x1.0000000000000p-53')]),
+     [('0x1.1df82fa66085ap+3', '0x1.0000000000000p-53'),
+      ('0x1.9ab0471ffd63ep+5', '0x1.856b000000000p-38')]),
     (5.0, 30.0, 6, 1e-8, HALVING,
      [('0x1.1df83007322fep+3', '0x1.0000000000000p-53')]),
     (20.0, 140.0, 8, 1e-9, StepControl(tol=1e-7),
-     [('0x1.f4ce04ca0cedep+6', '0x1.8000000000000p-53')]),
+     [('0x1.9ab04725b6542p+5', '0x1.3f2ea80000000p-33'),
+      ('0x1.8e54d31351d5bp+6', '0x1.5a06c00000000p-36'),
+      ('0x1.f4ce04ca0cedep+6', '0x1.8000000000000p-53')]),
+    # the mismatch falls from -0.096 to -0.249 across (50.91, 63.64) without
+    # changing sign: its lift rose through 0 and wrapped, and the cell holds
+    # 51.3361.  The first cell, (0, 12.73), rises from -1.54 to -1.15 but by
+    # more than pi, through 0 and once round: its root 8.9365, which the
+    # first two scans find, stays missed
+    (0.0, 140.0, 12, 1e-10, DEFAULT_STEP,
+     [('0x1.9ab0471ffd911p+5', '0x1.08bb000000000p-38'),
+      ('0x1.8e54d30c23224p+6', '0x1.8000000000000p-53'),
+      ('0x1.f4ce04c355ea6p+6', '0x1.8000000000000p-53')]),
 ]
 
 
@@ -150,9 +170,9 @@ def test_eigenvalues_in_range_bits(bisection_bound, e_lo, e_hi, grid, tol, step,
 
 
 def test_scans_refine_no_downward_cell(downward_unrefined):
-    # the first two scans each have downward guarded sign changes, the third none
+    # the third scan has no downward sign change, the others one or two
     downward = [downward_unrefined(SCAN_PROBLEM, *scan[:5]) for scan in SCANS]
-    assert downward == [{0, 2}, {1}, set()]
+    assert downward == [{0, 2}, {1}, set(), {8}]
 
 
 # uniform, gaussian and point-mass sites under each target; site 0 of the r

@@ -188,9 +188,10 @@ GRID_DOC = {"a": 0.0, "b": 2.0,
                           "values": [0.0, 3.0, 1.0]},
             "interactions": [{"x": 0.7, "alpha": 1.0, "r": 1.2, "theta": 0.3}],
             "bc_left": 0.0, "bc_right": 0.0}
-# a tiny step budget; no second pass to compare with; a tolerance below
-# roundoff, which successive passes never meet
-STARVED = {"max_steps": 10}, {"max_refine": 0}, {"tol": 1e-15, "max_refine": 2}
+# a tiny step budget (still no smaller than the scan's grid of 40, which it
+# bounds); no second pass to compare with; a tolerance below roundoff, which
+# successive passes never meet
+STARVED = {"max_steps": 40}, {"max_refine": 0}, {"tol": 1e-15, "max_refine": 2}
 STARVED_IDS = ["step-budget", "no-refinement", "no-convergence"]
 
 

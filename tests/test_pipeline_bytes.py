@@ -44,8 +44,9 @@ PINNED = {
 }
 
 # a two-jump grid problem (tests/test_golden.py's SCAN_PROBLEM) and a scan
-# window holding two eigenvalues, near 99.6 and 125.2, with a sign change
-# across the cut between them, where the mismatch falls from 0.16 to -0.16
+# window holding three eigenvalues, near 51.3, 99.6 and 125.2, with a sign
+# change across the cut between the last two, where the mismatch falls from
+# 0.16 to -0.16; the cell of 51.3 is one where it falls without changing sign
 _NODES = [0.05 * i for i in range(21)]
 GRID_PROBLEM = {
     "a": 0.0, "b": 1.0, "bc_left": 0.0, "bc_right": 0.3,
@@ -57,8 +58,8 @@ GRID_PROBLEM = {
 GRID_EIGS = {"e_lo": 0.0, "e_hi": 140.0, "grid": 12, "classify": True}
 
 GRID_PINNED = {
-    "grid_eigs.csv": "b27af4e46e19b866ed4323ed15e722c33fd751523a8dd1604c0422b61665350a",
-    "grid_eigs.json": "a86fdc11a4c5cd71e298a68fd388508c27b82d5e4ea55d9c7315a775379b5df0",
+    "grid_eigs.csv": "4e2d1a450aca67dd6e9f9a917095c5feda9862ad83620b9a6c9eb5bc3f033031",
+    "grid_eigs.json": "db0cd2fb30845583718b15ec5997954ada668cb39dd5cf94dfc80d7c2aeabf7c",
 }
 
 
@@ -98,7 +99,7 @@ def test_grid_scan_keeps_its_bytes(tmp_path):
     run(tmp_path, cfg, "eigs", "grid_eigs.json")
     run(tmp_path, cfg, "eigs", "grid_eigs.csv", "--format", "csv")
     results = json.loads((tmp_path / "grid_eigs.json").read_text())["results"]
-    assert len(results) == 2
+    assert [round(r["E"], 4) for r in results] == [51.3361, 99.5828, 125.2012]
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir()) if not p.name.endswith("_cfg.json")}
     assert got == GRID_PINNED

@@ -202,21 +202,6 @@ def test_proj_apply_rejects_non_unimodular():
         proj_apply(Mat2(2.0, 0.0, 0.0, 1.0), ProjPoint(0.3))
 
 
-def test_proj_apply_gl2_generality():
-    # Invertible but non-unimodular matrices still act bijectively.
-    rng = np.random.default_rng(31)
-    for _ in range(300):
-        m = Mat2(*rng.normal(size=4))
-        if abs(m.det) < 1e-3:
-            continue
-        p = ProjPoint(rng.uniform(0, PI))
-        q = proj_apply(m, p, require_sl2=False)
-        back = proj_apply(m.inverse(), q, require_sl2=False)
-        assert back.distance(p) < 1e-9
-    with pytest.raises(NonUnimodular):
-        proj_apply(Mat2(1.0, 2.0, 2.0, 4.0), ProjPoint(0.1), require_sl2=False)
-
-
 def test_proj_apply_group_action():
     rng = np.random.default_rng(13)
     for _ in range(500):

@@ -3,6 +3,7 @@
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -196,9 +197,17 @@ STALLING = (Problem(0.0, 3.0, PiecewisePotential((0.0, 1.5, 3.0), (0.0, 2.0)), (
                     ProjPoint(2.0), ProjPoint(0.5)), 0.0, 10.0, 60, 1e-8)
 
 
+# the mismatch of the first cell rises from -1.40 to 0.18, by more than
+# pi / 2: a guard against jumps that large used to drop its root, 0.2853
+WIDE_RISE = (Problem(0.0, 3.0, PiecewisePotential((0.0, 3.0), (0.0,)),
+                     (PointInteraction(0.75, IwasawaParams(0.0, 1.0, 5.5)),),
+                     ProjPoint(0.5), ProjPoint(0.0)), 0.0, 20.0, 60, 1e-10)
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(scan_cases())
 @example(STALLING)
+@example(WIDE_RISE)
 def test_itp_against_reference_bisection(bisection_bound, case):
     bisection_bound(*case)
 
@@ -222,6 +231,37 @@ def test_refinement_stops_at_adjacent_floats(counted_scan):
         assert abs(got.E - want.E) <= 1e-10
 
 
+# [0, 3], V = 0, Dirichlet ends, one shear alpha = 8 at x = 1
+SHEAR_BOX = dirichlet_box(3.0, interactions=[PointInteraction(1.0, IwasawaParams(8.0, 1.0, 0.0))])
+
+
+def shear_box_roots(e_lo, e_hi):
+    """The eigenvalues in (e_lo, e_hi) of SHEAR_BOX, from its secular equation in mpmath.
+
+    u = sin(k x) up to the shear at x = 1, which adds 8 u' to u, so u(3)
+    vanishes where (sin k + 8 k cos k) cos 2k + cos k sin 2k = 0, E = k^2.
+    """
+    def g(k):
+        return ((mpmath.sin(k) + 8 * k * mpmath.cos(k)) * mpmath.cos(2 * k)
+                + mpmath.cos(k) * mpmath.sin(2 * k))
+    with mpmath.workdps(30):
+        lo, hi = mpmath.sqrt(e_lo), mpmath.sqrt(e_hi)
+        ks = [lo + (hi - lo) * i / 2000 for i in range(2001)]
+        return [float(mpmath.findroot(g, (a, b), solver="anderson") ** 2)
+                for a, b in zip(ks, ks[1:]) if g(a) * g(b) < 0]
+
+
+def test_shear_box_scan_against_mpmath():
+    # at grid 200 the mismatch of the cell holding 2.70849 rises by more
+    # than pi / 2, and a guard against jumps that large used to drop the root
+    want = shear_box_roots(0.1, 20.0)
+    got = [r.E for r in eigenvalues_in_range(SHEAR_BOX, 0.1, 20.0, 200)]
+    assert len(want) == 4 and abs(want[1] - 2.70848502395) < 1e-10
+    assert len(got) == len(want)
+    for e, w in zip(got, want):
+        assert abs(e - w) <= 1e-9
+
+
 def test_nan_mismatch_names_its_energy():
     # two V = 1000 pieces of length 15: the exact route overflows to NaN
     problem = Problem(0.0, 30.0, PiecewisePotential((0.0, 15.0, 30.0), (1000.0, 1000.0)),
@@ -236,6 +276,10 @@ def test_search_validation():
         eigenvalues_in_range(prob, 2.0, 1.0, 10)
     with pytest.raises(ValueError):
         eigenvalues_in_range(prob, 0.0, 1.0, 1)
+    # checked before the grid energies are listed: 10**15 of them never are
+    with pytest.raises(ValueError, match=r"^grid = 1000000000000000 is more than "
+                                         r"step.max_steps = 500000$"):
+        eigenvalues_in_range(prob, 0.0, 1.0, 10**15)
 
 
 def test_search_against_dense_scan():
