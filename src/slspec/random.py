@@ -228,33 +228,26 @@ def sample_realization(ensemble: Ensemble, sample_index: int):
     return tuple(float(col[0]) for col in _draws(ensemble, sample_index, sample_index + 1))
 
 
-def _outcome(m):
-    """(ok, mismatch) of one lane: a mismatch that is not finite is a failure."""
-    return (True, m) if math.isfinite(m) else (False, math.nan)
-
-
 def _mc_chunk(args):
-    """(ok, mismatch) of samples lo..hi-1, evaluated as one batch of lanes.
+    """The mismatches of samples lo..hi-1, evaluated as one batch of lanes; None for a failure.
 
-    A numerical failure (any ArithmeticError) in any lane fails the batch;
-    the chunk is then evaluated one sample at a time, so the failures are
-    counted per sample.  A lane whose walk overflowed to a NaN mismatch
-    fails on its own.
+    A numerical failure (any ArithmeticError, an overflowed walk included)
+    in any lane fails the batch; the chunk is then evaluated one sample at
+    a time, so the failures are counted per sample.
     """
     problem, e, ensemble, lo, hi, step = args
     draws = _draws(ensemble, lo, hi)
     field = "alpha" if ensemble.target == "lambda" else ensemble.target
     try:
-        return [_outcome(m) for m in realized_mismatches(problem, e, field, draws, step)]
+        return realized_mismatches(problem, e, field, draws, step)
     except ArithmeticError:
         pass
     results = []
     for j in range(hi - lo):
         try:
-            (m,) = realized_mismatches(problem, e, field, [col[j:j + 1] for col in draws], step)
-            results.append(_outcome(m))
+            results += realized_mismatches(problem, e, field, [c[j:j + 1] for c in draws], step)
         except ArithmeticError:
-            results.append((False, math.nan))
+            results.append(None)
     return results
 
 
@@ -287,9 +280,9 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
     one lane per sample: its draws come site by site in one vector call,
     the smooth pieces are shared by all lanes, and only the jump at each
     site differs.  Every mismatch equals eigen_test on that sample's
-    realized problem bit for bit.  A chunk whose walk fails is walked again
-    one sample at a time, and each failing sample counts as one failure, as
-    does each sample whose walk overflowed to a NaN mismatch.
+    realized problem bit for bit.  A chunk whose walk fails, an overflowed
+    one included, is walked again one sample at a time, and each failing
+    sample counts as one failure, never as a mismatch.
     """
     if len(ensemble.sites) != len(problem.interactions):
         raise ValueError(f"ensemble has {len(ensemble.sites)} sites, problem has "
@@ -306,15 +299,9 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
             chunk_results = list(pool.map(_mc_chunk, chunks))
     else:
         chunk_results = [_mc_chunk(c) for c in chunks]
-    mismatches = []
-    failures = 0
-    for chunk in chunk_results:
-        for ok, m in chunk:
-            if ok:
-                mismatches.append(m)
-            else:
-                failures += 1
-    return mismatches, failures
+    results = [m for chunk in chunk_results for m in chunk]
+    mismatches = [m for m in results if m is not None]
+    return mismatches, len(results) - len(mismatches)
 
 
 def check_epsilon(epsilon: float, name: str = "epsilon") -> float:
@@ -472,9 +459,9 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
     the jump sends that class to r_i * (1, 0) for every shear value.  E must
     be an eigenvalue of the jump-free problem; allow_non_eigenvalue skips the
     gate for exploration, in which case nothing guarantees the right boundary
-    match and eigen_test reports the residual mismatch.  A mismatch that is
-    not finite is a numerical failure either way (FloatingPointError).  Only
-    the first len(thetas) + 1 interior zeros are located.
+    match and eigen_test reports the residual mismatch.  A walk that
+    overflows is a numerical failure either way (FloatingPointError, from
+    eigen_test).  Only the first len(thetas) + 1 interior zeros are located.
     """
     thetas = list(thetas)
     rs = list(rs)
@@ -482,11 +469,9 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
         raise ValueError("need matching nonempty theta and r lists")
     base = Problem(a, b, v, (), bc_left, bc_right)
     rep = eigen_test(base, e, step)
-    if not rep.mismatch <= EIGEN_TOL and not allow_non_eigenvalue:  # NaN fails too
+    if rep.mismatch > EIGEN_TOL and not allow_non_eigenvalue:
         raise NotUnperturbedEigenvalue(
             f"E = {e} has unperturbed mismatch {rep.mismatch:.3e} > {EIGEN_TOL}")
-    if not math.isfinite(rep.mismatch):
-        raise FloatingPointError(f"unperturbed mismatch is {rep.mismatch!r} at E = {e!r}")
     need = len(thetas) + 1
     zeros = list(islice(_interior_zeros(base, e, step), need))
     if len(zeros) < need:

@@ -116,11 +116,12 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
 
     e may also be a 1-D array of energies; they are propagated together as
     lanes and the result is the list of their defects, each equal bit for
-    bit to the defect of that energy alone.
+    bit to the defect of that energy alone.  A walk that overflows raises
+    FloatingPointError (see transfer), so every defect returned is finite.
     """
     if not isinstance(e, np.ndarray):
         return _signed_defect(problem, matching_gamma(problem, e, step))
-    # Python floats overflow to inf and nan without a word; so do the lanes
+    # lanes overflow without a word, as Python floats do, until the walk's check
     with np.errstate(over="ignore", invalid="ignore"):
         final = propagate_through(problem, e, step).final
         d = (_class_angles(final.u, final.du) - problem.bc_right.angle) % math.pi
@@ -161,17 +162,10 @@ def realized_mismatches(problem: Problem, e: float, field: str, columns,
         raise ValueError(f"field must be one of {PARAMETERS}")
     jumps = [_site_jumps(site.params, field, col)
              for site, col in zip(problem.interactions, columns)]
-    # Python floats overflow to inf and nan without a word; so do the lanes
+    # lanes overflow without a word, as Python floats do, until the walk's check
     with np.errstate(over="ignore", invalid="ignore"):
         final = propagate_through(problem, e, step, jumps).final
         return _mismatches(problem, final.u, final.du)
-
-
-def _finite(e, m):
-    """m, the mismatch at e, unless it is NaN or infinite: then a numerical failure."""
-    if not math.isfinite(m):
-        raise FloatingPointError(f"boundary mismatch is {m!r} at E = {e!r}")
-    return m
 
 
 def refine_root(f, lo, hi, flo, fhi, tol):
@@ -236,8 +230,8 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
     every cell where it falls without changing sign, but no downward wrap
     (m0 > 0 > m1).  Complete only up to the grid resolution: a cell across
     which the end angle rises by more than pi can lose its roots.  A grid
-    above step.max_steps is a ValueError before any propagation; a NaN or
-    infinite mismatch, on the grid or in a refinement, raises
+    above step.max_steps is a ValueError before any propagation; a walk
+    that overflows, on the grid or in a refinement, raises
     FloatingPointError naming its energy.
     """
     if not e_lo < e_hi:
@@ -249,10 +243,8 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
 
-    def mismatch(e):  # looked up per call, so wrappers of boundary_mismatch see it
-        return _finite(e, boundary_mismatch(problem, e, step))
     es = [e_lo + (e_hi - e_lo) * i / (grid - 1) for i in range(grid)]
-    ms = [_finite(e, m) for e, m in zip(es, boundary_mismatch(problem, np.array(es), step))]
+    ms = boundary_mismatch(problem, np.array(es), step)
     found = []
     for i in range(grid - 1):
         m0 = ms[i]
@@ -262,8 +254,9 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
         t = 0.0 if m0 < 0.0 else math.pi
         f1 = _lifted(ms[i + 1], m0, t)
         if f1 > 0.0:
-            found.append(refine_root(lambda e, m0=m0, t=t: _lifted(mismatch(e), m0, t),
-                                     es[i], es[i + 1], m0 - t, f1, tol))
+            found.append(refine_root(  # boundary_mismatch is looked up per call, for wrappers
+                lambda e, m0=m0, t=t: _lifted(boundary_mismatch(problem, e, step), m0, t),
+                es[i], es[i + 1], m0 - t, f1, tol))
     if ms[-1] == 0.0:
         found.append(es[-1])
     return [eigen_test(problem, e, step) for e in sorted(found)]
@@ -348,7 +341,7 @@ def _cross_check(problem, e, lefts, checks, tol, step):
     _check_dilations(r)
     thetas %= TWO_PI  # as _site_jumps; a site's own theta is already reduced
     jumps = _compose(alpha, r, _mapped(math.cos, thetas), _mapped(math.sin, thetas))
-    # overflow and NaN are silent, as in a walk, and fail their re-test
+    # overflow and NaN are silent here (no walk checks them) and fail their re-test
     with np.errstate(over="ignore", invalid="ignore"):
         ms = _mismatches(problem, *Mat2(ta, tb, tc, td).apply(jumps.apply((w1, w2))))
     start = 0
@@ -380,7 +373,7 @@ def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     report = eigen_test(problem, e, step)
-    if not report.mismatch <= tol:  # a NaN mismatch fails too
+    if report.mismatch > tol:
         raise NotAnEigenvalue(
             f"E = {e} has mismatch {report.mismatch:.3e} > tol {tol}")
     verdicts = [[_fixed_class_verdict(problem.interactions[i].params, par,

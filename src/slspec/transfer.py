@@ -8,7 +8,8 @@ a fixed-step classic fourth-order method whose step is halved until two
 successive answers agree within the requested tolerance.  The route follows
 the potential's kind alone.  transfer_matrix (two identity columns) and
 propagate_state (one column) share one walker, so both run the same
-arithmetic on the same segment data.
+arithmetic on the same segment data.  No walk returns an entry that is not
+finite: where a long forbidden stretch overflows, it raises FloatingPointError.
 
 The walker also carries k energies, or k states at one energy, as lanes of
 numpy arrays; a lone float energy runs the same source on Python floats.
@@ -474,20 +475,34 @@ def _rk4_product(e, data):
 
 
 def _lane_max(values):
-    """Python's max(values), lane by lane: a later value wins only if larger."""
-    return reduce(lambda top, t: np.where(t > top, t, top)
-                  if isinstance(t, np.ndarray) else max(top, t), values)
+    """Python's max(values) lane by lane, but NaN wins: a later value wins if larger or NaN."""
+    return reduce(lambda top, t: np.where((t > top) | (t != t), t, top)
+                  if isinstance(t, np.ndarray) else (t if t > top or t != t else top), values)
 
 
 def _converged(cur, prev, tol):
     """Whether two successive passes agree within tol, per lane.
 
     The largest entry change is taken over the lane's columns and measured
-    against max(1, largest |entry| of prev).
+    against max(1, largest |entry| of prev); _lane_max keeps a NaN, so a
+    pass that is not finite never agrees.
     """
     scale = _lane_max([1.0, _lane_max([abs(t) for col in prev for t in col])])
     change = _lane_max([abs(s - t) for c, d in zip(cur, prev) for s, t in zip(c, d)])
     return change / scale <= tol
+
+
+def _finite(x, e, cols):
+    """cols, the columns at x, if all finite; else FloatingPointError naming x and E (a lane's)."""
+    entries = [t for col in cols for t in col]
+    if not isinstance(entries[0], np.ndarray):
+        if all(map(math.isfinite, entries)):
+            return cols
+    elif (ok := np.isfinite(entries).all(axis=0)).all():
+        return cols
+    elif isinstance(e, np.ndarray):
+        e = e[ok.argmin()].item()
+    raise FloatingPointError(f"the solution at x = {x!r} is not finite at E = {e!r}")
 
 
 def _propagate(v, y, x, e, step, cols):
@@ -497,9 +512,12 @@ def _propagate(v, y, x, e, step, cols):
     column entries are floats or length-k arrays.  The segment data is built
     once for all columns and lanes: the exact piece matrices for
     piecewise-constant potentials, otherwise the step-matrix product of each
-    RK4 pass.  The RK4 step is halved until two successive passes agree
-    within step.tol, entrywise relative to max(1, |entries|), judged per
-    lane; a lane that has converged drops out of later passes.
+    RK4 pass.  The RK4 step is halved until two successive finite passes
+    agree within step.tol, entrywise relative to max(1, |entries|), judged
+    per lane; a lane that has converged drops out of later passes.  No walk
+    returns an entry that is not finite: an exact walk raises _finite's
+    FloatingPointError, and so does an RK4 lane whose last pass is not
+    finite once the refinements run out; else it is an IntegrationFailure.
     """
     _check_domain(v, x)
     _check_domain(v, y)
@@ -514,7 +532,7 @@ def _propagate(v, y, x, e, step, cols):
             for m in mats:
                 u, du = m.a * u + m.b * du, m.c * u + m.d * du
             out.append((u, du))
-        return out
+        return _finite(x, e, out)
     shape = np.broadcast(e, *(t for col in cols for t in col)).shape
     if shape:
         cols = [(np.broadcast_to(u, shape), np.broadcast_to(du, shape)) for u, du in cols]
@@ -545,6 +563,9 @@ def _propagate(v, y, x, e, step, cols):
                 cur = [(u[keep], du[keep]) for u, du in cur]
         prev = cur
         h_target *= 0.5
+    if shape:  # the first lane left fails as it would alone
+        prev, e = [(u[:1], du[:1]) for u, du in prev], (e[:1] if isinstance(e, np.ndarray) else e)
+    _finite(x, e, prev)
     raise IntegrationFailure(
         f"no convergence within {step.max_refine} refinements at tolerance {step.tol}")
 
@@ -557,13 +578,12 @@ def transfer_matrix(v, x, y, e, step: StepControl = DEFAULT_STEP) -> Mat2:
     """
     (a, c), (b, d) = _propagate(v, y, x, e, step, ((1.0, 0.0), (0.0, 1.0)))
     m = Mat2(a, b, c, d)
-    # det is a quadratic form in the entries, so its roundoff floor scales
-    # with the squared matrix size
-    det_scale = max(1.0, max(abs(t) for t in m.entries()) ** 2)
-    if not math.isfinite(m.det):
-        # a finite det needs finite entries; an overflowed one is inf or nan
+    if not math.isfinite(m.det):  # finite entries can overflow it
         raise IntegrationFailure(f"non-finite transfer matrix: determinant {m.det}")
-    if not abs(m.det - 1.0) <= 10.0 * step.tol * det_scale:
+    # det is a quadratic form in the entries, so its roundoff floor scales
+    # with the squared matrix size (inf once that overflows)
+    top = max(abs(t) for t in m.entries())
+    if not abs(m.det - 1.0) <= 10.0 * step.tol * max(1.0, top * top):
         raise IntegrationFailure(
             f"determinant drift {m.det - 1.0:.3e} exceeds 10x tolerance {step.tol}")
     return m

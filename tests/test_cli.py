@@ -284,6 +284,25 @@ def test_montecarlo_non_finite_distribution_exits_2(tmp_path, capsys, target, si
     assert not (tmp_path / "mc.json").exists()
 
 
+def test_montecarlo_one_bin_exits_2(tmp_path, capsys):
+    # the first bin holds the mismatches at or below 1e-12 alone, so one bin
+    # would drop every other sample from the histogram
+    cfg = montecarlo_config(tmp_path, samples=3)
+    cfg["montecarlo"]["bins"] = 1
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "montecarlo") == 2
+    assert capsys.readouterr().err == "error: montecarlo.bins must be an integer >= 2\n"
+    assert not (tmp_path / "mc.json").exists()
+
+
+def test_montecarlo_two_bins_count_every_sample(tmp_path):
+    cfg = montecarlo_config(tmp_path, samples=50)
+    cfg["montecarlo"]["bins"] = 2
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "montecarlo") == 0
+    rows = [line.split(",") for line in (tmp_path / "mc_hist.csv").read_text().splitlines()[1:]]
+    assert [float(r[0]) for r in rows] == [0.0, 1e-12]
+    assert sum(int(r[2]) for r in rows) == 50
+
+
 def test_montecarlo_csv_format_swaps_files(tmp_path):
     cfg = montecarlo_config(tmp_path, out_name="mc.csv", samples=100)
     cfg["output"]["format"] = "csv"
@@ -417,8 +436,8 @@ def test_transfer_overflow_exits_3(tmp_path, capsys):
     cfg = {"schema": 1, "problem": overflow_problem_doc(), "transfer": {"energy": 1.0},
            "output": {"path": str(tmp_path / "t.json")}}
     assert run("--quiet", "--config", write_config(tmp_path, cfg), "transfer") == 3
-    assert capsys.readouterr().err == ("numerical failure: non-finite transfer matrix: "
-                                       "determinant nan\n")
+    assert capsys.readouterr().err == ("numerical failure: the solution at x = 30.0 "
+                                       "is not finite at E = 1.0\n")
     assert not (tmp_path / "t.json").exists()
 
 
@@ -672,14 +691,14 @@ def test_non_finite_numbers_exit_2(name, tmp_path, capsys):
 
 
 def test_eigs_nan_mismatch_exits_3(tmp_path, capsys):
-    # the overflow problem gives a NaN mismatch at every grid energy; that is
-    # a failure, not an empty spectrum
+    # the overflow problem's walk overflows at every grid energy; that is a
+    # failure, not an empty spectrum
     cfg = {"schema": 1, "problem": overflow_problem_doc(),
            "eigs": {"e_lo": -5.0, "e_hi": 34.0, "grid": 20},
            "output": {"path": str(tmp_path / "eigs.json")}}
     assert run("--quiet", "--config", write_config(tmp_path, cfg), "eigs") == 3
-    assert capsys.readouterr().err == ("numerical failure: boundary mismatch is nan "
-                                       "at E = -5.0\n")
+    assert capsys.readouterr().err == ("numerical failure: the solution at x = 30.0 "
+                                       "is not finite at E = -5.0\n")
     assert not (tmp_path / "eigs.json").exists()
 
 
@@ -721,8 +740,8 @@ def test_huge_energy_lift_walk_exits_2_at_once(command, block, tmp_path, capsys)
 
 
 def test_degenerate_nan_mismatch_is_not_an_eigenvalue(tmp_path, capsys):
-    # the V = 1000 pieces overflow the exact route to a NaN mismatch, which
-    # no tolerance admits as an unperturbed eigenvalue
+    # the V = 1000 pieces overflow the exact route, which raises before any
+    # tolerance could admit E
     problem = {**box_problem_doc(), "b": 40.0,
                "potential": {"kind": "piecewise", "breakpoints": [0.0, 10.0, 25.0, 40.0],
                              "values": [0.0, 1000.0, 1000.0]}}
@@ -730,14 +749,14 @@ def test_degenerate_nan_mismatch_is_not_an_eigenvalue(tmp_path, capsys):
            "degenerate": {"energy": 5.0, "thetas": [0.5, 1.0], "rs": [1.0, 2.0]},
            "output": {"path": str(tmp_path / "built.json")}}
     assert run("--quiet", "--config", write_config(tmp_path, cfg), "degenerate") == 3
-    assert capsys.readouterr().err == ("numerical failure: E = 5.0 has unperturbed "
-                                       "mismatch nan > 1e-06\n")
+    assert capsys.readouterr().err == ("numerical failure: the solution at x = 40.0 "
+                                       "is not finite at E = 5.0\n")
     assert not (tmp_path / "built.json").exists()
 
 
 def test_degenerate_nan_mismatch_exits_3_when_non_eigenvalues_are_allowed(tmp_path, capsys):
-    # allow_non_eigenvalue admits a finite mismatch above the tolerance, not
-    # a NaN: the overflowing walk is a numerical failure
+    # allow_non_eigenvalue admits a finite mismatch above the tolerance; the
+    # overflowing walk is a numerical failure all the same
     problem = {**box_problem_doc(), "b": 40.0,
                "potential": {"kind": "piecewise", "breakpoints": [0.0, 10.0, 25.0, 40.0],
                              "values": [0.0, 1000.0, 1000.0]}}
@@ -748,7 +767,7 @@ def test_degenerate_nan_mismatch_exits_3_when_non_eigenvalues_are_allowed(tmp_pa
     assert run("--config", write_config(tmp_path, cfg), "degenerate") == 3
     out, err = capsys.readouterr()
     assert out == ""
-    assert err == "numerical failure: unperturbed mismatch is nan at E = 5.0\n"
+    assert err == "numerical failure: the solution at x = 40.0 is not finite at E = 5.0\n"
     assert not (tmp_path / "built.json").exists()
 
 
@@ -804,9 +823,10 @@ def python(*argv):
 
 
 def test_import_leaves_out_numpy_random_and_process_pools():
-    # both are loaded only by the commands that use them
-    code = ("import sys, slspec.cli; "
-            "print(sorted(m for m in ('numpy.random', 'concurrent.futures') if m in sys.modules))")
+    # start-up time is import time: numpy.random and the process pool load
+    # only in the commands that use them, scipy and mpmath only in tests
+    heavy = ("numpy.random", "concurrent.futures", "multiprocessing", "scipy", "mpmath")
+    code = f"import sys, slspec.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
     res = python("-c", code)
     assert (res.returncode, res.stdout) == (0, "[]\n")
 

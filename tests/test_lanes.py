@@ -98,18 +98,18 @@ steps = st.sampled_from([StepControl(tol=1e-5), StepControl(tol=1e-6, max_refine
 
 
 def one_by_one(problem, es, step):
-    """Per-energy defects as hex strings, or the exception type of the first failure."""
+    """Per-energy defects as hex strings, or the type and message of the first failure."""
     try:
         return [boundary_mismatch(problem, e, step).hex() for e in es]
-    except IntegrationFailure:
-        return IntegrationFailure
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
 
 
 def batched(problem, es, step):
     try:
         return [m.hex() for m in boundary_mismatch(problem, np.array(es), step)]
-    except IntegrationFailure:
-        return IntegrationFailure
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
 
 
 @settings(max_examples=40, deadline=None)
@@ -136,9 +136,13 @@ def test_lanes_converging_at_different_passes():
     assert batched(problem, es, step) == one_by_one(problem, es, step)
 
 
-def test_overflowing_lanes_stay_silent_like_floats():
-    # exp(sqrt(1000) * 30) overflows: floats go to inf and nan without a
-    # warning, and the lanes must do the same, with the same bits
+OVERFLOW = "the solution at x = 30.0 is not finite at E = {}"
+
+
+def test_overflowing_lanes_raise_as_their_first_failing_float():
+    # exp(sqrt(1000) * 30) overflows: an energy alone raises, naming x and E,
+    # and lanes raise what their first failing energy raises alone, with no
+    # warning on the way
     for v in (PiecewisePotential((0.0, 15.0, 30.0), (1000.0, 1000.0)),
               GridPotential((0.0, 10.0, 30.0), (900.0, 1000.0, 1000.0))):
         problem = Problem(0.0, 30.0, v, (), ProjPoint(0.0), ProjPoint(0.0))
@@ -146,7 +150,25 @@ def test_overflowing_lanes_stay_silent_like_floats():
         step = StepControl(tol=1e-3, max_refine=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert batched(problem, es, step) == one_by_one(problem, es, step)
+            got = batched(problem, es, step)
+        assert got == one_by_one(problem, es, step)
+        assert got == (FloatingPointError, OVERFLOW.format(-5.0))
+
+
+def test_lanes_raise_the_failure_of_their_first_failing_lane():
+    # on the V = 1000 grid, E = 1 overflows and E = 1500 does not converge
+    # within one refinement; whichever comes first in lane order is raised
+    v = GridPotential(tuple(0.1 * i for i in range(301)), (1000.0,) * 301)
+    problem = Problem(0.0, 30.0, v, (), ProjPoint(0.0), ProjPoint(0.0))
+    step = StepControl(tol=1e-6, max_refine=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert batched(problem, [999.0, 1.0, 1500.0], step) == (FloatingPointError,
+                                                              OVERFLOW.format(1.0))
+        assert batched(problem, [999.0, 1500.0, 1.0], step) == (
+            IntegrationFailure, "no convergence within 1 refinements at tolerance 1e-06")
+    for es in ([999.0, 1.0, 1500.0], [999.0, 1500.0, 1.0]):
+        assert batched(problem, es, step) == one_by_one(problem, es, step)
 
 
 # ------------------------------------------------------------------ sampler
@@ -238,7 +260,8 @@ def ensembles(draw, n_sites):
 def per_sample(problem, e, ensemble, n, step):
     """eigen_test on each realized problem, failures counted per sample.
 
-    A NaN mismatch (an overflowed walk) counts as a failure, as in Monte Carlo.
+    A numerical failure (an overflowed walk included) counts as a failure,
+    as in Monte Carlo; every mismatch eigen_test returns is finite.
     """
     field = {"lambda": "alpha", "r": "r", "theta": "theta"}[ensemble.target]
     mismatches, failures = [], 0
@@ -248,12 +271,11 @@ def per_sample(problem, e, ensemble, n, step):
             realized = with_site_params(realized, k, **{field: value})
         try:
             m = eigen_test(realized, e, step).mismatch
-        except (ArithmeticError, RuntimeError):
-            m = math.nan
-        if math.isfinite(m):
-            mismatches.append(m.hex())
-        else:
+        except ArithmeticError:
             failures += 1
+            continue
+        assert math.isfinite(m)
+        mismatches.append(m.hex())
     return mismatches, failures
 
 
@@ -310,9 +332,8 @@ def test_sample_lanes_across_chunks(v, target, sites, workers):
         problem, 7.0, ensemble, 513, step)
 
 
-# alpha draws near 1e304 overflow some lanes to inf and nan past a forbidden
-# barrier; on a grid potential a lane whose passes overflow differently cannot
-# converge and fails
+# alpha draws near 1e304 overflow some samples' walks past a forbidden
+# barrier; each such walk raises FloatingPointError, alone and among lanes
 HUGE_SHEARS = Ensemble("lambda", (Gaussian(0.0, 3e304),), seed=7)
 
 
@@ -321,9 +342,9 @@ def forbidden_grid(height):
                          tuple(height + 5.0 * math.sin(0.3 * i) for i in range(11)))
 
 
-# at E = 1: 21 of the 40 lanes overflow to a NaN mismatch and none fails
+# at E = 1 with the step below, 29 of the first 40 samples overflow
 OVERFLOWING_GRID = forbidden_grid(120.0)
-# at E = 1: 11 lanes fail, 28 overflow to a NaN mismatch, one stays finite
+# at E = 1, 34 of them overflow
 FAILING_GRID = forbidden_grid(180.0)
 
 
@@ -338,10 +359,22 @@ def shear_lanes(problem, e, ensemble, n, step):
     return [m.hex() for m in realized_mismatches(problem, e, "alpha", [draws], step)]
 
 
+def lone_shears(problem, e, alphas, step):
+    """eigen_test's mismatch as hex for each alpha alone, or the type and message of a failure."""
+    out = []
+    for a in alphas:
+        try:
+            out.append(eigen_test(with_site_params(problem, 0, alpha=a), e, step).mismatch.hex())
+        except ArithmeticError as exc:
+            out.append((type(exc), str(exc)))
+    return out
+
+
 def test_chunk_with_some_failing_samples_falls_back_to_samples():
     problem = huge_shear_problem(FAILING_GRID)
     step = StepControl(tol=1e-6, max_refine=4)
-    with pytest.raises(IntegrationFailure):
+    with pytest.raises(FloatingPointError,
+                       match=r"^the solution at x = 1\.0 is not finite at E = 1\.0$"):
         shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
     mismatches, failures = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
     assert 0 < failures < 40
@@ -351,19 +384,26 @@ def test_chunk_with_some_failing_samples_falls_back_to_samples():
 @pytest.mark.parametrize("v", [OVERFLOWING_GRID,
                                PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0))],
                          ids=["grid", "piecewise"])
-def test_overflowing_sample_lanes_stay_silent(v):
+def test_overflowing_sample_lanes_raise_as_their_first_failing_sample(v):
     problem = huge_shear_problem(v)
     step = StepControl(tol=1e-6, max_refine=4)
+    (alphas,) = _draws(HUGE_SHEARS, 0, 40)
+    lone = lone_shears(problem, 1.0, alphas.tolist(), step)
+    failed = [t for t in lone if isinstance(t, tuple)]
+    assert 0 < len(failed) < len(lone)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        raw = shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
+        with pytest.raises(ArithmeticError) as raised:
+            shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
         got = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
-    assert 0 < raw.count("nan") < len(raw)
-    assert raw == [eigen_test(with_site_params(problem, 0, alpha=a), 1.0, step).mismatch.hex()
-                   for a in _draws(HUGE_SHEARS, 0, 40)[0].tolist()]
-    # Monte Carlo counts each NaN lane as a failure
+    assert (raised.type, str(raised.value)) == failed[0]
+    # the samples whose walks stay finite, walked together, keep their bits
+    ok = np.array([a for a, t in zip(alphas.tolist(), lone) if not isinstance(t, tuple)])
+    assert [m.hex() for m in realized_mismatches(problem, 1.0, "alpha", [ok], step)] == [
+        t for t in lone if not isinstance(t, tuple)]
+    # Monte Carlo counts each failing sample as a failure
     assert got == per_sample(problem, 1.0, HUGE_SHEARS, 40, step)
-    assert got[1] == raw.count("nan")
+    assert got[1] == len(failed)
 
 
 def test_renormalized_halves_finite_data_whose_norm_overflows():
@@ -377,27 +417,35 @@ def test_renormalized_halves_finite_data_whose_norm_overflows():
 
 
 def test_huge_finite_lanes_keep_their_class():
-    # some lanes end finite but so large that hypot overflows; their class is
-    # well defined and must survive the renormalization
+    # walks that stay finite after a jump of alpha near 1e304 reach huge data,
+    # and their classes must survive the renormalization in lanes as alone
     problem = huge_shear_problem(forbidden_grid(115.0))
     step = StepControl(tol=1e-6, max_refine=4)
+    (alphas,) = _draws(HUGE_SHEARS, 0, 40)
+    lone = lone_shears(problem, 1.0, alphas.tolist(), step)
+    ok = np.array([a for a, t in zip(alphas.tolist(), lone) if not isinstance(t, tuple)])
+    assert 0 < ok.size < 40
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        raw = shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
-    assert raw == [eigen_test(with_site_params(problem, 0, alpha=a), 1.0, step).mismatch.hex()
-                   for a in _draws(HUGE_SHEARS, 0, 40)[0].tolist()]
+        raw = [m.hex() for m in realized_mismatches(problem, 1.0, "alpha", [ok], step)]
+    assert raw == [t for t in lone if not isinstance(t, tuple)]
     assert lanes(problem, 1.0, HUGE_SHEARS, 40, step) == per_sample(problem, 1.0, HUGE_SHEARS,
                                                                     40, step)
 
 
 def test_nan_mismatches_are_failures_not_quantiles():
-    problem = huge_shear_problem(PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0)))
-    step = StepControl(tol=1e-6, max_refine=4)
-    nans = shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step).count("nan")
-    report = monte_carlo(problem, 1.0, HUGE_SHEARS, 40, 1e-6, step)
-    assert 0 < nans < 40
-    assert (report.samples, report.failures) == (40, nans)
-    assert all(math.isfinite(q) for _, q in report.mismatch_quantiles)
+    # overflowed walks are failures, never mismatches; the reports are pinned bit for bit
+    for v, failures, quantiles in [
+        (PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0)), 19,
+         ["0x1.cf1bbb235fe42p-1"] * 5 + ["0x1.cf1bbb235fe44p-1"] * 6),
+        (OVERFLOWING_GRID, 29,
+         ["0x1.d174e62dddca8p-1"] * 4 + ["0x1.d174e62dddca9p-1"] * 2
+         + ["0x1.d174e62dddcaap-1"] + ["0x1.d174e62dddcacp-1"] * 4),
+    ]:
+        report = monte_carlo(huge_shear_problem(v), 1.0, HUGE_SHEARS, 40, 1e-6,
+                             StepControl(tol=1e-6, max_refine=4))
+        assert (report.samples, report.hits, report.failures) == (40, 0, failures)
+        assert [q.hex() for _, q in report.mismatch_quantiles] == quantiles
 
 
 # ------------------------------------------------------------ realized jumps
@@ -584,8 +632,8 @@ def test_zero_lane_has_no_class(monkeypatch):
 
 def test_lane_classes_reduce_like_proj_class(monkeypatch):
     # atan2(-1e-17, 1) % pi rounds to pi, which ProjPoint maps to 0; a NaN
-    # lane keeps a NaN class and so a NaN mismatch, which Monte Carlo counts
-    # as a failure (test_nan_mismatches_are_failures_not_quantiles)
+    # lane keeps a NaN class and so a NaN mismatch (no walk ends in one: it
+    # raises first, see test_overflowing_sample_lanes_raise_as_their_first_failing_sample)
     u, du = [-1e-17, math.nan, 0.6, -0.0, 1.0], [1.0, 1.0, -0.8, -1.0, 0.0]
     problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 1.0), (0.0,)), (), ProjPoint(0.0),
                       ProjPoint(0.3))

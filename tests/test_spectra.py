@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -28,7 +30,8 @@ from slspec.spectra import (
     matching_gamma,
 )
 from slspec.transfer import (DEFAULT_STEP, ConstantPotential, GridPotential, IntegrationFailure,
-                             PiecewisePotential, StepControl, propagate_state)
+                             PiecewisePotential, SolutionState, StepControl, propagate_state,
+                             transfer_matrix)
 
 PI = math.pi
 
@@ -262,12 +265,41 @@ def test_shear_box_scan_against_mpmath():
         assert abs(e - w) <= 1e-9
 
 
+# two V = 1000 pieces of length 15 overflow the exact route at any E below
+# about 1000, and 301 nodes of V = 1000 the RK4 route
+OVERFLOW_BOX = Problem(0.0, 30.0, PiecewisePotential((0.0, 15.0, 30.0), (1000.0, 1000.0)),
+                       (), ProjPoint(0.0), ProjPoint(0.0))
+OVERFLOW_GRID = GridPotential(tuple(0.1 * i for i in range(301)), (1000.0,) * 301)
+
+
+def overflow_message(e):
+    return rf"^the solution at x = 30\.0 is not finite at E = {re.escape(repr(e))}$"
+
+
 def test_nan_mismatch_names_its_energy():
-    # two V = 1000 pieces of length 15: the exact route overflows to NaN
-    problem = Problem(0.0, 30.0, PiecewisePotential((0.0, 15.0, 30.0), (1000.0, 1000.0)),
-                      (), ProjPoint(0.0), ProjPoint(0.0))
-    with pytest.raises(FloatingPointError, match=r"nan at E = -5\.0$"):
-        eigenvalues_in_range(problem, -5.0, 34.0, 20)
+    # the scan's first grid energy raises, naming x and E
+    with pytest.raises(FloatingPointError, match=overflow_message(-5.0)):
+        eigenvalues_in_range(OVERFLOW_BOX, -5.0, 34.0, 20)
+
+
+@pytest.mark.parametrize("v, step", [(OVERFLOW_BOX.potential, DEFAULT_STEP),
+                                     (OVERFLOW_GRID, StepControl(1e-6, 3))],
+                         ids=["piecewise", "grid"])
+def test_overflowing_walks_raise_naming_x_and_e(v, step):
+    # no walk returns a number that is not finite: each one raises instead of
+    # a NaN mismatch (exact route) or "no convergence" (RK4 route)
+    problem = replace(OVERFLOW_BOX, potential=v)
+    start = SolutionState(0.0, 0.0, 1.0)
+    for walk in (lambda: eigen_test(problem, 1.0, step),
+                 lambda: matching_gamma(problem, 1.0, step),
+                 lambda: boundary_mismatch(problem, 1.0, step),
+                 lambda: propagate_state(v, start, 30.0, 1.0, step),
+                 lambda: transfer_matrix(v, 30.0, 0.0, 1.0, step)):
+        with pytest.raises(FloatingPointError, match=overflow_message(1.0)):
+            walk()
+    # among lanes the first failing energy is named
+    with pytest.raises(FloatingPointError, match=overflow_message(2.0)):
+        boundary_mismatch(problem, np.array([999.0, 2.0, 1.0]), step)
 
 
 def test_search_validation():
@@ -307,9 +339,10 @@ def test_dichotomy_requires_eigenvalue():
 
 @pytest.mark.parametrize("parameter", PARAMETERS)
 def test_dichotomy_nan_mismatch_is_not_an_eigenvalue(parameter):
-    # a NaN theta makes the mismatch NaN, which no tolerance admits
+    # a NaN theta makes the walk after its site NaN, which raises before any
+    # tolerance could admit it
     site = PointInteraction(1.0, IwasawaParams(0.0, 1.0, math.nan))
-    with pytest.raises(NotAnEigenvalue):
+    with pytest.raises(FloatingPointError, match=r"^the solution at x = 3\.14159"):
         classify_dichotomy(dirichlet_box(interactions=[site]), 1.0, 0, parameter)
 
 

@@ -13,6 +13,8 @@ from slspec.transfer import (
     StepControl,
     IntegrationFailure,
     DomainError,
+    _converged,
+    _lane_max,
     transfer_matrix,
     propagate_state,
     potential_from_json,
@@ -215,11 +217,52 @@ def test_integration_failure_on_impossible_tolerance():
 
 
 def test_overflowing_matrix_is_an_integration_failure():
-    # two V = 1000 pieces of length 15 overflow the exact route: the entries
-    # go infinite and the determinant NaN, which must not pass the det gate
-    v = PiecewisePotential((0.0, 15.0, 30.0), (1000.0, 1000.0))
-    with pytest.raises(IntegrationFailure, match="non-finite transfer matrix"):
-        transfer_matrix(v, 30.0, 0.0, 1.0)
+    # one V = 1000 piece of length 15 has entries near 1e205: finite, but the
+    # determinant overflows to NaN, which must not pass the det gate
+    v = PiecewisePotential((0.0, 15.0), (1000.0,))
+    with pytest.raises(IntegrationFailure,
+                       match=r"^non-finite transfer matrix: determinant nan$"):
+        transfer_matrix(v, 15.0, 0.0, 1.0)
+
+
+def test_huge_finite_matrix_passes_the_det_gate():
+    # the squared size of the shear overflows, and the det gate then admits
+    # any finite determinant instead of failing on the square
+    shear = PiecewisePotential((0.0, 1e200), (0.0,))
+    m = transfer_matrix(shear, 1e200, 0.0, 0.0)
+    assert m.entries() == (1.0, 1e200, 0.0, 1.0)
+
+
+ENTRIES = [0.0, 1.0, -2.5, 3.0, math.inf, -math.inf, math.nan]
+
+
+@pytest.mark.parametrize("values", [[1.0, 0.5, 3.0, 2.0], [1.0, math.nan, 3.0],
+                                    [math.nan, 3.0], [1.0, math.inf, math.nan, 2.0],
+                                    [0.5, -math.inf, 0.25]])
+def test_lane_max_is_max_until_a_nan(values):
+    got = _lane_max(values)
+    want = math.nan if any(map(math.isnan, values)) else max(values)
+    assert got == want or math.isnan(got) and math.isnan(want)
+    # lanes: every pairing of entries, each lane as its floats
+    lanes = [np.array(ENTRIES * len(ENTRIES)), np.repeat(ENTRIES, len(ENTRIES))]
+    per_lane = [_lane_max([1.0, a, b]) for a, b in zip(*(t.tolist() for t in lanes))]
+    assert np.array_equal(_lane_max([1.0] + lanes), per_lane, equal_nan=True)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 3])
+def test_passes_that_are_not_finite_never_converge(bad, where):
+    # Python's max drops a NaN that is not first; the change must keep it
+    good = [(0.5, 1.0), (2.0, -1.0)]
+    cur = [list(col) for col in good]
+    cur[where // 2][where % 2] = bad
+    assert _converged(good, good, 1e-9)
+    assert not _converged(cur, good, 1e-9)
+    assert not _converged(good, cur, 1e-9)
+    assert not _converged(cur, cur, 1e-9)
+    lanes = [tuple(np.array([g, c]) for g, c in zip(gc, cc)) for gc, cc in zip(good, cur)]
+    with np.errstate(invalid="ignore"):
+        assert _converged(lanes, lanes, 1e-9).tolist() == [True, False]
 
 
 def test_overflowing_piece_argument_is_an_overflow():
