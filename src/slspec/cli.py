@@ -31,7 +31,7 @@ from .problem import (Problem, check_resolution, problem_from_json, problem_to_j
 from .random import (check_epsilon, construct_degenerate, ensemble_from_json, ensemble_to_json,
                      mismatch_samples, report_to_json, summarize_mismatches)
 from .sl2 import Mat2, iwasawa_compose, iwasawa_decompose
-from .spectra import PARAMETERS, classify_sites, eigen_test, eigenvalues_in_range
+from .spectra import PARAMETERS, check_sites, classify_sites, eigen_test, eigenvalues_in_range
 from .transfer import DEFAULT_STEP, StepControl, transfer_matrix
 
 TOP_KEYS = {"schema", "problem", "step", "transfer", "eigs", "dichotomy",
@@ -271,8 +271,8 @@ def cmd_eigs(args):
         entry = {"E": rep.E, "mismatch": rep.mismatch}
         if classify:
             sites = range(len(prob.interactions))
-            # with no site there is nothing to classify, nor an eigen_test to fail
-            verdicts = classify_sites(prob, rep.E, sites, step=step)[1] if sites else []
+            # with no site there is nothing to classify, nor a mismatch to fail
+            verdicts = classify_sites(prob, rep, sites, step=step) if sites else []
             entry["verdicts"] = [{"site": i, "parameter": v.parameter, "verdict": v.verdict}
                                  for i, row in zip(sites, verdicts) for v in row]
         results.append(entry)
@@ -296,7 +296,9 @@ def cmd_dichotomy(args):
     site = integer(block, "site", "dichotomy", 0)
     tol = number(block, "tol", "dichotomy", 1e-6)
     path, fmt = resolve_output(args, cfg)
-    report, (row,) = classify_sites(prob, e, [site], PARAMETERS, tol, step)
+    check_sites(prob, [site], PARAMETERS, tol)
+    report = eigen_test(prob, e, step)
+    (row,) = classify_sites(prob, report, [site], PARAMETERS, tol, step)
     verdicts = [{"parameter": v.parameter, "verdict": v.verdict,
                  "matched_fixed_class": (None if v.matched_fixed_class is None
                                          else v.matched_fixed_class.angle)}

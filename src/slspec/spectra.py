@@ -25,8 +25,8 @@ operations over angles that math's atan2 gives lane by lane.  Monte Carlo
 uses it.  A dichotomy re-test changes site k alone, so it ends in the class
 of T_k J' w_k: J' is its jump, w_k the class just left of the site, and the
 site map T_k carries data from just right of site k to b.  classify_sites
-takes every w_k from the eigen_test that gives the fixed-class verdicts,
-builds the maps once, backwards from b, and walks no re-test.
+takes every w_k and fixed-class verdict from its caller's eigen_test
+report, builds the maps once, backwards from b, and walks no re-test.
 """
 
 from __future__ import annotations
@@ -128,24 +128,18 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
     return np.where(d > math.pi / 2, d - math.pi, d).tolist()
 
 
-def _check_dilations(r):
-    """Raise InvalidDilation naming the first lane of the array r that is not > 0."""
-    if not (r > 0.0).all():
-        raise InvalidDilation(f"r = {float(r[~(r > 0.0)][0])!r} must be > 0")
+def _jumps(alpha, r, theta):
+    """P_alpha H_r E_theta with iwasawa_compose's bits; any argument may be a lane array.
 
-
-def _site_jumps(params, field, values):
-    """P_alpha H_r E_theta of params with field set to each of the array values, as lanes.
-
-    Each lane has the bits of iwasawa_compose: theta goes through math per lane.
+    An array theta is reduced mod 2 pi (numpy's remainder is Python's) and mapped
+    through math; an array r raises InvalidDilation at its first lane not > 0.
     """
-    alpha, r = (values if f == field else getattr(params, f) for f in ("alpha", "r"))
-    if field == "r":
-        _check_dilations(r)
-    if field == "theta":
-        thetas = values % TWO_PI  # numpy's float remainder is Python's
-        return _compose(alpha, r, _mapped(math.cos, thetas), _mapped(math.sin, thetas))
-    return _compose(alpha, r, math.cos(params.theta), math.sin(params.theta))
+    if isinstance(r, np.ndarray) and not (r > 0.0).all():
+        raise InvalidDilation(f"r = {float(r[~(r > 0.0)][0])!r} must be > 0")
+    if isinstance(theta, np.ndarray):
+        theta = theta % TWO_PI
+        return _compose(alpha, r, _mapped(math.cos, theta), _mapped(math.sin, theta))
+    return _compose(alpha, r, math.cos(theta), math.sin(theta))
 
 
 def realized_mismatches(problem: Problem, e: float, field: str, columns,
@@ -160,7 +154,7 @@ def realized_mismatches(problem: Problem, e: float, field: str, columns,
     """
     if field not in PARAMETERS:
         raise ValueError(f"field must be one of {PARAMETERS}")
-    jumps = [_site_jumps(site.params, field, col)
+    jumps = [_jumps(**(vars(site.params) | {field: col}))
              for site, col in zip(problem.interactions, columns)]
     # lanes overflow without a word, as Python floats do, until the walk's check
     with np.errstate(over="ignore", invalid="ignore"):
@@ -305,21 +299,21 @@ def _check_retests(e, parameter, verdict, mismatches, tol):
             f"{parameter} verdict {verdict} contradicted by re-tests {outcomes}")
 
 
-def _cross_check(problem, e, lefts, checks, tol, step):
-    """Re-test every (site index, verdict) pair of checks at e from the site maps, in order.
+def _cross_check(problem, report, checks, tol, step):
+    """Re-test every (site index, verdict) pair of checks at report.E from the site maps, in order.
 
-    A re-test with jump J' at site k ends in the class of T_k J' lefts[k]
-    (see the module docstring).  The maps are built backwards from b, from
-    transfer_matrix between consecutive sites and the sites' own jumps, each
-    rescaled to a largest entry of 1 since only classes are read.  All
-    re-tests of all groups are one lane array, and the groups are judged in
-    order from its mismatches: the first contradicted verdict raises.  A
-    nonpositive r or a zero end vector in any lane raises before any
-    judgment.
+    A re-test with jump J' at site k ends in the class of T_k J' w_k, w_k
+    the report's class left of site k (see the module docstring).  The maps
+    are built backwards from b, from transfer_matrix between consecutive
+    sites and the sites' own jumps, each rescaled to a largest entry of 1
+    since only classes are read.  All re-tests of all groups are one lane
+    array, and the groups are judged in order from its mismatches: the first
+    contradicted verdict raises.  A nonpositive r or a zero end vector in
+    any lane raises before any judgment.
     """
     if not checks:
         return
-    sites = problem.interactions
+    e, sites = report.E, problem.interactions
     maps, x, t = {}, problem.b, Mat2.identity()
     for k in range(len(sites) - 1, min(i for i, _ in checks) - 1, -1):
         t = t @ transfer_matrix(problem.potential, x, sites[k].x, e, step)
@@ -335,12 +329,9 @@ def _cross_check(problem, e, lefts, checks, tol, step):
         for f, col in fields.items():
             col += values if f == v.parameter else [getattr(params, f)] * len(values)
         counts.append(len(values))
-        rows.append(maps[i].entries() + lefts[i].vector())
+        rows.append(maps[i].entries() + report.left_limit_classes[i].vector())
     ta, tb, tc, td, w1, w2 = np.repeat(np.array(rows), counts, axis=0).T
-    thetas, r, alpha = (np.array(col) for col in fields.values())
-    _check_dilations(r)
-    thetas %= TWO_PI  # as _site_jumps; a site's own theta is already reduced
-    jumps = _compose(alpha, r, _mapped(math.cos, thetas), _mapped(math.sin, thetas))
+    jumps = _jumps(**{f: np.array(col) for f, col in fields.items()})
     # overflow and NaN are silent here (no walk checks them) and fail their re-test
     with np.errstate(over="ignore", invalid="ignore"):
         ms = _mismatches(problem, *Mat2(ta, tb, tc, td).apply(jumps.apply((w1, w2))))
@@ -350,19 +341,8 @@ def _cross_check(problem, e, lefts, checks, tol, step):
         start += n
 
 
-def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
-                   tol: float = 1e-6, step: StepControl = DEFAULT_STEP):
-    """eigen_test's report at e and the verdict of every parameter at every site.
-
-    sites holds site indices.  Returns (report, verdicts), where
-    verdicts[j][n] is the DichotomyVerdict of parameters[n] at site
-    sites[j] (see classify_dichotomy for their meaning).  One eigen_test
-    gives every fixed-class verdict.  The re-tests of all of them, 8 alpha,
-    8 r and 10 theta values per site, come from the site maps at e with no
-    further walk (see _cross_check), and the verdicts are checked site by
-    site in the order of parameters: the first one the re-tests contradict
-    raises CrossCheckFailure.
-    """
+def check_sites(problem: Problem, sites, parameters, tol: float) -> list:
+    """sites as a list, once it, parameters and tol suit classify_sites; check before walking."""
     sites = list(sites)
     for parameter in parameters:
         if parameter not in PARAMETERS:
@@ -372,16 +352,32 @@ def classify_sites(problem: Problem, e: float, sites, parameters=PARAMETERS,
             raise ValueError(f"no interaction site #{i}")
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    report = eigen_test(problem, e, step)
+    return sites
+
+
+def classify_sites(problem: Problem, report: EigenReport, sites, parameters=PARAMETERS,
+                   tol: float = 1e-6, step: StepControl = DEFAULT_STEP):
+    """The verdict of every parameter at every site, from eigen_test's report at E.
+
+    report is eigen_test(problem, E, step), as the caller holds it; sites
+    holds site indices.  Returns verdicts, where verdicts[j][n] is the
+    DichotomyVerdict of parameters[n] at site sites[j] (see
+    classify_dichotomy).  The report gives every fixed-class verdict.  The
+    re-tests of all of them, 8 alpha, 8 r and 10 theta values per site,
+    come from the site maps at E with no walk of the problem (see
+    _cross_check), and are checked site by site in the order of
+    parameters: the first contradicted verdict raises CrossCheckFailure.
+    """
+    sites = check_sites(problem, sites, parameters, tol)
     if report.mismatch > tol:
         raise NotAnEigenvalue(
-            f"E = {e} has mismatch {report.mismatch:.3e} > tol {tol}")
+            f"E = {report.E} has mismatch {report.mismatch:.3e} > tol {tol}")
     verdicts = [[_fixed_class_verdict(problem.interactions[i].params, par,
                                       report.left_limit_classes[i], tol) for par in parameters]
                 for i in sites]
-    _cross_check(problem, e, report.left_limit_classes,
-                 [(i, v) for i, row in zip(sites, verdicts) for v in row], tol, step)
-    return report, verdicts
+    _cross_check(problem, report, [(i, v) for i, row in zip(sites, verdicts) for v in row],
+                 tol, step)
+    return verdicts
 
 
 def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: str,
@@ -396,7 +392,8 @@ def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: s
     distance to a fixed class.  The verdict is confirmed by re-testing 8
     perturbed parameter values (for theta also the two pi-shifts), all from
     the site maps at e.  It is classify_sites for one site and one
-    parameter.
+    parameter, on eigen_test's report at e.
     """
-    ((verdict,),) = classify_sites(problem, e, [site_index], [parameter], tol, step)[1]
-    return verdict
+    check_sites(problem, [site_index], [parameter], tol)
+    report = eigen_test(problem, e, step)
+    return classify_sites(problem, report, [site_index], [parameter], tol, step)[0][0]

@@ -5,7 +5,8 @@ unimodular because the Wronskian of the two canonical solutions is constant.
 Piecewise-constant potentials are propagated exactly, piece by piece, with
 the closed-form constant-coefficient solution; sampled (grid) potentials use
 a fixed-step classic fourth-order method whose step is halved until two
-successive answers agree within the requested tolerance.  The route follows
+successive answers agree within the requested tolerance, the coarser one
+with a step that resolves the local wavelength.  The route follows
 the potential's kind alone.  transfer_matrix (two identity columns) and
 propagate_state (one column) share one walker, so both run the same
 arithmetic on the same segment data.  No walk returns an entry that is not
@@ -60,9 +61,10 @@ class StepControl:
     """Integration accuracy: target tolerance plus refinement and work limits.
 
     The base step is tol**(1/4); refinement halves it until two successive
-    passes agree entrywise within tol.  For hyperbolically growing solutions
-    the tolerance acts relative to the solution size, since that is the best
-    any floating-point propagation can promise.
+    passes agree entrywise within tol, the coarser of them with a step that
+    resolves the local wavelength (see _propagate).  For hyperbolically
+    growing solutions the tolerance acts relative to the solution size,
+    since that is the best any floating-point propagation can promise.
     """
 
     tol: float = 1e-9
@@ -364,8 +366,9 @@ def _rk4_pass(v, y, x, h_target):
         c = C0 - E C1 + E^2 hq6,    d = D0 - E D1 + E^2 q24
 
     (q = h^2, q24 = q^2/24, hq6 = h q/6), whose coefficients are returned as
-    (A0, A1, B0, C0, C1, D0, D1, hq6, q24), one value per step.  The cache
-    shares the arrays, so they are read-only.
+    (A0, A1, B0, C0, C1, D0, D1, hq6, q24), one value per step, followed by
+    the least and the greatest sample of V, two floats.  The cache shares the
+    arrays, so they are read-only.
     """
     ends = np.array(_walk_points(v, y, x))
     dx = ends[1:] - ends[:-1]
@@ -388,7 +391,7 @@ def _rk4_pass(v, y, x, h_target):
             hq6, q24)
     for t in data:
         t.flags.writeable = False
-    return data
+    return data + (float(vals.min()), float(vals.max()))
 
 
 def _step_matrices(e, data):
@@ -397,7 +400,7 @@ def _step_matrices(e, data):
     a and d share E q24, and b and c share E hq6; the quadratics run in
     Horner form, A0 + E (E q24 - A1), so each lane costs 12 operations per step.
     """
-    a0, a1, b0, c0, c1, d0, d1, hq6, q24 = data
+    a0, a1, b0, c0, c1, d0, d1, hq6, q24 = data[:9]
     shape = a0.shape
     if isinstance(e, np.ndarray):
         shape = e.shape + shape
@@ -513,8 +516,12 @@ def _propagate(v, y, x, e, step, cols):
     once for all columns and lanes: the exact piece matrices for
     piecewise-constant potentials, otherwise the step-matrix product of each
     RK4 pass.  The RK4 step is halved until two successive finite passes
-    agree within step.tol, entrywise relative to max(1, |entries|), judged
-    per lane; a lane that has converged drops out of later passes.  No walk
+    agree within step.tol, entrywise relative to max(1, |entries|), and the
+    coarser one, of step 2 h, resolves the wavelength, 2 h sqrt(|E - V|)
+    <= 1/2 for every V the pass samples: RK4 damps a pass by about
+    (h sqrt(E - V))**6 / 144 per step, so two coarse passes can both shrink
+    to nothing and agree.  Both are judged per lane, each with its own E; a
+    lane that has converged drops out of later passes.  No walk
     returns an entry that is not finite: an exact walk raises _finite's
     FloatingPointError, and so does an RK4 lane whose last pass is not
     finite once the refinements run out; else it is an IntegrationFailure.
@@ -544,10 +551,14 @@ def _propagate(v, y, x, e, step, cols):
         if abs(x - y) / h_target > step.max_steps:
             raise IntegrationFailure(
                 f"step budget {step.max_steps} exhausted before tolerance {step.tol}")
-        a, b, c, d = _rk4_product(e, _rk4_pass(v, y, x, h_target))
+        data = _rk4_pass(v, y, x, h_target)
+        a, b, c, d = _rk4_product(e, data)
         cur = [(a * u + b * du, c * u + d * du) for u, du in cols]
         if prev is not None:
-            done = _converged(cur, prev, step.tol)
+            cap = (0.25 / h_target) ** 2  # the |E - V| at which 2 h sqrt(|E - V|) = 1/2
+            v_lo, v_hi = data[-2:]
+            done = (_converged(cur, prev, step.tol)
+                    & (abs(e - v_lo) <= cap) & (abs(e - v_hi) <= cap))
             if not shape and done:
                 return cur
             if shape and done.any():

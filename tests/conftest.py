@@ -191,7 +191,8 @@ def mapped_and_walked_retests(problem, e, step=DEFAULT_STEP):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(slspec.spectra, "_check_retests",
                    lambda e, parameter, verdict, mismatches, tol: mapped.append(mismatches))
-        classify_sites(problem, e, sites, PARAMETERS, math.pi, step)
+        classify_sites(problem, eigen_test(problem, e, step), sites, PARAMETERS, math.pi,
+                       step)
     out = []
     for (i, parameter), ms in zip([(i, p) for i in sites for p in PARAMETERS], mapped,
                                   strict=True):

@@ -572,12 +572,15 @@ MC_BLOCK = {
 # every integer field rejects bools and non-integers, every flag needs a JSON
 # boolean, step limits below their minimum are config errors, and so is a
 # JSON null or a NaN in the problem, its potential or the degenerate sites, a
-# kind or output path of the wrong type, and a tolerance, resolution or
-# dilation the library rejects
+# kind or output path of the wrong type, a tolerance, resolution or
+# dilation the library rejects, and a dichotomy site past the last one, even
+# where the walk would overflow
 BAD_CONFIGS = {
     "dichotomy-site-bool": ("dichotomy", {
         "problem": box_problem_doc(IDENTITY_SITES),
         "dichotomy": {"energy": 4.0, "site": True}}),
+    "dichotomy-site-past-an-overflow": ("dichotomy", {
+        "problem": shear_box_doc(), "dichotomy": {"energy": -1e6, "site": 5}}),
     "montecarlo-samples-bool": ("montecarlo", {
         "problem": box_problem_doc(IDENTITY_SITES),
         "montecarlo": {**MC_BLOCK, "samples": True}}),

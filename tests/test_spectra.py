@@ -302,6 +302,36 @@ def test_overflowing_walks_raise_naming_x_and_e(v, step):
         boundary_mismatch(problem, np.array([999.0, 2.0, 1.0]), step)
 
 
+def test_rk4_never_accepts_passes_its_damping_has_shrunk():
+    # where h sqrt(E - V) is large, RK4 damps two passes towards zero, where
+    # they agree whatever their error; on the V = 1000 grid every mismatch
+    # returned at StepControl(1e-6, 8) is the exact route's within 1e-6, and
+    # the energies it cannot resolve fail
+    grid = replace(OVERFLOW_BOX, potential=OVERFLOW_GRID)
+    exact = replace(OVERFLOW_BOX, potential=PiecewisePotential((0.0, 30.0), (1000.0,)))
+    for e in (1001.0, 1100.0, 1500.0, 3000.0, 5000.0, 7000.0, 1e4, 3e4, 1e5):
+        try:
+            m = boundary_mismatch(grid, e, StepControl(1e-6, 8))
+        except IntegrationFailure as exc:
+            assert e >= 7000.0 and str(exc).startswith("no convergence within 8 refinements")
+        else:
+            assert abs(m - boundary_mismatch(exact, e)) <= 1e-6
+    # more refinements resolve E = 1e4; E = 3e4 runs out of steps first
+    assert (abs(boundary_mismatch(grid, 1e4, StepControl(1e-6, 12))
+                - boundary_mismatch(exact, 1e4)) <= 1e-6)
+    with pytest.raises(IntegrationFailure, match="^step budget 500000 exhausted"):
+        boundary_mismatch(grid, 3e4, StepControl(1e-6, 12))
+
+
+def test_wavelength_rule_is_judged_lane_by_lane():
+    # the low lane converges passes before the high one and keeps its lone bits
+    grid = replace(OVERFLOW_BOX, potential=OVERFLOW_GRID)
+    step = StepControl(1e-6, 12)
+    for es in ([1e4, 1500.0], [1500.0, 1e4]):
+        assert ([m.hex() for m in boundary_mismatch(grid, np.array(es), step)]
+                == [boundary_mismatch(grid, e, step).hex() for e in es])
+
+
 def test_search_validation():
     prob = dirichlet_box()
     with pytest.raises(ValueError):
@@ -395,15 +425,17 @@ def test_dichotomy_delta_at_node():
 
 
 def test_dichotomy_validation():
-    prob = aligned_problem(0.2)
-    with pytest.raises(ValueError):
-        classify_dichotomy(prob, 4.0, 0, "beta")
-    with pytest.raises(ValueError):
-        classify_dichotomy(prob, 4.0, 3, "alpha")
+    # at E = -1e6 the shear box's walk overflows; a bad input is named before any walk
+    with pytest.raises(OverflowError):
+        classify_dichotomy(SHEAR_BOX, -1e6, 0, "alpha")
+    with pytest.raises(ValueError, match="^parameter must be one of"):
+        classify_dichotomy(SHEAR_BOX, -1e6, 0, "beta")
+    with pytest.raises(ValueError, match="^no interaction site #3$"):
+        classify_dichotomy(SHEAR_BOX, -1e6, 3, "alpha")
     # a tolerance no mismatch can meet is a usage error, not a failed eigen test
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="^tol must be positive$"):
-            classify_dichotomy(prob, 4.0, 0, "alpha", tol)
+            classify_dichotomy(SHEAR_BOX, -1e6, 0, "alpha", tol)
 
 
 def test_r_factors_are_the_seeded_draws():
@@ -505,10 +537,10 @@ def classified_one_by_one(problem, e, sites, parameters, tol, step):
 
 def classified_at_once(problem, e, sites, parameters, tol, step):
     try:
-        report, verdicts = classify_sites(problem, e, sites, parameters, tol, step)
+        verdicts = classify_sites(problem, eigen_test(problem, e, step), sites, parameters,
+                                  tol, step)
     except (ArithmeticError, RuntimeError, ValueError) as exc:
         return type(exc), str(exc)
-    assert report == eigen_test(problem, e, step)
     return [[verdict_bits(v) for v in row] for row in verdicts]
 
 
@@ -578,13 +610,14 @@ def test_site_maps_classify_where_a_re_test_walk_fails():
     assert classify_dichotomy(problem, e, 1, "theta", step=step).verdict == PERIODIC_IN_THETA
     assert classify_dichotomy(problem, e, 1, "alpha", step=step).verdict == ONLY_ORIGINAL
     with pytest.raises(CrossCheckFailure, match="^alpha verdict OnlyOriginal contradicted"):
-        classify_sites(problem, e, sites, step=step)
+        classify_sites(problem, eigen_test(problem, e, step), sites, step=step)
 
 
 def test_classify_sites_of_nothing():
     problem = generic_problem(2)
-    assert classify_sites(problem, 9.0, iter([0, 1]), [])[1] == [[], []]
-    assert classify_sites(problem, 9.0, [])[1] == []
+    report = eigen_test(problem, 9.0)
+    assert classify_sites(problem, report, iter([0, 1]), []) == [[], []]
+    assert classify_sites(problem, report, []) == []
 
 
 def test_first_contradicted_group_raises():
@@ -600,16 +633,17 @@ def test_first_contradicted_group_raises():
     assert messages["alpha"].startswith("alpha verdict OnlyOriginal contradicted")
     for parameters, first in ((PARAMETERS, "r"), (PARAMETERS[::-1], "alpha")):
         with pytest.raises(CrossCheckFailure) as exc:
-            classify_sites(problem, BUILT_E, [0, 1, 2], parameters, 1e-3)
+            classify_sites(problem, eigen_test(problem, BUILT_E), [0, 1, 2], parameters, 1e-3)
         assert str(exc.value) == messages[first]
 
 
 @pytest.mark.parametrize("k", [1, 2, 4, 8])
 def test_classifying_an_eigenvalue_walks_once(monkeypatch, k):
-    # one eigen_test, and the site maps, one transfer_matrix per site, for
-    # all 26 k re-tests; at k = 8 the re-tests contradict a verdict, which is
-    # found with no further walk too
+    # the caller's eigen_test report, and the site maps, one transfer_matrix
+    # per site, for all 26 k re-tests; at k = 8 the re-tests contradict a
+    # verdict, which is found with no further walk too
     problem = generic_problem(k)
+    report = eigen_test(problem, 9.0)
     calls = []
 
     def counted(name):
@@ -622,7 +656,7 @@ def test_classifying_an_eigenvalue_walks_once(monkeypatch, k):
     for name in ("propagate_through", "transfer_matrix", "realized_mismatches"):
         counted(name)
     try:
-        classify_sites(problem, 9.0, range(k))
+        classify_sites(problem, report, range(k))
     except CrossCheckFailure:
         assert k == 8
-    assert calls == ["propagate_through"] + ["transfer_matrix"] * k
+    assert calls == ["transfer_matrix"] * k
