@@ -31,7 +31,7 @@ from .problem import (Problem, check_resolution, problem_from_json, problem_to_j
 from .random import (check_epsilon, construct_degenerate, ensemble_from_json, ensemble_to_json,
                      mismatch_samples, report_to_json, summarize_mismatches)
 from .sl2 import Mat2, iwasawa_compose, iwasawa_decompose
-from .spectra import PARAMETERS, check_sites, classify_sites, eigen_test, eigenvalues_in_range
+from .spectra import PARAMETERS, classify_at, classify_sites, eigen_test, eigenvalues_in_range
 from .transfer import DEFAULT_STEP, StepControl, transfer_matrix
 
 TOP_KEYS = {"schema", "problem", "step", "transfer", "eigs", "dichotomy",
@@ -296,9 +296,7 @@ def cmd_dichotomy(args):
     site = integer(block, "site", "dichotomy", 0)
     tol = number(block, "tol", "dichotomy", 1e-6)
     path, fmt = resolve_output(args, cfg)
-    check_sites(prob, [site], PARAMETERS, tol)
-    report = eigen_test(prob, e, step)
-    (row,) = classify_sites(prob, report, [site], PARAMETERS, tol, step)
+    report, (row,) = classify_at(prob, e, [site], PARAMETERS, tol, step)
     verdicts = [{"parameter": v.parameter, "verdict": v.verdict,
                  "matched_fixed_class": (None if v.matched_fixed_class is None
                                          else v.matched_fixed_class.angle)}

@@ -232,25 +232,23 @@ def _mc_chunk(args):
     """The mismatches of samples lo..hi-1, evaluated as one batch of lanes; None for a failure.
 
     A numerical failure (any ArithmeticError, an overflowed walk included)
-    in any lane fails the batch; a failed batch is split in halves, each
-    walked again, until every failing sample stands alone, so the failures
-    are counted per sample.  Lanes keep their lone bits, so the split
-    changes no mismatch.  f failing samples of n cost at most
-    1 + 2 f ceil(log2 n) walks.
+    in any lane fails the batch; the chunk is then evaluated one sample at
+    a time, so the failures are counted per sample.
     """
     problem, e, ensemble, lo, hi, step = args
     draws = _draws(ensemble, lo, hi)
     field = "alpha" if ensemble.target == "lambda" else ensemble.target
-
-    def walked(i, j):
+    try:
+        return realized_mismatches(problem, e, field, draws, step)
+    except ArithmeticError:
+        pass
+    results = []
+    for j in range(hi - lo):
         try:
-            return realized_mismatches(problem, e, field, [c[i:j] for c in draws], step)
+            results += realized_mismatches(problem, e, field, [c[j:j + 1] for c in draws], step)
         except ArithmeticError:
-            if j - i == 1:
-                return [None]
-        mid = (i + j) // 2
-        return walked(i, mid) + walked(mid, j)
-    return walked(0, hi - lo)
+            results.append(None)
+    return results
 
 
 @dataclass(frozen=True)
@@ -283,9 +281,8 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
     the smooth pieces are shared by all lanes, and only the jump at each
     site differs.  Every mismatch equals eigen_test on that sample's
     realized problem bit for bit.  A chunk whose walk fails, an overflowed
-    one included, is split in halves until each failing sample is walked
-    alone (see _mc_chunk), and each failing sample counts as one failure,
-    never as a mismatch.
+    one included, is walked again one sample at a time, and each failing
+    sample counts as one failure, never as a mismatch.
     """
     if len(ensemble.sites) != len(problem.interactions):
         raise ValueError(f"ensemble has {len(ensemble.sites)} sites, problem has "

@@ -26,7 +26,8 @@ uses it.  A dichotomy re-test changes site k alone, so it ends in the class
 of T_k J' w_k: J' is its jump, w_k the class just left of the site, and the
 site map T_k carries data from just right of site k to b.  classify_sites
 takes every w_k and fixed-class verdict from its caller's eigen_test
-report, builds the maps once, backwards from b, and walks no re-test.
+report, builds the maps once, backwards from b, and walks no re-test;
+classify_at runs that eigen_test first.
 """
 
 from __future__ import annotations
@@ -341,8 +342,8 @@ def _cross_check(problem, report, checks, tol, step):
         start += n
 
 
-def check_sites(problem: Problem, sites, parameters, tol: float) -> list:
-    """sites as a list, once it, parameters and tol suit classify_sites; check before walking."""
+def _check_sites(problem: Problem, sites, parameters, tol: float) -> list:
+    """sites as a list, once it, parameters and tol suit classify_sites; checked before any walk."""
     sites = list(sites)
     for parameter in parameters:
         if parameter not in PARAMETERS:
@@ -355,20 +356,8 @@ def check_sites(problem: Problem, sites, parameters, tol: float) -> list:
     return sites
 
 
-def classify_sites(problem: Problem, report: EigenReport, sites, parameters=PARAMETERS,
-                   tol: float = 1e-6, step: StepControl = DEFAULT_STEP):
-    """The verdict of every parameter at every site, from eigen_test's report at E.
-
-    report is eigen_test(problem, E, step), as the caller holds it; sites
-    holds site indices.  Returns verdicts, where verdicts[j][n] is the
-    DichotomyVerdict of parameters[n] at site sites[j] (see
-    classify_dichotomy).  The report gives every fixed-class verdict.  The
-    re-tests of all of them, 8 alpha, 8 r and 10 theta values per site,
-    come from the site maps at E with no walk of the problem (see
-    _cross_check), and are checked site by site in the order of
-    parameters: the first contradicted verdict raises CrossCheckFailure.
-    """
-    sites = check_sites(problem, sites, parameters, tol)
+def _verdicts(problem, report, sites, parameters, tol, step):
+    """classify_sites on checked arguments."""
     if report.mismatch > tol:
         raise NotAnEigenvalue(
             f"E = {report.E} has mismatch {report.mismatch:.3e} > tol {tol}")
@@ -378,6 +367,40 @@ def classify_sites(problem: Problem, report: EigenReport, sites, parameters=PARA
     _cross_check(problem, report, [(i, v) for i, row in zip(sites, verdicts) for v in row],
                  tol, step)
     return verdicts
+
+
+def classify_sites(problem: Problem, report: EigenReport, sites, parameters=PARAMETERS,
+                   tol: float = 1e-6, step: StepControl = DEFAULT_STEP):
+    """The verdict of every parameter at every site, from eigen_test's report at E.
+
+    report must be eigen_test(problem, report.E, step), as the caller holds
+    it: a report with another number of sites than problem raises
+    ValueError, and one of another problem or step gives wrong verdicts.
+    sites holds site indices.  Returns verdicts, where verdicts[j][n] is the
+    DichotomyVerdict of parameters[n] at site sites[j] (see
+    classify_dichotomy).  The report gives every fixed-class verdict.  The
+    re-tests of all of them, 8 alpha, 8 r and 10 theta values per site,
+    come from the site maps at E with no walk of the problem (see
+    _cross_check), and are checked site by site in the order of
+    parameters: the first contradicted verdict raises CrossCheckFailure.
+    """
+    sites = _check_sites(problem, sites, parameters, tol)
+    if len(report.left_limit_classes) != len(problem.interactions):
+        raise ValueError(f"report has {len(report.left_limit_classes)} sites, problem has "
+                         f"{len(problem.interactions)} interactions")
+    return _verdicts(problem, report, sites, parameters, tol, step)
+
+
+def classify_at(problem: Problem, e: float, sites, parameters=PARAMETERS,
+                tol: float = 1e-6, step: StepControl = DEFAULT_STEP):
+    """(eigen_test's report at e, classify_sites' verdicts on it).
+
+    The arguments are checked before the walk, so a bad site, parameter or
+    tol raises ValueError whatever the walk would do.
+    """
+    sites = _check_sites(problem, sites, parameters, tol)
+    report = eigen_test(problem, e, step)
+    return report, _verdicts(problem, report, sites, parameters, tol, step)
 
 
 def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: str,
@@ -391,9 +414,7 @@ def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: s
     classes arise differently; tol bounds both the mismatch at e and the
     distance to a fixed class.  The verdict is confirmed by re-testing 8
     perturbed parameter values (for theta also the two pi-shifts), all from
-    the site maps at e.  It is classify_sites for one site and one
-    parameter, on eigen_test's report at e.
+    the site maps at e.  It is classify_at for one site and one parameter.
     """
-    check_sites(problem, [site_index], [parameter], tol)
-    report = eigen_test(problem, e, step)
-    return classify_sites(problem, report, [site_index], [parameter], tol, step)[0][0]
+    ((verdict,),) = classify_at(problem, e, [site_index], [parameter], tol, step)[1]
+    return verdict

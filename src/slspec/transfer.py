@@ -367,8 +367,8 @@ def _rk4_pass(v, y, x, h_target):
 
     (q = h^2, q24 = q^2/24, hq6 = h q/6), whose coefficients are returned as
     (A0, A1, B0, C0, C1, D0, D1, hq6, q24), one value per step, followed by
-    the least and the greatest sample of V, two floats.  The cache shares the
-    arrays, so they are read-only.
+    the least sample of V, a float.  The cache shares the arrays, so they are
+    read-only.
     """
     ends = np.array(_walk_points(v, y, x))
     dx = ends[1:] - ends[:-1]
@@ -391,7 +391,7 @@ def _rk4_pass(v, y, x, h_target):
             hq6, q24)
     for t in data:
         t.flags.writeable = False
-    return data + (float(vals.min()), float(vals.max()))
+    return data + (float(vals.min()),)
 
 
 def _step_matrices(e, data):
@@ -517,14 +517,16 @@ def _propagate(v, y, x, e, step, cols):
     piecewise-constant potentials, otherwise the step-matrix product of each
     RK4 pass.  The RK4 step is halved until two successive finite passes
     agree within step.tol, entrywise relative to max(1, |entries|), and the
-    coarser one, of step 2 h, resolves the wavelength, 2 h sqrt(|E - V|)
-    <= 1/2 for every V the pass samples: RK4 damps a pass by about
+    coarser one, of step 2 h, resolves the wavelength, 2 h sqrt(E - V) <= 1/2
+    for every V below E that the pass samples: RK4 damps a pass by about
     (h sqrt(E - V))**6 / 144 per step, so two coarse passes can both shrink
-    to nothing and agree.  Both are judged per lane, each with its own E; a
-    lane that has converged drops out of later passes.  No walk
-    returns an entry that is not finite: an exact walk raises _finite's
-    FloatingPointError, and so does an RK4 lane whose last pass is not
-    finite once the refinements run out; else it is an IntegrationFailure.
+    to nothing and agree.  Where E lies below V the solution is not
+    oscillatory, and the agreement test alone settles the step.  Both are
+    judged per lane, each with its own E; a lane that has converged drops
+    out of later passes.  No walk returns an entry that is not finite: an
+    exact walk raises _finite's FloatingPointError, and so does an RK4 lane
+    whose last pass is not finite once the refinements run out; else it is
+    an IntegrationFailure.
     """
     _check_domain(v, x)
     _check_domain(v, y)
@@ -555,10 +557,8 @@ def _propagate(v, y, x, e, step, cols):
         a, b, c, d = _rk4_product(e, data)
         cur = [(a * u + b * du, c * u + d * du) for u, du in cols]
         if prev is not None:
-            cap = (0.25 / h_target) ** 2  # the |E - V| at which 2 h sqrt(|E - V|) = 1/2
-            v_lo, v_hi = data[-2:]
-            done = (_converged(cur, prev, step.tol)
-                    & (abs(e - v_lo) <= cap) & (abs(e - v_hi) <= cap))
+            cap = (0.25 / h_target) ** 2  # the E - V at which 2 h sqrt(E - V) = 1/2
+            done = _converged(cur, prev, step.tol) & (e - data[-1] <= cap)
             if not shape and done:
                 return cur
             if shape and done.any():

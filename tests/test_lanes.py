@@ -13,7 +13,6 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-import slspec.random
 import slspec.spectra
 
 from slspec.cli import main
@@ -447,45 +446,6 @@ def test_nan_mismatches_are_failures_not_quantiles():
                              StepControl(tol=1e-6, max_refine=4))
         assert (report.samples, report.hits, report.failures) == (40, 0, failures)
         assert [q.hex() for _, q in report.mismatch_quantiles] == quantiles
-
-
-def halving_walks(failing, i, j):
-    """The walks of a chunk of samples i..j-1 that is halved until each sample in failing
-    stands alone."""
-    if j - i == 1 or not failing.intersection(range(i, j)):
-        return 1
-    mid = (i + j) // 2
-    return 1 + halving_walks(failing, i, mid) + halving_walks(failing, mid, j)
-
-
-@pytest.mark.parametrize("v, ensemble, n", [
-    # 2 of 512 samples overflow: 37 walks at most, where one sample at a time took 513
-    (PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0)),
-     Ensemble("lambda", (Gaussian(0.0, 1e304),), seed=7), 512),
-    (PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0)), HUGE_SHEARS, 40),
-    (OVERFLOWING_GRID, HUGE_SHEARS, 40),
-    # every sample overflows: 2 n - 1 walks
-    (PiecewisePotential((0.0, 0.5, 1.0), (1000.0, 1000.0)), HUGE_SHEARS, 40),
-], ids=["two-of-512", "piecewise", "grid", "all-fail"])
-def test_failed_chunks_are_halved_down_to_their_failing_samples(monkeypatch, v, ensemble, n):
-    problem = huge_shear_problem(v)
-    step = StepControl(tol=1e-6, max_refine=4)
-    (alphas,) = _draws(ensemble, 0, n)
-    lone = lone_shears(problem, 1.0, alphas.tolist(), step)
-    failing = {i for i, t in enumerate(lone) if isinstance(t, tuple)}
-    assert failing
-    walks = []
-
-    def counted(*args):
-        walks.append(len(args[3][0]))
-        return realized_mismatches(*args)
-    monkeypatch.setattr(slspec.random, "realized_mismatches", counted)
-    mismatches, failures = lanes(problem, 1.0, ensemble, n, step)
-    assert len(walks) == halving_walks(failing, 0, n)
-    assert len(walks) <= 1 + 2 * len(failing) * math.ceil(math.log2(n))
-    assert walks.count(1) >= len(failing)
-    assert failures == len(failing)
-    assert mismatches == [t for t in lone if not isinstance(t, tuple)]
 
 
 # ------------------------------------------------------------ realized jumps

@@ -620,6 +620,14 @@ def test_classify_sites_of_nothing():
     assert classify_sites(problem, report, []) == []
 
 
+def test_classify_sites_refuses_a_report_of_other_sites():
+    # a report of fewer or more sites than the problem is a usage error, not an IndexError
+    problem = generic_problem(2)
+    for k in (1, 3):
+        with pytest.raises(ValueError, match=f"^report has {k} sites, problem has 2 "):
+            classify_sites(problem, eigen_test(generic_problem(k), 9.0), [0, 1])
+
+
 def test_first_contradicted_group_raises():
     # at tol 1e-3 the re-tests contradict both the r and the alpha verdict of
     # site 0; the groups are checked in the order given
