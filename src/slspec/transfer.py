@@ -27,20 +27,25 @@ energy-independent data (cut points, step sizes, potential samples, and
 from them those coefficients) is cached, so a scan's root refinements,
 which walk the same segments at many energies, build it once.  At each
 energy the quadratics are evaluated for all steps (and lanes) at once,
-multiplied as a pairwise tree and applied to each column.  For one float
-energy the tree's levels run in numpy while they are wide and the last
-ones, from at most 32 matrices on, on Python floats: the same pairs in the
-same operand order, each * and + rounded as numpy rounds it, so the
-product keeps every bit.  Each pass agrees with stepping (u, u') one step
-at a time within a relative 1e-12.
+multiplied as a pairwise tree and applied to each column.  Lane passes
+write their step matrices and wide tree levels into one 4 MB scratch array
+per thread, made once and reused: fresh arrays that large would be mapped
+anew and page-faulted in on every pass.  For one float energy the tree's
+levels run in numpy while they are wide and the last ones, from at most 32
+matrices on, on Python floats: the same pairs in the same operand order,
+each * and + rounded as numpy rounds it, so the product keeps every bit.
+Each pass agrees with stepping (u, u') one step at a time within a
+relative 1e-12.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import cycle
 
 import numpy as np
 
@@ -350,14 +355,15 @@ def _piece_matrix(w2, dx):
 
 
 @lru_cache(maxsize=32)
-def _rk4_pass(v, y, x, h_target):
+def _rk4_pass(v, y, x, h_target, max_steps):
     """The coefficients of one RK4 pass's step matrices as quadratics in E.
 
     Each piece (p, q) takes n = ceil(|q - p| / h_target) steps of
-    h = (q - p) / n.  Positional stepping, p + (q - p) * i / n, keeps the
-    points exactly inside the domain.  The end of one piece is the start of
-    the next: both are a grid node, where the interpolation reads the node
-    value whatever the sign of a zero coordinate, so one sample serves both.
+    h = (q - p) / n; past max_steps steps in all the pass is None, unbuilt.
+    Positional stepping, p + (q - p) * i / n, keeps the points exactly inside
+    the domain.  The end of one piece is the start of the next: both are a
+    grid node, where the interpolation reads the node value whatever the
+    sign of a zero coordinate, so one sample serves both.
 
     With V sampled at each step's start (v0), midpoint (vm) and end (v1),
     the step matrix I + h/6 (K1 + 2 K2 + 2 K3 + K4) has the entries
@@ -373,6 +379,8 @@ def _rk4_pass(v, y, x, h_target):
     ends = np.array(_walk_points(v, y, x))
     dx = ends[1:] - ends[:-1]
     n = np.maximum(1, np.ceil(np.abs(dx) / h_target)).astype(np.int64)
+    if n.sum() > max_steps:
+        return None
     i = np.arange(n.sum()) - np.repeat(np.cumsum(n) - n, n)
     h = np.repeat(dx / n, n)
     x0 = np.repeat(ends[:-1], n) + np.repeat(dx, n) * i / np.repeat(n, n)
@@ -394,18 +402,20 @@ def _rk4_pass(v, y, x, h_target):
     return data + (float(vals.min()),)
 
 
-def _step_matrices(e, data):
+def _step_matrices(e, data, out=None):
     """Every step matrix of a pass, as (2, 2, *lanes, n), evaluated at E in place.
 
     a and d share E q24, and b and c share E hq6; the quadratics run in
     Horner form, A0 + E (E q24 - A1), so each lane costs 12 operations per step.
+    The matrices fill the head of the flat float array out, if one is given.
     """
     a0, a1, b0, c0, c1, d0, d1, hq6, q24 = data[:9]
     shape = a0.shape
     if isinstance(e, np.ndarray):
         shape = e.shape + shape
         e = e[:, None]
-    m = np.empty((2, 2, *shape))
+    m = (np.empty((2, 2, *shape)) if out is None
+         else out[:4 * math.prod(shape)].reshape(2, 2, *shape))
     (a, b), (c, d) = m
     np.multiply(e, q24, out=d)
     np.subtract(d, a1, out=a)
@@ -419,20 +429,38 @@ def _step_matrices(e, data):
     return m
 
 
-def _tree_product(m, width=1):
+# tree levels of at least this many doubles go into the scratch array; the
+# smaller ones cost fewer calls as new arrays, and are too small to fault
+_SMALL_LEVEL = 1 << 12
+
+
+def _tree_product(m, width=1, spare=None):
     """M[n-1] ... M[0] of the stacked matrices m as a pairwise tree of + - * /.
 
     Each level multiplies neighbours; an odd last matrix waits a level.
     With a larger width the levels stop once at most width matrices are
-    left, and those are returned, stacked, for the rest of the tree.
+    left, and those are returned, stacked, for the rest of the tree.  Given
+    spare, a flat float array of m.size doubles or more, each level of at
+    least _SMALL_LEVEL doubles goes, with its product temporary, into spare
+    and into m's memory in turn, so m is used up; other levels are new arrays.
     """
-    while m.shape[-1] > width:
-        even = m.shape[-1] & ~1
-        early, late = m[..., 0:even:2], m[..., 1:even:2]
-        p = late[:, 0:1] * early[0:1] + late[:, 1:2] * early[1:2]
-        if even < m.shape[-1]:
-            p = np.concatenate((p, m[..., even:]), axis=-1)
-        m = p
+    turns = None if spare is None else cycle((spare, m.reshape(-1)))
+    while (n := m.shape[-1]) > width:
+        half = n // 2
+        early, late = m[..., 0:2 * half:2], m[..., 1:2 * half:2]
+        if turns is None or m.size < _SMALL_LEVEL:
+            out = late[:, 0:1] * early[0:1] + late[:, 1:2] * early[1:2]
+            if n & 1:
+                out = np.concatenate((out, m[..., n - 1:]), axis=-1)
+        else:
+            flat, k = next(turns), m.size // n * (n - half)
+            out = flat[:k].reshape(*m.shape[:-1], n - half)
+            p, tmp = out[..., :half], flat[k:m.size].reshape(*m.shape[:-1], half)
+            np.add(np.multiply(late[:, 0:1], early[0:1], p),
+                   np.multiply(late[:, 1:2], early[1:2], tmp), p)
+            if n & 1:
+                out[..., half] = m[..., n - 1]
+        m = out
     return m[..., 0] if width == 1 else m
 
 
@@ -458,22 +486,33 @@ def _float_tree(m):
 
 
 # lanes enter the step-matrix kernel in blocks of at most this many
-# (lane, step) entries, which bounds its memory for any walk and lane count
+# (lane, step) entries, which bounds its memory for any walk and lane count:
+# 8 doubles an entry, 4 MB, in the one scratch array each thread reuses, as
+# arrays that large, made afresh, are mapped and page-faulted in every pass
 _BLOCK = 1 << 16
+_scratch = threading.local()
 
 
 def _rk4_product(e, data):
     """The pass's matrix (a, b, c, d): floats for one energy, lane arrays for k.
 
     Overflow is silent, as with Python floats, so lanes keep the floats' bits.
+    No lane array returned is a view of the scratch array.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if not isinstance(e, np.ndarray):
             return _float_tree(_tree_product(_step_matrices(e, data), _FLOAT_TAIL))
         per = max(1, _BLOCK // len(data[0]))
-        blocks = [_tree_product(_step_matrices(e[i:i + per], data))
-                  for i in range(0, e.size, per)]
-        m = np.concatenate(blocks, axis=-1)
+        size = 4 * min(per, e.size) * len(data[0])
+        buf = getattr(_scratch, "buf", None)
+        if buf is None:
+            buf = _scratch.buf = np.empty(8 * _BLOCK)
+        if buf.size < 2 * size:  # a lone lane of more than _BLOCK steps, not kept
+            buf = np.empty(2 * size)
+        m = np.empty((2, 2, e.size))
+        for i in range(0, e.size, per):
+            m[..., i:i + per] = _tree_product(_step_matrices(e[i:i + per], data, buf), 1,
+                                              buf[size:])
     return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
 
@@ -546,14 +585,16 @@ def _propagate(v, y, x, e, step, cols):
     if shape:
         cols = [(np.broadcast_to(u, shape), np.broadcast_to(du, shape)) for u, du in cols]
         out = [(np.empty(shape), np.empty(shape)) for _ in cols]
+        if not shape[0]:
+            return out
         live = np.arange(shape[0])
     h_target = step.base_step()
     prev = None
     for _ in range(step.max_refine + 1):
-        if abs(x - y) / h_target > step.max_steps:
+        data = _rk4_pass(v, y, x, h_target, step.max_steps)
+        if data is None:
             raise IntegrationFailure(
                 f"step budget {step.max_steps} exhausted before tolerance {step.tol}")
-        data = _rk4_pass(v, y, x, h_target)
         a, b, c, d = _rk4_product(e, data)
         cur = [(a * u + b * du, c * u + d * du) for u, du in cols]
         if prev is not None:

@@ -217,6 +217,14 @@ STARVED = {"max_steps": 40}, {"max_refine": 0}, {"tol": 1e-15, "max_refine": 2}
 STARVED_IDS = ["step-budget", "no-refinement", "no-convergence"]
 
 
+@pytest.mark.parametrize("potential", [GRID_DOC["potential"],
+                                       {"kind": "piecewise", "breakpoints": [0.0, 1.0, 2.0],
+                                        "values": [0.0, 3.0]}], ids=["grid", "piecewise"])
+def test_no_lanes_give_no_mismatches(potential):
+    problem = problem_from_json({**GRID_DOC, "potential": potential})
+    assert boundary_mismatch(problem, np.array([])) == []
+
+
 @pytest.mark.parametrize("block", STARVED, ids=STARVED_IDS)
 def test_scan_failures_raise_integration_failure(block):
     problem = problem_from_json(GRID_DOC)

@@ -1,5 +1,5 @@
 """The RK4 step-matrix kernel against the sequential loop it replaced and an
-independent closed form.
+independent closed form, and the scratch array its lane passes reuse.
 
 The kernel evaluates each step matrix's entries as quadratics in E and
 multiplies the step matrices of a pass as a pairwise tree, so its rounding
@@ -9,6 +9,9 @@ in tests/test_golden.py holds pass by pass: every entry within a relative
 """
 
 import math
+import sys
+import threading
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -16,6 +19,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from slspec.problem import problem_from_json
+from slspec.spectra import boundary_mismatch
 from slspec.transfer import (
     DEFAULT_STEP,
     GridPotential,
@@ -26,6 +31,7 @@ from slspec.transfer import (
     _float_tree,
     _rk4_pass,
     _rk4_product,
+    _scratch,
     _step_matrices,
     _tree_product,
     _walk_points,
@@ -33,6 +39,8 @@ from slspec.transfer import (
 )
 
 BOUND = 1e-12
+# the step budget of a kernel pass called directly
+STEPS = DEFAULT_STEP.max_steps
 
 
 # ----------------------------------------------------------- sequential oracle
@@ -153,7 +161,7 @@ def test_kernel_pass_matches_sequential_pass(walk, e, h_target):
     v, y, x = walk
     samples = sequential_samples(v, _walk_points(v, y, x), h_target)
     (a, c), (b, d) = [sequential_column(u, du, e, *samples) for u, du in ((1.0, 0.0), (0.0, 1.0))]
-    got = _rk4_product(e, _rk4_pass(v, y, x, h_target))
+    got = _rk4_product(e, _rk4_pass(v, y, x, h_target, STEPS))
     assert within(got, (a, b, c, d))
 
 
@@ -162,7 +170,7 @@ def test_kernel_pass_matches_sequential_pass(walk, e, h_target):
 def test_kernel_lanes_match_sequential_passes(walk, es, h_target):
     v, y, x = walk
     samples = sequential_samples(v, _walk_points(v, y, x), h_target)
-    lanes = _rk4_product(np.array(es), _rk4_pass(v, y, x, h_target))
+    lanes = _rk4_product(np.array(es), _rk4_pass(v, y, x, h_target, STEPS))
     for k, e in enumerate(es):
         (a, c), (b, d) = [sequential_column(u, du, e, *samples)
                           for u, du in ((1.0, 0.0), (0.0, 1.0))]
@@ -179,7 +187,7 @@ LARGE_E = (1e4, 9999.5, 5e3, 1e3, -2e3, -1e4)
 @pytest.mark.parametrize("y, x", [(0.0, 2.0), (2.0, 0.1), (0.3, 0.8)])
 @pytest.mark.parametrize("h_target", [0.01, 0.005])
 def test_kernel_matches_sequential_pass_at_large_energies(y, x, h_target):
-    data = _rk4_pass(FAST, y, x, h_target)
+    data = _rk4_pass(FAST, y, x, h_target, STEPS)
     samples = sequential_samples(FAST, _walk_points(FAST, y, x), h_target)
     lanes = _rk4_product(np.array(LARGE_E), data)
     for k, e in enumerate(LARGE_E):
@@ -193,12 +201,90 @@ def test_kernel_matches_sequential_pass_at_large_energies(y, x, h_target):
 def test_lanes_across_blocks_match_lone_energies(full, rest):
     # the lanes fill `full` blocks of _BLOCK // steps lanes each, and `rest`
     # more start another; each lane keeps its lone bits
-    data = _rk4_pass(GRID, 0.0, 1.0, 0.0005)
+    data = _rk4_pass(GRID, 0.0, 1.0, 0.0005, STEPS)
     per = _BLOCK // len(data[0])
     es = np.linspace(-20.0, 50.0, full * per + rest)
     got = _rk4_product(es, data)
     for k, e in enumerate(es.tolist()):
         assert [t[k] for t in got] == _rk4_product(e, data)
+
+
+def test_a_lane_longer_than_a_block_keeps_its_lone_bits():
+    # each lane of about 2 * _BLOCK steps makes a block of its own, too
+    # large for the scratch array, which stays at its size
+    data = _rk4_pass(GRID, 0.0, 1.0, 0.5 / _BLOCK, STEPS)
+    assert len(data[0]) > 2 * _BLOCK
+    es = np.array([3.25, -20.0])
+    got = _rk4_product(es, data)
+    for k, e in enumerate(es.tolist()):
+        assert [t[k] for t in got] == _rk4_product(e, data)
+    assert _scratch.buf.size == 8 * _BLOCK
+
+
+# ---------------------------------------------------- the scratch array
+
+def grid_problem(nodes, scale):
+    xs = [2.0 * i / (nodes - 1) for i in range(nodes)]
+    return problem_from_json({
+        "a": 0.0, "b": 2.0, "bc_left": 0.0, "bc_right": 0.3,
+        "potential": {"kind": "grid", "x": xs,
+                      "values": [scale * math.sin(3.0 * x) for x in xs]},
+        "interactions": [{"x": 0.9, "alpha": 0.4, "r": 1.3, "theta": 0.2}]})
+
+
+def test_lane_passes_allocate_no_step_arrays():
+    # 300 nodes on [0, 2] take 598 steps at the base step; once this thread's
+    # scratch array exists, a 200-lane pass allocates less than one
+    # lanes x steps float array (the step matrices alone take four)
+    v = grid_problem(300, 5.0).potential
+    data = _rk4_pass(v, 0.0, 2.0, DEFAULT_STEP.base_step(), STEPS)
+    assert len(data[0]) == 598
+    es, again = np.linspace(-10.0, 50.0, 200), np.linspace(-9.0, 51.0, 200)
+    first = _rk4_product(es, data)
+    tracemalloc.start()
+    try:
+        second = _rk4_product(again, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < es.size * len(data[0]) * 8
+    # the arrays a pass returns are its own, also where its tree ends in the
+    # scratch array (2048 lanes of 16 steps): a pass of another shape leaves them be
+    short = _rk4_pass(v, 0.0, v.x[8], DEFAULT_STEP.base_step(), STEPS)
+    assert len(short[0]) == 16
+    wide = _rk4_product(np.linspace(-10.0, 50.0, 2048), short)
+    kept = [t.copy() for t in first + wide]
+    other = _rk4_pass(v, 1.7, 0.2, DEFAULT_STEP.base_step() / 2, STEPS)
+    _rk4_product(np.linspace(0.0, 5.0, 7), other)
+    assert all(np.array_equal(t, k) for t, k in zip(first + wide, kept))
+    assert not any(np.shares_memory(t, _scratch.buf) for t in first + second + wide)
+
+
+def test_threads_scanning_at_once_keep_their_bits():
+    # each thread writes its lane passes into a scratch array of its own
+    jobs = [(grid_problem(300, 5.0), np.linspace(-10.0, 40.0, 200)),
+            (grid_problem(217, -8.0), np.linspace(-5.0, 60.0, 150))]
+    alone = [boundary_mismatch(p, es) for p, es in jobs]
+    got = [[], []]
+    start = threading.Barrier(2, timeout=60)
+
+    def scan(k):
+        start.wait()
+        for _ in range(4):
+            got[k].append(boundary_mismatch(*jobs[k]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=scan, args=(k,)) for k in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[alone[0]] * 4, [alone[1]] * 4]
 
 
 # ------------------------------------------------------- the float tail
@@ -248,7 +334,7 @@ def test_float_tail_keeps_the_tree_bits(m):
 @pytest.mark.parametrize("h_target", [0.1, 0.01, 0.0005])
 @pytest.mark.parametrize("e", [-20.0, 3.25, 1e4])
 def test_single_energy_product_is_the_numpy_tree(h_target, e):
-    data = _rk4_pass(GRID, 0.0, 1.0, h_target)
+    data = _rk4_pass(GRID, 0.0, 1.0, h_target, STEPS)
     want = _tree_product(_step_matrices(e, data)).ravel().tolist()
     assert float_bits(_rk4_product(e, data)) == float_bits(want)
 

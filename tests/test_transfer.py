@@ -216,6 +216,17 @@ def test_integration_failure_on_impossible_tolerance():
                         step=StepControl(tol=1e-18, max_refine=20, max_steps=50_000))
 
 
+def test_step_budget_counts_the_steps_a_pass_takes():
+    # a pass takes at least one step per cell: 5000 on this grid, though
+    # |x - y| / h is only 178 at the base step
+    xs = tuple(i / 5000 for i in range(5001))
+    g = GridPotential(xs, tuple(math.sin(7.0 * x) for x in xs))
+    with pytest.raises(IntegrationFailure,
+                       match=r"^step budget 1000 exhausted before tolerance 1e-09$"):
+        transfer_matrix(g, 1.0, 0.0, 1.0, step=StepControl(max_steps=1000))
+    assert transfer_matrix(g, 1.0, 0.0, 1.0, step=StepControl(max_steps=10_000)).det
+
+
 def test_overflowing_matrix_is_an_integration_failure():
     # one V = 1000 piece of length 15 has entries near 1e205: finite, but the
     # determinant overflows to NaN, which must not pass the det gate
