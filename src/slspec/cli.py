@@ -210,6 +210,12 @@ def _emit(args, path, text):
         print(f"wrote {path}")
 
 
+def _finish(args, path, fmt, doc, header, rows):
+    """Emit doc as JSON, or header and rows as CSV if fmt is csv, to path; exit code 0."""
+    _emit(args, path, _csv_text(header, rows) if fmt == "csv" else _json_text(doc))
+    return 0
+
+
 # ------------------------------------------------------------------- commands
 
 def cmd_decompose(args):
@@ -242,19 +248,11 @@ def cmd_transfer(args):
     m = transfer_matrix(prob.potential, x, y, e, step)
     doc = {"schema": 1, "command": "transfer", "energy": e, "x": x, "y": y,
            "matrix": list(m.entries()), "det": m.det}
-    trace = None
+    header, rows = ("a", "b", "c", "d"), [m.entries()]
     if res is not None:
-        trace = prufer_trace(prob, e, res, step)
-        doc["prufer"] = [[t, phi] for t, phi in trace]
-    if fmt == "csv":
-        if trace is not None:
-            text = _csv_text(("x", "phi"), trace)
-        else:
-            text = _csv_text(("a", "b", "c", "d"), [m.entries()])
-    else:
-        text = _json_text(doc)
-    _emit(args, path, text)
-    return 0
+        header, rows = ("x", "phi"), prufer_trace(prob, e, res, step)
+        doc["prufer"] = [[t, phi] for t, phi in rows]
+    return _finish(args, path, fmt, doc, header, rows)
 
 
 def cmd_eigs(args):
@@ -276,18 +274,13 @@ def cmd_eigs(args):
             entry["verdicts"] = [{"site": i, "parameter": v.parameter, "verdict": v.verdict}
                                  for i, row in zip(sites, verdicts) for v in row]
         results.append(entry)
-    if fmt == "csv":
-        if classify:
-            rows = [(r["E"], v["site"], v["parameter"], v["verdict"])
-                    for r in results for v in r["verdicts"]]
-            text = _csv_text(("E", "site", "parameter", "verdict"), rows)
-        else:
-            text = _csv_text(("E", "mismatch"),
-                             [(r["E"], r["mismatch"]) for r in results])
-    else:
-        text = _json_text({"schema": 1, "command": "eigs", "results": results})
-    _emit(args, path, text)
-    return 0
+    header, rows = ("E", "mismatch"), [(r["E"], r["mismatch"]) for r in results]
+    if classify:
+        header = ("E", "site", "parameter", "verdict")
+        rows = [(r["E"], v["site"], v["parameter"], v["verdict"])
+                for r in results for v in r["verdicts"]]
+    return _finish(args, path, fmt, {"schema": 1, "command": "eigs", "results": results},
+                   header, rows)
 
 
 def cmd_dichotomy(args):
@@ -301,15 +294,10 @@ def cmd_dichotomy(args):
                  "matched_fixed_class": (None if v.matched_fixed_class is None
                                          else v.matched_fixed_class.angle)}
                 for v in row]
-    if fmt == "csv":
-        rows = [(e, site, v["parameter"], v["verdict"]) for v in verdicts]
-        text = _csv_text(("E", "site", "parameter", "verdict"), rows)
-    else:
-        text = _json_text({"schema": 1, "command": "dichotomy", "E": e,
-                           "site": site, "mismatch": report.mismatch,
-                           "verdicts": verdicts})
-    _emit(args, path, text)
-    return 0
+    doc = {"schema": 1, "command": "dichotomy", "E": e, "site": site,
+           "mismatch": report.mismatch, "verdicts": verdicts}
+    return _finish(args, path, fmt, doc, ("E", "site", "parameter", "verdict"),
+                   [(e, site, v["parameter"], v["verdict"]) for v in verdicts])
 
 
 def _histogram(mismatches, bins):

@@ -5,6 +5,9 @@ document ("" at its root), and returns the field's value or raises
 ValueError naming the field.  A number is finite and never null or a
 boolean (Python's json reads NaN and Infinity); an integer is never a
 boolean; lists, objects and strings are checked for their type.
+
+A tagged object {"kind": k, ...} holds the fields of kind k; one table
+{kind: (class, fields)} per family serves its reader, tagged, and its writer, to_tagged.
 """
 
 from __future__ import annotations
@@ -91,9 +94,19 @@ def string(obj, key, where, choices=None, default=None) -> str:
     return v
 
 
-def tagged(obj, where, kinds) -> str:
-    """The "kind" of a tagged object: one of kinds, whose other keys are exactly kinds[kind]."""
-    check_keys(obj, where, {"kind"}, set().union(*kinds.values()))
-    kind = string(obj, "kind", where, kinds)
-    check_keys(obj, where, {"kind", *kinds[kind]})
-    return kind
+def tagged(obj, where, kinds):
+    """The (class, fields) of kinds[obj["kind"]], once obj's other keys are exactly the fields."""
+    check_keys(obj, where, {"kind"}, {key for _, keys in kinds.values() for key in keys})
+    cls, keys = kinds[string(obj, "kind", where, kinds)]
+    check_keys(obj, where, {"kind", *keys})
+    return cls, keys
+
+
+def to_tagged(obj, kinds, what) -> dict:
+    """obj as {"kind": ..., **fields} by tagged's table kinds, tuples as lists; else TypeError."""
+    for kind, (cls, keys) in kinds.items():
+        if isinstance(obj, cls):
+            fields = {key: getattr(obj, key) for key in keys}
+            return {"kind": kind} | {key: list(t) if isinstance(t, tuple) else t
+                                     for key, t in fields.items()}
+    raise TypeError(f"not a {what}: {obj!r}")

@@ -107,14 +107,14 @@ class PropagationResult:
 
 
 def _normalized(state):
-    """state scaled to unit norm; finite data whose norm overflows is halved first.
+    """state scaled to unit norm, halved first if its norm overflows; zero data as it is.
 
-    Zero data is returned as it is.
+    Halving an entry that is not finite changes no bit of the result.
     """
     if isinstance(state.u, np.ndarray):
         # the norms come from math's hypot, lane by lane, as a lone state's would
         norms = _mapped(math.hypot, state.u, state.du)
-        halve = np.isinf(norms) & np.isfinite(state.u) & np.isfinite(state.du)
+        halve = np.isinf(norms)
         if halve.any():
             state = SolutionState(state.x, np.where(halve, state.u / 2.0, state.u),
                                   np.where(halve, state.du / 2.0, state.du))
@@ -122,7 +122,7 @@ def _normalized(state):
         n = np.where(norms != 0.0, norms, 1.0)
         return SolutionState(state.x, state.u / n, state.du / n)
     n = math.hypot(state.u, state.du)
-    if n == math.inf and math.isfinite(state.u) and math.isfinite(state.du):
+    if n == math.inf:
         state = SolutionState(state.x, state.u / 2.0, state.du / 2.0)
         n = math.hypot(state.u, state.du)
     if n == 0.0:
@@ -160,11 +160,9 @@ def _continue_lift(prev, raw):
 
 
 def _wrap_half_pi(d):
-    """Reduce an angle difference mod pi into (-pi/2, pi/2]."""
+    """Reduce an angle difference mod pi into (-pi/2, pi/2]; d is a float or a lane array."""
     d = d % math.pi
-    if d > math.pi / 2:
-        d -= math.pi
-    return d
+    return d - math.pi * (d > math.pi / 2)
 
 
 def _class_gap(rough, y, x):
@@ -174,8 +172,7 @@ def _class_gap(rough, y, x):
     so a small gap keeps its relative precision; rough, good to well within
     pi / 2, only picks the multiple of pi.
     """
-    fine = math.atan2(y, x) if x >= 0.0 else math.atan2(-y, -x)
-    return fine + math.pi * round((rough - fine) / math.pi)
+    return _continue_lift(rough, math.atan2(y, x) if x >= 0.0 else math.atan2(-y, -x))
 
 
 def _phase_failure(x, e):

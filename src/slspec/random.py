@@ -31,7 +31,7 @@ from itertools import islice
 
 import numpy as np
 
-from .fields import check_keys, is_integer, items, number, tagged
+from .fields import check_keys, is_integer, items, number, tagged, to_tagged
 from .problem import (
     PointInteraction,
     Problem,
@@ -103,25 +103,18 @@ class PointMass:
     value: float
 
 
+DISTRIBUTION_KINDS = {"uniform": (Uniform, ("lo", "hi")), "gaussian": (Gaussian, ("mean", "sd")),
+                      "pointmass": (PointMass, ("value",))}
+
+
 def distribution_to_json(d) -> dict:
-    if isinstance(d, Uniform):
-        return {"kind": "uniform", "lo": d.lo, "hi": d.hi}
-    if isinstance(d, Gaussian):
-        return {"kind": "gaussian", "mean": d.mean, "sd": d.sd}
-    if isinstance(d, PointMass):
-        return {"kind": "pointmass", "value": d.value}
-    raise TypeError(f"not a site distribution: {d!r}")
-
-
-DISTRIBUTION_FIELDS = {"uniform": ("lo", "hi"), "gaussian": ("mean", "sd"),
-                       "pointmass": ("value",)}
+    return to_tagged(d, DISTRIBUTION_KINDS, "site distribution")
 
 
 def distribution_from_json(obj, where=""):
     """The site distribution of a JSON object; where is its path in the document, for errors."""
-    kind = tagged(obj, where, DISTRIBUTION_FIELDS)
-    cls = {"uniform": Uniform, "gaussian": Gaussian, "pointmass": PointMass}[kind]
-    return cls(*(number(obj, key, where) for key in DISTRIBUTION_FIELDS[kind]))
+    cls, keys = tagged(obj, where, DISTRIBUTION_KINDS)
+    return cls(*(number(obj, key, where) for key in keys))
 
 
 @dataclass(frozen=True)
@@ -461,12 +454,14 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
     gate for exploration, in which case nothing guarantees the right boundary
     match and eigen_test reports the residual mismatch.  A walk that
     overflows is a numerical failure either way (FloatingPointError, from
-    eigen_test).  Only the first len(thetas) + 1 interior zeros are located.
+    eigen_test).  Every site's parameters are built, and each r checked,
+    before any walk.  Only the first len(thetas) + 1 interior zeros are located.
     """
     thetas = list(thetas)
     rs = list(rs)
     if not thetas or len(thetas) != len(rs):
         raise ValueError("need matching nonempty theta and r lists")
+    params = [IwasawaParams(0.0, r, theta) for theta, r in zip(thetas, rs)]
     base = Problem(a, b, v, (), bc_left, bc_right)
     rep = eigen_test(base, e, step)
     if rep.mismatch > EIGEN_TOL and not allow_non_eigenvalue:
@@ -488,12 +483,12 @@ def construct_degenerate(v, e: float, thetas, rs, a: float, b: float,
             f"found {len(zeros)} usable zeros, need {need}",
             zeros_found=len(zeros))
     sites = []
-    for i, (theta, r) in enumerate(zip(thetas, rs)):
+    for i, (theta, site_params) in enumerate(zip(thetas, params)):
         target = proj_class(math.cos(theta), -math.sin(theta))
         x_i = find_class_point(base, e, zeros[i], zeros[i + 1], target, step)
         if x_i <= a:
             raise InsufficientOscillation(
                 f"site {i} lands on the endpoint {a}; theta = {theta} needs an "
                 f"interior zero gap", zeros_found=len(zeros))
-        sites.append(PointInteraction(x_i, IwasawaParams(0.0, r, theta)))
+        sites.append(PointInteraction(x_i, site_params))
     return Problem(a, b, v, tuple(sites), bc_left, bc_right)

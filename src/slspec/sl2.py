@@ -6,9 +6,10 @@ Three one-parameter subgroups are used throughout:
     dilation  H_r = [[r, 0], [0, 1/r]],  r > 0
     rotation  E_t = [[cos t, -sin t], [sin t, cos t]]
 
-Every unimodular matrix factors uniquely as P_a H_r E_t.  A point of the real
-projective line is stored as an angle in [0, pi); the class of a nonzero
-vector (v1, v2) sits at arg(v2 + i*v1) mod pi, so (sin t, cos t) has angle t.
+Every unimodular matrix factors uniquely as P_a H_r E_t; one test decides
+unimodularity, |det - 1| <= tol, which a NaN determinant fails.  A point of
+the real projective line is stored as an angle in [0, pi); the class of a
+nonzero vector (v1, v2) sits at arg(v2 + i*v1) mod pi, so (sin t, cos t) has angle t.
 """
 
 from __future__ import annotations
@@ -52,10 +53,7 @@ class Mat2:
 
     @classmethod
     def sl2(cls, a, b, c, d, tol: float = DET_TOL) -> "Mat2":
-        m = cls(float(a), float(b), float(c), float(d))
-        if abs(m.det - 1.0) > tol:
-            raise NonUnimodular(f"det = {m.det!r} is not 1 within {tol}")
-        return m
+        return _unimodular(cls(float(a), float(b), float(c), float(d)), tol)
 
     @classmethod
     def identity(cls) -> "Mat2":
@@ -153,29 +151,32 @@ def _compose(alpha, r, ct, st) -> Mat2:
     return Mat2(r * ct + ar * st, -r * st + ar * ct, st / r, ct / r)
 
 
+def _unimodular(m: Mat2, tol: float) -> Mat2:
+    """m, once |det m - 1| <= tol; else NonUnimodular, for a NaN determinant too."""
+    if not abs(m.det - 1.0) <= tol:
+        raise NonUnimodular(f"det = {m.det!r} is not 1 within {tol}")
+    return m
+
+
 def iwasawa_decompose(m: Mat2, tol: float = DET_TOL) -> IwasawaParams:
     """The unique (alpha, r, theta) with m = P_alpha H_r E_theta.
 
-    alpha and r come from the orbit of i under the upper-half-plane Moebius
-    action of m; theta is then read off H_r^-1 P_alpha^-1 m, which is a
-    rotation and gives theta exactly once alpha and r are known.
+    P_alpha leaves the second row of H_r E_theta, (sin theta, cos theta) / r,
+    alone, so r and theta are read off m's second row; alpha is the real
+    part of the upper-half-plane Moebius image of i under m.  A factor that
+    is not finite, where m's entries are too far apart, is an OverflowError.
     """
-    if abs(m.det - 1.0) > tol:
-        raise NonUnimodular(f"det = {m.det!r} is not 1 within {tol}")
+    _unimodular(m, tol)
     w = (m.a * 1j + m.b) / (m.c * 1j + m.d)
-    alpha = w.real
-    r = math.sqrt(w.imag)
-    # First column of H_r^-1 P_alpha^-1 m is (cos theta, sin theta).
-    ct = (m.a - alpha * m.c) / r
-    st = r * m.c
-    return IwasawaParams(alpha, r, math.atan2(st, ct))
+    alpha, r, theta = w.real, 1.0 / math.hypot(m.c, m.d), math.atan2(m.c, m.d)
+    if not (math.isfinite(alpha) and math.isfinite(r)):
+        raise OverflowError(f"the Iwasawa factors of {m.entries()} are not finite")
+    return IwasawaParams(alpha, r, theta)
 
 
 def proj_apply(m: Mat2, p: ProjPoint, tol: float = DET_TOL) -> ProjPoint:
-    """Induced action of the unimodular m on RP^1; NonUnimodular if |det m - 1| > tol."""
-    if abs(m.det - 1.0) > tol:
-        raise NonUnimodular(f"det = {m.det!r} is not 1 within {tol}")
-    w1, w2 = m.apply(p.vector())
+    """Induced action of the unimodular m on RP^1; NonUnimodular unless |det m - 1| <= tol."""
+    w1, w2 = _unimodular(m, tol).apply(p.vector())
     return proj_class(w1, w2)
 
 
@@ -193,7 +194,7 @@ def r_fixed_classes(params: IwasawaParams):
 def alpha_fixed_class(params: IwasawaParams) -> ProjPoint:
     """The single class on which varying the shear alpha leaves [A v] unchanged.
 
-    E_theta sends (cos theta, -sin theta) to (1, 0), which every shear fixes.
+    E_theta sends (cos theta, -sin theta), the second r-fixed class, to
+    (1, 0), which every shear fixes.
     """
-    t = params.theta
-    return proj_class(math.cos(t), -math.sin(t))
+    return r_fixed_classes(params)[1]

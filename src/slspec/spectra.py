@@ -39,7 +39,7 @@ import numpy as np
 
 from .problem import Problem, _wrap_half_pi, propagate_through
 from .sl2 import (TWO_PI, InvalidDilation, Mat2, NumericalFailure, ProjPoint, ZeroVector,
-                  _compose, alpha_fixed_class, iwasawa_compose, proj_class, r_fixed_classes)
+                  _compose, iwasawa_compose, proj_class, r_fixed_classes)
 from .transfer import DEFAULT_STEP, StepControl, _mapped, transfer_matrix
 
 ALL_VALUES = "AllValues"
@@ -90,10 +90,6 @@ def matching_gamma(problem: Problem, e: float,
     return proj_class(res.final.u, res.final.du)
 
 
-def _signed_defect(problem, gamma):
-    return _wrap_half_pi(gamma.angle - problem.bc_right.angle)
-
-
 def _class_angles(u, du):
     """The class angle of every lane (u, du), as proj_class gives it, as one array.
 
@@ -121,12 +117,11 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
     FloatingPointError (see transfer), so every defect returned is finite.
     """
     if not isinstance(e, np.ndarray):
-        return _signed_defect(problem, matching_gamma(problem, e, step))
+        return _wrap_half_pi(matching_gamma(problem, e, step).angle - problem.bc_right.angle)
     # lanes overflow without a word, as Python floats do, until the walk's check
     with np.errstate(over="ignore", invalid="ignore"):
         final = propagate_through(problem, e, step).final
-        d = (_class_angles(final.u, final.du) - problem.bc_right.angle) % math.pi
-    return np.where(d > math.pi / 2, d - math.pi, d).tolist()
+        return _wrap_half_pi(_class_angles(final.u, final.du) - problem.bc_right.angle).tolist()
 
 
 def _jumps(alpha, r, theta):
@@ -281,7 +276,8 @@ def _fixed_class_verdict(params, parameter, cls, tol):
     """The verdict of one parameter from the class cls just left of its site."""
     if parameter == "theta":
         return DichotomyVerdict(parameter, PERIODIC_IN_THETA)
-    fixed = r_fixed_classes(params) if parameter == "r" else (alpha_fixed_class(params),)
+    # the alpha-fixed class is the second r-fixed class
+    fixed = r_fixed_classes(params)[0 if parameter == "r" else 1:]
     matched = next((f for f in fixed if cls.distance(f) <= tol), None)
     return DichotomyVerdict(parameter, ONLY_ORIGINAL if matched is None else ALL_VALUES, matched)
 

@@ -11,6 +11,8 @@ the potential's kind alone.  transfer_matrix (two identity columns) and
 propagate_state (one column) share one walker, so both run the same
 arithmetic on the same segment data.  No walk returns an entry that is not
 finite: where a long forbidden stretch overflows, it raises FloatingPointError.
+A grid potential has one interpolation, sample, which its value at one point
+calls too; one table of kinds serves potential_to_json and potential_from_json.
 
 The walker also carries k energies, or k states at one energy, as lanes of
 numpy arrays; a lone float energy runs the same source on Python floats.
@@ -49,7 +51,7 @@ from itertools import cycle
 
 import numpy as np
 
-from .fields import number, numbers, tagged
+from .fields import number, numbers, tagged, to_tagged
 from .sl2 import Mat2, NumericalFailure
 
 
@@ -190,13 +192,7 @@ class GridPotential:
         return (self.x[0], self.x[-1])
 
     def __call__(self, t):
-        lo, hi = self.domain
-        if not lo <= t <= hi:
-            raise DomainError(f"x = {t!r} outside [{lo}, {hi}]")
-        i = min(max(bisect_right(self.x, t) - 1, 0), len(self.x) - 2)
-        x0, x1 = self.x[i], self.x[i + 1]
-        w = (t - x0) / (x1 - x0)
-        return (1.0 - w) * self.values[i] + w * self.values[i + 1]
+        return self.sample(np.array([t], dtype=float))[0].item()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -218,7 +214,7 @@ class GridPotential:
         return np.array(self.x), np.array(self.values)
 
     def sample(self, ts):
-        """V at every point of the float array ts: __call__'s cells and arithmetic."""
+        """V at every point of the float array ts, interpolated in the cell of nodes about it."""
         lo, hi = self.domain
         if not (lo <= ts.min() and ts.max() <= hi):  # NaN fails too
             t = ts[~((lo <= ts) & (ts <= hi))][0]
@@ -240,28 +236,20 @@ class GridPotential:
         return max(abs(v) for v in self.values[i:max(j, i + 1)])
 
 
+POTENTIAL_KINDS = {"constant": (ConstantPotential, ("value",)),
+                   "piecewise": (PiecewisePotential, ("breakpoints", "values")),
+                   "grid": (GridPotential, ("x", "values"))}
+
+
 def potential_to_json(v) -> dict:
-    if isinstance(v, ConstantPotential):
-        return {"kind": "constant", "value": v.value}
-    if isinstance(v, PiecewisePotential):
-        return {"kind": "piecewise", "breakpoints": list(v.breakpoints),
-                "values": list(v.values)}
-    if isinstance(v, GridPotential):
-        return {"kind": "grid", "x": list(v.x), "values": list(v.values)}
-    raise TypeError(f"not a potential: {v!r}")
-
-
-POTENTIAL_FIELDS = {"constant": ("value",), "piecewise": ("breakpoints", "values"),
-                    "grid": ("x", "values")}
+    return to_tagged(v, POTENTIAL_KINDS, "potential")
 
 
 def potential_from_json(obj, where="") -> "Potential":
     """The potential of a JSON object; where is its path in the document, for errors."""
-    kind = tagged(obj, where, POTENTIAL_FIELDS)
-    if kind == "constant":
-        return ConstantPotential(number(obj, "value", where))
-    cls = PiecewisePotential if kind == "piecewise" else GridPotential
-    return cls(*(numbers(obj, key, where) for key in POTENTIAL_FIELDS[kind]))
+    cls, keys = tagged(obj, where, POTENTIAL_KINDS)
+    read = number if cls is ConstantPotential else numbers
+    return cls(*(read(obj, key, where) for key in keys))
 
 
 Potential = ConstantPotential | PiecewisePotential | GridPotential

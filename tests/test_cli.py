@@ -73,6 +73,19 @@ def test_decompose_degrees_and_output(tmp_path, capsys):
     assert abs(doc["theta"] - PI / 2) < 1e-12  # file stays in radians
 
 
+@pytest.mark.parametrize("entries, code, out, err", [
+    ("1e200 0 0 1e-200", 0, "alpha=0.0 r=1e+200 theta=0.0 rad residual=0.0\n", ""),
+    ("1e-200 0 0 1e200", 0, "alpha=0.0 r=1e-200 theta=0.0 rad residual=0.0\n", ""),
+    ("1e160 1e160 0 1e-160", 3, "", "numerical failure: the Iwasawa factors of "
+                                    "(1e+160, 1e+160, 0.0, 1e-160) are not finite\n"),
+    ("nan 0 0 1", 2, "", "error: det = nan is not 1 within 1e-09\n"),
+    ("inf 0 0 0", 2, "", "error: det = nan is not 1 within 1e-09\n"),
+])
+def test_decompose_prints_only_finite_numbers(entries, code, out, err, capsys):
+    assert run("decompose", *entries.split()) == code
+    assert capsys.readouterr() == (out, err)
+
+
 # --------------------------------------------------------------------- eigs
 
 def test_eigs_box_spectrum(tmp_path):
@@ -374,6 +387,15 @@ def test_degenerate_refuses_a_problem_with_interactions(tmp_path, capsys):
     assert run("--quiet", "--config", write_config(tmp_path, cfg), "degenerate") == 2
     assert capsys.readouterr().err == ("error: degenerate construction starts from a problem "
                                        "without interactions\n")
+    assert not (tmp_path / "built.json").exists()
+
+
+def test_degenerate_checks_every_r_before_any_walk(tmp_path, capsys):
+    cfg = degenerate_config(tmp_path)
+    # E = 2 is no eigenvalue: a walk first would exit 3 with its mismatch
+    cfg["degenerate"].update(energy=2.0, rs=[-1.0])
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "degenerate") == 2
+    assert capsys.readouterr().err == "error: r = -1.0 must be > 0\n"
     assert not (tmp_path / "built.json").exists()
 
 

@@ -14,6 +14,7 @@ from slspec.problem import (
     _Piece,
     _normalized,
     _piece_phases,
+    _wrap_half_pi,
     problem_from_json,
     problem_to_json,
     propagate_through,
@@ -374,3 +375,31 @@ def test_problem_json_rejects_unknown_keys():
     doc.pop("a")
     with pytest.raises(ValueError):
         problem_from_json(doc)
+
+
+HALF_TURNS = [k * PI / 2 for k in range(-8, 9)] + [-0.0, 1e-300, -1e-300,
+                                                   math.nextafter(PI / 2, 0.0),
+                                                   math.nextafter(PI / 2, 4.0)]
+
+
+def _wrap_by_branch(d):
+    """_wrap_half_pi of one float by a branch: the reference for the branch-free form."""
+    d = d % math.pi
+    if d > math.pi / 2:
+        d -= math.pi
+    return d
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(st.floats(-1e6, 1e6) | st.sampled_from(HALF_TURNS), min_size=1, max_size=30))
+def test_wrap_half_pi_on_lanes_has_the_bits_of_each_float(ds):
+    lanes = _wrap_half_pi(np.array(ds)).tolist()
+    for d, w in zip(ds, lanes):
+        assert w.hex() == _wrap_half_pi(d).hex() == _wrap_by_branch(d).hex()
+        assert -PI / 2 < w <= PI / 2
+
+
+def test_wrap_half_pi_keeps_half_turns_on_the_closed_end():
+    assert _wrap_half_pi(PI / 2) == PI / 2
+    assert _wrap_half_pi(-PI / 2) == PI / 2  # -pi/2 mod pi is pi/2
+    assert _wrap_half_pi(np.array([PI, -PI, 0.0])).tolist() == [0.0, 0.0, 0.0]

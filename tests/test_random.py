@@ -1,5 +1,6 @@
 """Ensembles, Monte Carlo hit rates, and the degenerate construction."""
 
+import json
 import math
 
 import mpmath
@@ -13,6 +14,7 @@ import slspec.random
 from slspec.problem import PointInteraction, Problem, _normalized, prufer_trace
 from slspec.random import (
     CROSSING_TOL,
+    DISTRIBUTION_KINDS,
     Ensemble,
     Gaussian,
     InsufficientOscillation,
@@ -684,3 +686,43 @@ def test_summary_counts_hits_at_epsilon_and_interpolates_quantiles():
     assert (quantiles[0.0], quantiles[0.5], quantiles[1.0]) == (0.0, 2e-6, 0.3)
     assert quantiles[0.25] == 1e-6 and quantiles[0.9] == pytest.approx(0.22)
     assert summarize_mismatches([], 3, 1e-6, seed=5).mismatch_quantiles == ()
+
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+DISTRIBUTIONS = {
+    "uniform": st.tuples(FINITE, FINITE).filter(lambda t: t[0] < t[1]).map(
+        lambda t: Uniform(*t)),
+    "gaussian": st.builds(Gaussian, FINITE, st.floats(1e-6, 1e6)),
+    "pointmass": st.builds(PointMass, FINITE),
+}
+
+
+def test_every_distribution_kind_has_a_strategy():
+    assert set(DISTRIBUTIONS) == set(DISTRIBUTION_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(DISTRIBUTIONS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_distribution_json_round_trips(kind, data):
+    d = data.draw(DISTRIBUTIONS[kind])
+    doc = distribution_to_json(d)
+    assert doc["kind"] == kind
+    assert distribution_from_json(doc) == d
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_distribution_to_json_refuses_other_objects():
+    with pytest.raises(TypeError, match=r"^not a site distribution: ConstantPotential"):
+        distribution_to_json(ConstantPotential(1.0))
+
+
+def test_degenerate_checks_every_r_before_any_walk(monkeypatch):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked before checking r")
+
+    monkeypatch.setattr(slspec.random, "eigen_test", no_walk)
+    # E = 2 is no eigenvalue of the box: a walk would refuse it first
+    with pytest.raises(InvalidDilation, match=r"^r = 0\.0 must be > 0$"):
+        construct_degenerate(ConstantPotential(0.0), 2.0, [0.0, 0.3], [1.0, 0.0], 0.0, PI,
+                             ProjPoint(0.0), ProjPoint(0.0))

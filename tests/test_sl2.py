@@ -294,3 +294,41 @@ def test_fixed_class_verification_examples():
     v = ProjPoint(PI / 3)
     assert brute_force_r_moved(params, v, 3.0) > 1e-6
     assert brute_force_alpha_moved(params, v, 1.0) > 1e-6
+
+
+# ------------------------------------------------------- one copy per rule
+
+@pytest.mark.parametrize("entries", [(math.nan, 0.0, 0.0, 1.0), (math.inf, 0.0, 0.0, 0.0),
+                                     (1.0, math.nan, 0.0, 1.0), (1.0, 0.0, 0.0, 2.0)])
+def test_every_unimodularity_check_refuses_a_nan_determinant(entries):
+    m = Mat2(*entries)
+    message = rf"^det = {m.det!r} is not 1 within 1e-09$"
+    for check in (lambda: Mat2.sl2(*entries), lambda: iwasawa_decompose(m),
+                  lambda: proj_apply(m, ProjPoint(0.3))):
+        with pytest.raises(NonUnimodular, match=message):
+            check()
+
+
+@pytest.mark.parametrize("entries, params", [
+    ((1e200, 0.0, 0.0, 1e-200), IwasawaParams(0.0, 1e200, 0.0)),
+    ((1e-200, 0.0, 0.0, 1e200), IwasawaParams(0.0, 1e-200, 0.0)),
+    ((1.0, 0.0, 1.0, 1.0), IwasawaParams(0.5, 1 / math.sqrt(2), PI / 4)),
+])
+def test_decompose_reads_r_and_theta_off_the_second_row(entries, params):
+    got = iwasawa_decompose(Mat2.sl2(*entries))
+    assert got.alpha == params.alpha
+    assert math.isclose(got.r, params.r, rel_tol=1e-15)
+    assert math.isclose(got.theta, params.theta, rel_tol=1e-15, abs_tol=0.0)
+
+
+def test_decompose_refuses_factors_that_are_not_finite():
+    with pytest.raises(OverflowError, match="not finite"):
+        iwasawa_decompose(Mat2.sl2(1e160, 1e160, 0.0, 1e-160))
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3, PI / 2, 2.5, PI, 4.0, 2 * PI - 1e-9])
+def test_alpha_fixed_class_is_the_second_r_fixed_class(theta):
+    params = IwasawaParams(0.7, 1.3, theta)
+    assert alpha_fixed_class(params) == r_fixed_classes(params)[1]
+    t = params.theta
+    assert alpha_fixed_class(params) == proj_class(math.cos(t), -math.sin(t))

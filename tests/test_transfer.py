@@ -1,11 +1,16 @@
 """Transfer-matrix checks: closed forms, cocycle/inverse identities, Wronskian."""
 
+import json
 import math
+from bisect import bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slspec.transfer import (
+    POTENTIAL_KINDS,
     ConstantPotential,
     PiecewisePotential,
     GridPotential,
@@ -316,3 +321,65 @@ def test_potential_json_roundtrip():
         potential_from_json({"kind": "constant", "value": 1.0, "extra": 2})
     with pytest.raises(ValueError):
         potential_from_json({"kind": "nope"})
+
+
+# ------------------------------------------------------- one copy per rule
+
+FINITE = st.floats(-1e6, 1e6, allow_nan=False)
+# strictly increasing nodes: a start plus 1 to 6 positive gaps
+NODES = st.tuples(FINITE, st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=6)).map(
+    lambda t: tuple(np.cumsum((t[0], *t[1])).tolist()))
+POTENTIALS = {
+    "constant": st.builds(ConstantPotential, FINITE),
+    "piecewise": NODES.flatmap(lambda xs: st.builds(
+        PiecewisePotential, st.just(xs), st.lists(FINITE, min_size=len(xs) - 1,
+                                                  max_size=len(xs) - 1).map(tuple))),
+    "grid": NODES.flatmap(lambda xs: st.builds(
+        GridPotential, st.just(xs), st.lists(FINITE, min_size=len(xs),
+                                             max_size=len(xs)).map(tuple))),
+}
+
+
+def test_every_potential_kind_has_a_strategy():
+    assert set(POTENTIALS) == set(POTENTIAL_KINDS)
+
+
+@pytest.mark.parametrize("kind", sorted(POTENTIALS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_potential_json_round_trips_with_lists(kind, data):
+    v = data.draw(POTENTIALS[kind])
+    doc = potential_to_json(v)
+    assert doc["kind"] == kind
+    assert potential_from_json(doc) == v
+    # a tuple would come back from JSON as a list and compare unequal
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_potential_to_json_refuses_other_objects():
+    with pytest.raises(TypeError, match=r"^not a potential: 2\.5$"):
+        potential_to_json(2.5)
+
+
+def _bisect_interpolation(v, t):
+    """V at t by bisection over the nodes, one point at a time: the reference for sample."""
+    i = min(max(bisect_right(v.x, t) - 1, 0), len(v.x) - 2)
+    w = (t - v.x[i]) / (v.x[i + 1] - v.x[i])
+    return (1.0 - w) * v.values[i] + w * v.values[i + 1]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(POTENTIALS["grid"], st.lists(st.floats(0.0, 1.0), max_size=10))
+def test_grid_value_at_a_point_is_its_sample(v, fractions):
+    lo, hi = v.domain
+    ts = [*v.x, lo, hi, *(min(lo + f * (hi - lo), hi) for f in fractions)]
+    for t, s in zip(ts, v.sample(np.array(ts)).tolist()):
+        assert type(v(t)) is float
+        assert v(t).hex() == s.hex() == _bisect_interpolation(v, t).hex()
+
+
+@pytest.mark.parametrize("t", [-0.5, 2.5, math.nan, -math.inf])
+def test_grid_value_outside_the_domain_names_the_point(t):
+    v = GridPotential((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
+    with pytest.raises(DomainError, match=rf"^x = {t!r} outside \[0\.0, 2\.0\]$"):
+        v(t)
