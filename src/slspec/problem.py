@@ -34,8 +34,10 @@ from .transfer import (
     SolutionState,
     StepControl,
     _const_coeff_matrix,
+    _first_passes,
     _mapped,
     _piece_matrix,
+    _propagate,
     _walk_points,
     potential_from_json,
     potential_to_json,
@@ -139,18 +141,28 @@ def propagate_through(problem: Problem, e, step: StepControl = DEFAULT_STEP,
     transfer._propagate), each equal bit for bit to the run of that energy
     alone.  jumps, if given, holds one matrix per site to use instead of the
     site's own; its entries may be lane arrays, one lane per realization of
-    the jumps, which is how Monte Carlo walks a fixed energy.
+    the jumps, which is how Monte Carlo walks a fixed energy.  At one energy
+    on a grid all segments' first RK4 passes are multiplied at once
+    (transfer._first_passes), and the problem's domain is not checked again.
     """
     v = problem.potential
     state = problem.initial_state()
     if jumps is None:
         jumps = [iwasawa_compose(site.params) for site in problem.interactions]
+    pts = [problem.a, *(site.x for site in problem.interactions), problem.b]
+    first = ([()] * len(pts) if v.is_piecewise_constant or isinstance(e, np.ndarray)
+             else _first_passes(v, pts, e, step))
     lefts = []
-    for site, m in zip(problem.interactions, jumps):
-        state = _normalized(propagate_state(v, state, site.x, e, step))
-        lefts.append(state)
-        state = SolutionState(site.x, *m.apply((state.u, state.du)))
-    state = _normalized(propagate_state(v, state, problem.b, e, step))
+    for x, m, passes in zip(pts[1:], [*jumps, None], first):
+        if passes:
+            ((u, du),) = _propagate(v, state.x, x, e, step, ((state.u, state.du),), passes)
+            state = SolutionState(x, u, du)
+        else:
+            state = propagate_state(v, state, x, e, step)
+        state = _normalized(state)
+        if m is not None:
+            lefts.append(state)
+            state = SolutionState(x, *m.apply((state.u, state.du)))
     return PropagationResult(state, tuple(lefts))
 
 

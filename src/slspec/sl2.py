@@ -77,9 +77,10 @@ class Mat2:
         return (self.a * v1 + self.b * v2, self.c * v1 + self.d * v2)
 
     def inverse(self) -> "Mat2":
+        """The inverse; NonUnimodular unless det is finite and nonzero (NaN is not)."""
         det = self.det
-        if det == 0.0:
-            raise NonUnimodular("singular matrix has no inverse")
+        if not (math.isfinite(det) and det != 0.0):
+            raise NonUnimodular(f"det = {det!r}: the matrix has no inverse")
         return Mat2(self.d / det, -self.b / det, -self.c / det, self.a / det)
 
     def entries(self):

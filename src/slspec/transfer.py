@@ -13,6 +13,8 @@ arithmetic on the same segment data.  No walk returns an entry that is not
 finite: where a long forbidden stretch overflows, it raises FloatingPointError.
 A grid potential has one interpolation, sample, which its value at one point
 calls too; one table of kinds serves potential_to_json and potential_from_json.
+A point outside a potential's domain is one DomainError with one message,
+whether a potential or a walk's end finds it (_check_domain).
 
 The walker also carries k energies, or k states at one energy, as lanes of
 numpy arrays; a lone float energy runs the same source on Python floats.
@@ -28,16 +30,15 @@ step size and on V at the step's start, midpoint and end.  A pass's
 energy-independent data (cut points, step sizes, potential samples, and
 from them those coefficients) is cached, so a scan's root refinements,
 which walk the same segments at many energies, build it once.  At each
-energy the quadratics are evaluated for all steps (and lanes) at once,
-multiplied as a pairwise tree and applied to each column.  Lane passes
-write their step matrices and wide tree levels into one 4 MB scratch array
-per thread, made once and reused: fresh arrays that large would be mapped
-anew and page-faulted in on every pass.  For one float energy the tree's
-levels run in numpy while they are wide and the last ones, from at most 32
-matrices on, on Python floats: the same pairs in the same operand order,
-each * and + rounded as numpy rounds it, so the product keeps every bit.
-Each pass agrees with stepping (u, u') one step at a time within a
-relative 1e-12.
+energy the quadratics are evaluated for all steps (and lanes) at once and
+multiplied as a pairwise tree, M[2i+1] M[2i] at each level, whose steps
+are stored in the order it reads them, so every level multiplies two
+contiguous halves (lanes innermost); lane passes reuse one scratch array
+per thread, as fresh arrays that large are page-faulted in on every pass.
+A walk at one energy through a problem's segments multiplies the first
+three passes of every segment in one stacked tree, in which each product
+keeps the pairs and operand order, so the bits, of its own tree.  Each
+pass agrees with stepping (u, u') one step at a time within a relative 1e-12.
 """
 
 from __future__ import annotations
@@ -47,7 +48,6 @@ import threading
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import cycle
 
 import numpy as np
 
@@ -152,9 +152,7 @@ class PiecewisePotential:
         return (self.breakpoints[0], self.breakpoints[-1])
 
     def __call__(self, x):
-        lo, hi = self.domain
-        if not lo <= x <= hi:
-            raise DomainError(f"x = {x!r} outside [{lo}, {hi}]")
+        _check_domain(self, x)
         i = bisect_right(self.breakpoints, x) - 1
         return self.values[min(i, len(self.values) - 1)]
 
@@ -217,8 +215,7 @@ class GridPotential:
         """V at every point of the float array ts, interpolated in the cell of nodes about it."""
         lo, hi = self.domain
         if not (lo <= ts.min() and ts.max() <= hi):  # NaN fails too
-            t = ts[~((lo <= ts) & (ts <= hi))][0]
-            raise DomainError(f"x = {float(t)!r} outside [{lo}, {hi}]")
+            _check_domain(self, float(ts[~((lo <= ts) & (ts <= hi))][0]))
         xs, vals = self._arrays
         # every t >= xs[0] here, so the cell index is never below 0
         i = np.minimum(np.searchsorted(xs, ts, side="right") - 1, len(xs) - 2)
@@ -257,10 +254,12 @@ Potential = ConstantPotential | PiecewisePotential | GridPotential
 
 # ----------------------------------------------------------------- propagation
 
-def _check_domain(v, t):
+def _check_domain(v, *ts):
+    """DomainError naming the first of the floats ts outside v's domain (NaN is), if any."""
     lo, hi = v.domain
-    if not lo <= t <= hi:
-        raise DomainError(f"x = {t!r} outside potential domain [{lo}, {hi}]")
+    for t in ts:
+        if not lo <= t <= hi:
+            raise DomainError(f"x = {t!r} outside potential domain [{lo}, {hi}]")
 
 
 def _const_coeff_matrix(w2, dx):
@@ -360,9 +359,9 @@ def _rk4_pass(v, y, x, h_target, max_steps):
         c = C0 - E C1 + E^2 hq6,    d = D0 - E D1 + E^2 q24
 
     (q = h^2, q24 = q^2/24, hq6 = h q/6), whose coefficients are returned as
-    (A0, A1, B0, C0, C1, D0, D1, hq6, q24), one value per step, followed by
-    the least sample of V, a float.  The cache shares the arrays, so they are
-    read-only.
+    (A0, A1, B0, C0, C1, D0, D1, hq6, q24), one value per step in the order
+    its tree reads them (_tree_plan), followed by the least sample of V, a
+    float.  The cache shares the arrays, so they are read-only.
     """
     ends = np.array(_walk_points(v, y, x))
     dx = ends[1:] - ends[:-1]
@@ -377,14 +376,16 @@ def _rk4_pass(v, y, x, h_target, max_steps):
     v0, vm, v1 = vals[:m], vals[m + 1:], vals[1:m + 1]
     q = h * h
     q6, q24, hq6, hq12 = q / 6.0, q * q / 24.0, h * q / 6.0, h * q / 12.0
-    data = (1.0 + q6 * (v0 + 2.0 * vm) + q24 * (v0 * vm),
-            0.5 * q + q24 * (v0 + vm),
-            h + hq6 * vm,
-            h / 6.0 * (v0 + 4.0 * vm + v1) + hq12 * (vm * (v0 + v1)),
-            h + hq12 * (v0 + 2.0 * vm + v1),
-            1.0 + q6 * (2.0 * vm + v1) + q24 * (vm * v1),
-            0.5 * q + q24 * (vm + v1),
-            hq6, q24)
+    order = _tree_plan((m,))[1]
+    data = tuple(t[order] for t in (
+        1.0 + q6 * (v0 + 2.0 * vm) + q24 * (v0 * vm),
+        0.5 * q + q24 * (v0 + vm),
+        h + hq6 * vm,
+        h / 6.0 * (v0 + 4.0 * vm + v1) + hq12 * (vm * (v0 + v1)),
+        h + hq12 * (v0 + 2.0 * vm + v1),
+        1.0 + q6 * (2.0 * vm + v1) + q24 * (vm * v1),
+        0.5 * q + q24 * (vm + v1),
+        hq6, q24))
     for t in data:
         t.flags.writeable = False
     return data + (float(vals.min()),)
@@ -417,60 +418,114 @@ def _step_matrices(e, data, out=None):
     return m
 
 
-# tree levels of at least this many doubles go into the scratch array; the
-# smaller ones cost fewer calls as new arrays, and are too small to fault
-_SMALL_LEVEL = 1 << 12
+@lru_cache(maxsize=64)
+def _tree_plan(counts):
+    """How _tree_product multiplies stacked products of counts[j] matrices each.
 
-
-def _tree_product(m, width=1, spare=None):
-    """M[n-1] ... M[0] of the stacked matrices m as a pairwise tree of + - * /.
-
-    Each level multiplies neighbours; an odd last matrix waits a level.
-    With a larger width the levels stop once at most width matrices are
-    left, and those are returned, stacked, for the rest of the tree.  Given
-    spare, a flat float array of m.size doubles or more, each level of at
-    least _SMALL_LEVEL doubles goes, with its product temporary, into spare
-    and into m's memory in turn, so m is used up; other levels are new arrays.
+    Each product keeps its own tree: M[2i+1] M[2i] at each level, an odd
+    last matrix waiting.  A level holds every pair's early matrix in its
+    first half places, the late one half places on, then the waiting ones;
+    the products, made over the early ones, come out in the next level's
+    order but for each product's last matrix and the waiting ones, which
+    move.  Returns the product and its index of each place at level 0 and
+    the plan: per level the pair count, the next width and the move, None
+    or (start, source), by which the places from start on take those at
+    source.  The last level is one matrix per product, in product order.
     """
-    turns = None if spare is None else cycle((spare, m.reshape(-1)))
-    while (n := m.shape[-1]) > width:
-        half = n // 2
-        early, late = m[..., 0:2 * half:2], m[..., 1:2 * half:2]
-        if turns is None or m.size < _SMALL_LEVEL:
-            out = late[:, 0:1] * early[0:1] + late[:, 1:2] * early[1:2]
-            if n & 1:
-                out = np.concatenate((out, m[..., n - 1:]), axis=-1)
-        else:
-            flat, k = next(turns), m.size // n * (n - half)
-            out = flat[:k].reshape(*m.shape[:-1], n - half)
-            p, tmp = out[..., :half], flat[k:m.size].reshape(*m.shape[:-1], half)
-            np.add(np.multiply(late[:, 0:1], early[0:1], p),
-                   np.multiply(late[:, 1:2], early[1:2], tmp), p)
-            if n & 1:
-                out[..., half] = m[..., n - 1]
-        m = out
-    return m[..., 0] if width == 1 else m
+    ns = [np.asarray(counts)]
+    while (ns[-1] > 1).any():
+        ns.append(ns[-1] - ns[-1] // 2)
+    prod, idx = np.arange(len(counts)), np.zeros(len(counts), np.int64)
+    plan = []
+    for n in reversed(ns[:-1]):  # (prod, idx) is the next level's order
+        h = n // 2
+        made, last = idx < h[prod], idx == (n - h - 1)[prod]
+        src = np.concatenate((np.flatnonzero(made & ~last), np.flatnonzero(made & last),
+                              np.flatnonzero(~made)))
+        half = int(made.sum())
+        # the next level's k-th matrix is the made[k]-th product, or waits
+        # at 2 half on from its place among the waiting ones
+        place = np.empty_like(src)
+        place[src] = np.arange(len(src))
+        place[place >= half] += half
+        moved = np.flatnonzero(place != np.arange(len(src)))
+        move = None
+        if len(moved):
+            source = place[moved[0]:]
+            # a run of consecutive places is a slice, which copies faster
+            if (np.diff(source) == 1).all():
+                source = slice(int(source[0]), int(source[-1]) + 1)
+            move = int(moved[0]), source
+        plan.append((half, len(src), move))
+        p, i, w = prod[src[:half]], idx[src[:half]], prod[src[half:]]
+        prod, idx = np.concatenate((p, p, w)), np.concatenate((2 * i, 2 * i + 1, n[w] - 1))
+    return prod, idx, plan[::-1]
 
 
-# a single energy's tree leaves numpy once a level is at most this wide:
-# below that a level costs more in numpy calls than in float arithmetic
-_FLOAT_TAIL = 32
+def _tree_product(m, plan=None, spare=None):
+    """The products of the stacked matrices m, (2, 2, n, *lanes), in the order of plan.
 
-
-def _float_tree(m):
-    """The product (a, b, c, d) of the (2, 2, n) matrices m: _tree_product on Python floats.
-
-    The same pairs in the same operand order; Python rounds each * and +
-    as numpy does, with no fused multiply-add, and overflows as silently.
+    No plan means one product's plan (_tree_plan).  The levels, in + - * /,
+    write over m, so it is used up; given spare, a flat float array of
+    m.size doubles or more, their partial products go there, not into new
+    arrays.  Returns the stack of one matrix per product.
     """
-    ms = list(zip(*m.reshape(4, -1).tolist()))
-    while len(ms) > 1:
-        p = [(la * ea + lb * ec, la * eb + lb * ed, lc * ea + ld * ec, lc * eb + ld * ed)
-             for (ea, eb, ec, ed), (la, lb, lc, ld) in zip(ms[0::2], ms[1::2])]
-        if len(ms) & 1:
-            p.append(ms[-1])
-        ms = p
-    return list(ms[0])
+    for half, width, move in _tree_plan((m.shape[2],))[2] if plan is None else plan:
+        early, late = m[:, :, :half], m[:, :, half:2 * half]
+        if spare is None:  # all late[r, j] early[j, c] at once: fewer calls
+            p = late[:, :, None] * early
+            np.add(p[:, 0], p[:, 1], early)
+        else:  # in two halves, which stream through memory faster
+            p = spare[:2 * early.size].reshape(2, *early.shape)
+            np.add(np.multiply(late[:, 0:1], early[0:1], p[0]),
+                   np.multiply(late[:, 1:2], early[1:2], p[1]), early)
+        if move is not None:
+            m[:, :, move[0]:width] = m[:, :, move[1]]
+        m = m[:, :, :width]
+    return m
+
+
+@lru_cache(maxsize=8)
+def _walk_passes(v, pts, step):
+    """The first min(3, step.max_refine + 1) passes of each segment of the walk through pts.
+
+    A pass past step.max_steps, which the walk may never need, is left out.
+    Returns their coefficients stacked for _tree_plan (None without any
+    pass), the plan, and per segment the (product index, least V) of each.
+    """
+    passes, segments = [], []
+    for y, x in zip(pts, pts[1:]):
+        segments.append([])
+        h_target = step.base_step()
+        # most walks need a third pass; a fourth is rare
+        for _ in range(min(3, step.max_refine + 1)):
+            data = _rk4_pass(v, y, x, h_target, step.max_steps)
+            if data is None:
+                break
+            segments[-1].append(len(passes))
+            passes.append(data)
+            h_target *= 0.5
+    if not passes:
+        return None, [], segments
+    prod, _, plan = _tree_plan(tuple(len(d[0]) for d in passes))
+    # each pass's steps keep their order among the leaves
+    at = np.empty_like(prod)
+    at[np.argsort(prod, kind="stable")] = np.arange(len(prod))
+    leaves = tuple(np.concatenate([d[i] for d in passes])[at] for i in range(9))
+    return leaves, plan, [[(j, passes[j][-1]) for j in seg] for seg in segments]
+
+
+def _first_passes(v, pts, e, step):
+    """Per segment of the walk through pts at the float e, its first passes' (product, least V).
+
+    One tree for the whole walk; each product has _rk4_product's bits.
+    """
+    leaves, plan, segments = _walk_passes(v, tuple(pts), step)
+    if leaves is None:
+        return segments
+    with np.errstate(over="ignore", invalid="ignore"):
+        flat = _tree_product(_step_matrices(e, leaves), plan).reshape(4, -1).T.tolist()
+    return [[(flat[i], low) for i, low in seg] for seg in segments]
 
 
 # lanes enter the step-matrix kernel in blocks of at most this many
@@ -489,7 +544,7 @@ def _rk4_product(e, data):
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if not isinstance(e, np.ndarray):
-            return _float_tree(_tree_product(_step_matrices(e, data), _FLOAT_TAIL))
+            return _tree_product(_step_matrices(e, data)).ravel().tolist()
         per = max(1, _BLOCK // len(data[0]))
         size = 4 * min(per, e.size) * len(data[0])
         buf = getattr(_scratch, "buf", None)
@@ -499,8 +554,12 @@ def _rk4_product(e, data):
             buf = np.empty(2 * size)
         m = np.empty((2, 2, e.size))
         for i in range(0, e.size, per):
-            m[..., i:i + per] = _tree_product(_step_matrices(e[i:i + per], data, buf), 1,
-                                              buf[size:])
+            lanes = e[i:i + per]
+            # the quadratics run faster with the steps innermost, the tree
+            # with the lanes innermost, where each half of a level is one block
+            leaves = buf[:4 * lanes.size * len(data[0])].reshape(2, 2, -1, lanes.size)
+            np.copyto(leaves, _step_matrices(lanes, data, buf[size:]).swapaxes(2, 3))
+            m[..., i:i + per] = _tree_product(leaves, spare=buf[size:])[:, :, 0]
     return m[0, 0], m[0, 1], m[1, 0], m[1, 1]
 
 
@@ -535,7 +594,7 @@ def _finite(x, e, cols):
     raise FloatingPointError(f"the solution at x = {x!r} is not finite at E = {e!r}")
 
 
-def _propagate(v, y, x, e, step, cols):
+def _propagate(v, y, x, e, step, cols, first=()):
     """Carry each (u, u') column in cols from y to x along one shared walk.
 
     e is one energy (a float) or k of them (a 1-D float array, the lanes);
@@ -553,10 +612,10 @@ def _propagate(v, y, x, e, step, cols):
     out of later passes.  No walk returns an entry that is not finite: an
     exact walk raises _finite's FloatingPointError, and so does an RK4 lane
     whose last pass is not finite once the refinements run out; else it is
-    an IntegrationFailure.
+    an IntegrationFailure.  first holds the (product, least V) of the first
+    passes at a float e, as _first_passes gives them for the walk's segment
+    (y, x); the later passes are built here.  The callers check the domain.
     """
-    _check_domain(v, x)
-    _check_domain(v, y)
     if x == y:
         return cols
     if v.is_piecewise_constant:
@@ -578,16 +637,19 @@ def _propagate(v, y, x, e, step, cols):
         live = np.arange(shape[0])
     h_target = step.base_step()
     prev = None
-    for _ in range(step.max_refine + 1):
-        data = _rk4_pass(v, y, x, h_target, step.max_steps)
-        if data is None:
-            raise IntegrationFailure(
-                f"step budget {step.max_steps} exhausted before tolerance {step.tol}")
-        a, b, c, d = _rk4_product(e, data)
+    for i in range(step.max_refine + 1):
+        if i < len(first):
+            (a, b, c, d), low = first[i]
+        else:
+            data = _rk4_pass(v, y, x, h_target, step.max_steps)
+            if data is None:
+                raise IntegrationFailure(
+                    f"step budget {step.max_steps} exhausted before tolerance {step.tol}")
+            (a, b, c, d), low = _rk4_product(e, data), data[-1]
         cur = [(a * u + b * du, c * u + d * du) for u, du in cols]
         if prev is not None:
             cap = (0.25 / h_target) ** 2  # the E - V at which 2 h sqrt(E - V) = 1/2
-            done = _converged(cur, prev, step.tol) & (e - data[-1] <= cap)
+            done = _converged(cur, prev, step.tol) & (e - low <= cap)
             if not shape and done:
                 return cur
             if shape and done.any():
@@ -616,6 +678,7 @@ def transfer_matrix(v, x, y, e, step: StepControl = DEFAULT_STEP) -> Mat2:
     Determinant drift is checked against 10x the tolerance and never
     repaired silently.
     """
+    _check_domain(v, x, y)
     (a, c), (b, d) = _propagate(v, y, x, e, step, ((1.0, 0.0), (0.0, 1.0)))
     m = Mat2(a, b, c, d)
     if not math.isfinite(m.det):  # finite entries can overflow it
@@ -636,5 +699,6 @@ def propagate_state(v, state: SolutionState, x_target, e,
     Agrees with applying transfer_matrix(v, x_target, state.x, e) to (u, u')
     within the integration tolerance, integrating one column instead of two.
     """
+    _check_domain(v, x_target, state.x)
     ((u, du),) = _propagate(v, state.x, x_target, e, step, ((state.u, state.du),))
     return state if x_target == state.x else SolutionState(x_target, u, du)

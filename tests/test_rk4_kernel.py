@@ -1,5 +1,6 @@
 """The RK4 step-matrix kernel against the sequential loop it replaced and an
-independent closed form, and the scratch array its lane passes reuse.
+independent closed form, the scratch array its lane passes reuse, and the
+stacked tree that multiplies a single-energy walk's first passes at once.
 
 The kernel evaluates each step matrix's entries as quadratics in E and
 multiplies the step matrices of a pass as a pairwise tree, so its rounding
@@ -19,21 +20,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from slspec.problem import problem_from_json
-from slspec.spectra import boundary_mismatch
+import slspec.transfer
+from slspec.problem import problem_from_json, propagate_through
+from slspec.spectra import _mismatches, boundary_mismatch, eigen_test
 from slspec.transfer import (
     DEFAULT_STEP,
     GridPotential,
     IntegrationFailure,
     StepControl,
     _BLOCK,
-    _FLOAT_TAIL,
-    _float_tree,
+    _first_passes,
     _rk4_pass,
     _rk4_product,
     _scratch,
     _step_matrices,
+    _tree_plan,
     _tree_product,
+    _walk_passes,
     _walk_points,
     transfer_matrix,
 )
@@ -287,20 +290,45 @@ def test_threads_scanning_at_once_keep_their_bits():
     assert got == [[alone[0]] * 4, [alone[1]] * 4]
 
 
-# ------------------------------------------------------- the float tail
+# ------------------------------------------------------ the stacked tree
 
 def float_bits(xs):
     return np.array(xs, dtype=float).view(np.uint64).tolist()
 
 
-# widths with an odd level far up the tree, and some below the tail width
+def pairwise_tree(m):
+    """M[n-1] ... M[0] of the (2, 2, n) matrices m in step order, the tree the
+    kernel keeps: M[2i+1] M[2i] at each level, an odd last matrix waiting."""
+    while (n := m.shape[-1]) > 1:
+        half = n // 2
+        early, late = m[..., 0:2 * half:2], m[..., 1:2 * half:2]
+        out = late[:, 0:1] * early[0:1] + late[:, 1:2] * early[1:2]
+        m = np.concatenate((out, m[..., 2 * half:]), axis=-1)
+    return m[..., 0]
+
+
+def pairing_order(n):
+    """The order in which the tree of one n-matrix product reads them."""
+    return _tree_plan((n,))[1]
+
+
+def stack_in_plan_order(ms):
+    """The (2, 2, n_j) stacks ms as _walk_passes stacks passes: each in its
+    own pairing order, in the level-0 order of _tree_plan."""
+    prod, _, plan = _tree_plan(tuple(m.shape[-1] for m in ms))
+    stacked = np.concatenate([m[..., pairing_order(m.shape[-1])] for m in ms], axis=-1)
+    at = np.empty_like(prod)
+    at[np.argsort(prod, kind="stable")] = np.arange(len(prod))
+    return stacked[..., at], plan
+
+
+# widths with an odd level far up the tree, and small ones
 TREE_WIDTHS = st.one_of(st.integers(1, 3000),
-                        st.sampled_from([1, 2, 3, _FLOAT_TAIL, _FLOAT_TAIL + 1, 2 * _FLOAT_TAIL + 1,
-                                         255, 1001, 2047, 2999, 3001]))
+                        st.sampled_from([1, 2, 3, 32, 33, 65, 255, 1001, 2047, 2999, 3001]))
 # no NaN: the step matrices come from finite coefficients at a finite E, so a
 # NaN in the tree is made by inf - inf or 0 * inf and is the machine's one
 # default NaN; where two NaNs of different payloads meet, numpy's vector
-# loops and Python's scalar ops may keep different ones
+# loops may keep either
 SPECIALS = np.array([0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 5e-324, -5e-324])
 
 
@@ -320,23 +348,114 @@ def stacks(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(stacks())
-def test_float_tail_keeps_the_tree_bits(m):
-    # the tree's last levels on Python floats round, overflow and make NaN
-    # exactly as numpy's levels do
+@given(st.lists(stacks(), min_size=1, max_size=9))
+def test_stacked_tree_keeps_each_products_bits(ms):
+    # one tree over all stacks gives each the bits of its own tree, alone
+    # in its pairing order or in step order; I M would differ from M on -0.0
+    leaves, plan = stack_in_plan_order(ms)
     with np.errstate(over="ignore", invalid="ignore", under="ignore"):
-        want = _tree_product(m).ravel().tolist()
-        got = _float_tree(_tree_product(m, _FLOAT_TAIL))
-        assert float_bits(_float_tree(m)) == float_bits(want)
-    assert float_bits(got) == float_bits(want)
+        got = _tree_product(leaves, plan)
+        assert got.shape == (2, 2, len(ms))
+        for j, m in enumerate(ms):
+            want = float_bits(pairwise_tree(m.copy()).ravel())
+            alone = _tree_product(m[..., pairing_order(m.shape[-1])].copy())
+            assert float_bits(alone.ravel()) == want
+            assert float_bits(got[..., j].ravel()) == want
+
+
+def test_plan_of_one_product_moves_only_its_odd_last_matrix():
+    for n in (1, 2, 3, 5, 598, 897, 1495, 2990):
+        prod, idx, plan = _tree_plan((n,))
+        assert (prod == 0).all() and len(plan) == math.ceil(math.log2(n))
+        assert sorted(idx.tolist()) == list(range(n))
+        assert all(move is None or width - move[0] == 1 for _, width, move in plan)
 
 
 @pytest.mark.parametrize("h_target", [0.1, 0.01, 0.0005])
 @pytest.mark.parametrize("e", [-20.0, 3.25, 1e4])
 def test_single_energy_product_is_the_numpy_tree(h_target, e):
     data = _rk4_pass(GRID, 0.0, 1.0, h_target, STEPS)
-    want = _tree_product(_step_matrices(e, data)).ravel().tolist()
+    n = len(data[0])
+    in_steps = _step_matrices(e, data)[..., np.argsort(pairing_order(n))]
+    want = pairwise_tree(in_steps).ravel().tolist()
     assert float_bits(_rk4_product(e, data)) == float_bits(want)
+
+
+WALKS = [(0.0, 1.0), (0.05, 0.95), (0.9, 0.0), (0.0, 0.33, 0.71, 1.0), (1.0, 0.5, 0.25, 0.0)]
+
+
+@pytest.mark.parametrize("pts", WALKS)
+@pytest.mark.parametrize("step", [DEFAULT_STEP, HALVING, StepControl(tol=1e-12),
+                                  StepControl(max_refine=1)])
+def test_first_passes_are_each_pass_product(pts, step):
+    # every segment's first passes at once, each with the bits of its pass
+    # alone, on floats and in lanes that straddle a block boundary
+    h0 = step.base_step()
+    for e in (-20.0, 3.25, 60.0, 1e4):
+        first = _first_passes(GRID, pts, e, step)
+        assert len(first) == len(pts) - 1
+        for (y, x), passes in zip(zip(pts, pts[1:]), first):
+            assert len(passes) == min(3, step.max_refine + 1)
+            for i, (product, low) in enumerate(passes):
+                data = _rk4_pass(GRID, y, x, h0 / 2 ** i, step.max_steps)
+                assert low == data[-1]
+                assert float_bits(product) == float_bits(_rk4_product(e, data))
+                per = _BLOCK // len(data[0])
+                es = np.full(per + 1, 0.5)
+                es[per - 1:] = e
+                lanes = _rk4_product(es, data)
+                for k in (per - 1, per):
+                    assert float_bits([t[k] for t in lanes]) == float_bits(product)
+
+
+def test_first_passes_stop_at_the_step_budget():
+    # a pass past step.max_steps is not built, and raises nothing until a
+    # walk needs it: at E = 3.25 two passes agree, at E = 30 four are needed
+    h0 = DEFAULT_STEP.base_step()
+    sizes = [len(_rk4_pass(GRID, 0.0, 1.0, h0 / 2 ** i, STEPS)[0]) for i in range(3)]
+    step = StepControl(max_steps=sizes[1])
+    assert [len(p) for p in _first_passes(GRID, (0.0, 1.0), 3.25, step)] == [2]
+    assert _first_passes(GRID, (0.0, 1.0), 3.25, StepControl(max_steps=10)) == [[]]
+    problem = problem_from_json({"a": 0.0, "b": 1.0, "bc_left": 0.0, "bc_right": 0.0,
+                                 "potential": {"kind": "grid", "x": list(GRID.x),
+                                               "values": list(GRID.values)},
+                                 "interactions": []})
+    assert propagate_through(problem, 3.25, step) == propagate_through(problem, 3.25)
+    for e, budget in ((30.0, step), (3.25, StepControl(max_steps=10))):
+        with pytest.raises(IntegrationFailure, match=f"step budget {budget.max_steps} exhausted"):
+            propagate_through(problem, e, budget)
+
+
+def two_jump_problem():
+    xs = [2.0 * i / 299 for i in range(300)]
+    return problem_from_json({
+        "a": 0.0, "b": 2.0, "bc_left": 0.0, "bc_right": 0.3,
+        "potential": {"kind": "grid", "x": xs, "values": [5.0 * math.sin(3.0 * x) for x in xs]},
+        "interactions": [{"x": 0.6, "alpha": 0.4, "r": 1.3, "theta": 0.2},
+                         {"x": 1.3, "alpha": -0.7, "r": 0.8, "theta": 2.1}]})
+
+
+def test_single_energy_walk_builds_its_first_passes_once(monkeypatch):
+    # one stack of step matrices for all three segments' first passes, and
+    # the lane walk's bits
+    problem = two_jump_problem()
+    calls = []
+    kernel = slspec.transfer._step_matrices
+
+    def counted(e, data, out=None):
+        calls.append(len(data[0]))
+        return kernel(e, data, out)
+
+    monkeypatch.setattr(slspec.transfer, "_step_matrices", counted)
+    e = 7.5
+    report = eigen_test(problem, e)
+    pts = (0.0, 0.6, 1.3, 2.0)
+    h0 = DEFAULT_STEP.base_step()
+    assert calls == [sum(len(_rk4_pass(problem.potential, y, x, h0 / 2 ** i, STEPS)[0])
+                         for y, x in zip(pts, pts[1:]) for i in range(3))]
+    assert len(_walk_passes(problem.potential, pts, DEFAULT_STEP)[1]) > 1
+    final = propagate_through(problem, np.array([e])).final
+    assert float_bits([report.mismatch]) == float_bits(_mismatches(problem, final.u, final.du))
 
 
 # ------------------------------------------------------------- closed form

@@ -309,6 +309,19 @@ def test_every_unimodularity_check_refuses_a_nan_determinant(entries):
             check()
 
 
+@pytest.mark.parametrize("entries", [(math.nan, 0.0, 0.0, 1.0), (1.0, 0.0, math.nan, 1.0),
+                                     (math.inf, 0.0, 0.0, 1.0), (1e200, 0.0, 1e200, 1e200),
+                                     (1.0, 2.0, 0.5, 1.0), (0.0, 0.0, 0.0, 0.0)])
+def test_inverse_refuses_a_determinant_that_is_not_finite_and_nonzero(entries):
+    m = Mat2(*entries)
+    with pytest.raises(NonUnimodular, match=rf"^det = {m.det!r}: the matrix has no inverse$"):
+        m.inverse()
+
+
+def test_inverse_of_a_finite_nonzero_determinant():
+    assert Mat2(2.0, 0.0, 0.0, 4.0).inverse() == Mat2(0.5, -0.0, -0.0, 0.25)
+
+
 @pytest.mark.parametrize("entries, params", [
     ((1e200, 0.0, 0.0, 1e-200), IwasawaParams(0.0, 1e200, 0.0)),
     ((1e-200, 0.0, 0.0, 1e200), IwasawaParams(0.0, 1e-200, 0.0)),

@@ -381,5 +381,6 @@ def test_grid_value_at_a_point_is_its_sample(v, fractions):
 @pytest.mark.parametrize("t", [-0.5, 2.5, math.nan, -math.inf])
 def test_grid_value_outside_the_domain_names_the_point(t):
     v = GridPotential((0.0, 1.0, 2.0), (0.0, 1.0, 0.0))
-    with pytest.raises(DomainError, match=rf"^x = {t!r} outside \[0\.0, 2\.0\]$"):
+    with pytest.raises(DomainError,
+                       match=rf"^x = {t!r} outside potential domain \[0\.0, 2\.0\]$"):
         v(t)
