@@ -303,11 +303,14 @@ def cmd_dichotomy(args):
 def _histogram(mismatches, bins):
     """Log-spaced mismatch histogram rows (bin_lo, bin_hi, count).
 
-    The first bin collects everything at or below 1e-12, making the
+    A bin counts the mismatches above its bin_lo and at or below its
+    bin_hi, so the first collects everything at or below 1e-12, making the
     probability-zero gap visible as an empty midrange.
     """
     edges = np.concatenate([[0.0], np.logspace(-12, math.log10(math.pi / 2), bins)])
-    counts, _ = np.histogram(np.asarray(mismatches, dtype=float), bins=edges)
+    # the bin of m is the number of inner edges below it
+    counts = np.bincount(np.searchsorted(edges[1:-1], np.asarray(mismatches, dtype=float)),
+                         minlength=bins)
     return [(float(edges[i]), float(edges[i + 1]), int(counts[i]))
             for i in range(len(counts))]
 

@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import sys
 
+import numpy as np
+
 
 def _name(where, key):
     return f"{where}.{key}" if where else key
@@ -62,10 +64,19 @@ def items(obj, key, where) -> list:
 
 
 def numbers(obj, key, where) -> tuple:
-    """The list of finite numbers at key, as a tuple of floats."""
-    if not all(map(is_finite_number, items(obj, key, where))):
-        raise ValueError(f"{_name(where, key)} must be a list of finite numbers")
-    return tuple(float(t) for t in obj[key])
+    """The list of finite numbers at key, as a tuple of floats.
+
+    What is_finite_number accepts, in one pass per check: the types are
+    exactly int and float (a bool is neither); min and max compare ints
+    with the largest float exactly, so an int that rounds down to it is
+    still refused; one numpy check refuses NaN.
+    """
+    v, top = items(obj, key, where), sys.float_info.max
+    if set(map(type, v)) <= {int, float} and (not v or -top <= min(v) and max(v) <= top):
+        floats = np.array(v, dtype=float)
+        if np.isfinite(floats).all():
+            return tuple(floats.tolist())
+    raise ValueError(f"{_name(where, key)} must be a list of finite numbers")
 
 
 def integer(obj, key, where, minimum, default=None) -> int:

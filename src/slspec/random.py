@@ -10,7 +10,7 @@ one lane per sample (spectra.realized_mismatches, with the lambda target as
 the alpha field).  A site's draws for the whole chunk come from one vector
 call, the smooth pieces between sites are shared by every lane, and only
 the jump matrices differ; each lane's mismatch has the bits of eigen_test on
-that sample's realized problem.
+that sample's realized problem, or is NaN, one failure, where that fails.
 
 The degenerate construction places one site between consecutive zeros of the
 unperturbed eigenfunction, at the point where the solution's class equals
@@ -222,11 +222,10 @@ def sample_realization(ensemble: Ensemble, sample_index: int):
 
 
 def _mc_chunk(args):
-    """The mismatches of samples lo..hi-1, evaluated as one batch of lanes; None for a failure.
+    """The mismatches of samples lo..hi-1, evaluated as one walk of lanes; NaN for a failure.
 
-    A numerical failure (any ArithmeticError, an overflowed walk included)
-    in any lane fails the batch; the chunk is then evaluated one sample at
-    a time, so the failures are counted per sample.
+    The walk itself raises only on the piece data at e, which every sample
+    shares and would fail on alone, so then the whole chunk fails.
     """
     problem, e, ensemble, lo, hi, step = args
     draws = _draws(ensemble, lo, hi)
@@ -234,14 +233,7 @@ def _mc_chunk(args):
     try:
         return realized_mismatches(problem, e, field, draws, step)
     except ArithmeticError:
-        pass
-    results = []
-    for j in range(hi - lo):
-        try:
-            results += realized_mismatches(problem, e, field, [c[j:j + 1] for c in draws], step)
-        except ArithmeticError:
-            results.append(None)
-    return results
+        return [math.nan] * (hi - lo)
 
 
 @dataclass(frozen=True)
@@ -273,9 +265,9 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
     one lane per sample: its draws come site by site in one vector call,
     the smooth pieces are shared by all lanes, and only the jump at each
     site differs.  Every mismatch equals eigen_test on that sample's
-    realized problem bit for bit.  A chunk whose walk fails, an overflowed
-    one included, is walked again one sample at a time, and each failing
-    sample counts as one failure, never as a mismatch.
+    realized problem bit for bit.  A sample whose walk fails alone, an
+    overflowed one included, has a NaN lane in that walk and counts as one
+    failure, never as a mismatch.
     """
     if len(ensemble.sites) != len(problem.interactions):
         raise ValueError(f"ensemble has {len(ensemble.sites)} sites, problem has "
@@ -293,7 +285,7 @@ def mismatch_samples(problem: Problem, e: float, ensemble: Ensemble,
     else:
         chunk_results = [_mc_chunk(c) for c in chunks]
     results = [m for chunk in chunk_results for m in chunk]
-    mismatches = [m for m in results if m is not None]
+    mismatches = [m for m in results if m == m]  # NaN is a failure
     return mismatches, len(results) - len(mismatches)
 
 

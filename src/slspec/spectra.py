@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import Problem, _wrap_half_pi, propagate_through
-from .sl2 import (TWO_PI, InvalidDilation, Mat2, NumericalFailure, ProjPoint, ZeroVector,
-                  _compose, iwasawa_compose, proj_class, r_fixed_classes)
+from .sl2 import (TWO_PI, InvalidDilation, Mat2, NumericalFailure, ProjPoint, _compose,
+                  iwasawa_compose, proj_class, r_fixed_classes)
 from .transfer import DEFAULT_STEP, StepControl, _mapped, transfer_matrix
 
 ALL_VALUES = "AllValues"
@@ -94,11 +94,10 @@ def _class_angles(u, du):
     """The class angle of every lane (u, du), as proj_class gives it, as one array.
 
     atan2 per lane through math, then ProjPoint's reduction mod pi and its
-    guard; a (0, 0) lane raises ZeroVector and a NaN lane gives NaN.
+    guard; a (0, 0) lane, which has no class, and a NaN lane give NaN.
     """
-    if ((u == 0.0) & (du == 0.0)).any():
-        raise ZeroVector("the zero vector has no projective class")
     angles = _mapped(math.atan2, u, du) % math.pi
+    angles[(u == 0.0) & (du == 0.0)] = math.nan
     return np.where(angles >= math.pi, 0.0, angles)
 
 
@@ -114,14 +113,17 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
     e may also be a 1-D array of energies; they are propagated together as
     lanes and the result is the list of their defects, each equal bit for
     bit to the defect of that energy alone.  A walk that overflows raises
-    FloatingPointError (see transfer), so every defect returned is finite.
+    FloatingPointError (see transfer), a batch its first failed lane's error.
     """
     if not isinstance(e, np.ndarray):
         return _wrap_half_pi(matching_gamma(problem, e, step).angle - problem.bc_right.angle)
     # lanes overflow without a word, as Python floats do, until the walk's check
     with np.errstate(over="ignore", invalid="ignore"):
         final = propagate_through(problem, e, step).final
-        return _wrap_half_pi(_class_angles(final.u, final.du) - problem.bc_right.angle).tolist()
+        ms = _wrap_half_pi(_class_angles(final.u, final.du) - problem.bc_right.angle)
+    if np.isnan(ms).any():  # the first failed energy raises its error alone
+        matching_gamma(problem, e[np.isnan(ms).argmax()].item(), step)
+    return ms.tolist()
 
 
 def _jumps(alpha, r, theta):
@@ -146,7 +148,7 @@ def realized_mismatches(problem: Problem, e: float, field: str, columns,
     with that site's value of the field in each lane.  All lanes are one
     walk at e, which builds each piece matrix or RK4 pass product once; each
     lane's state converges on its own and has the bits of eigen_test on its
-    realized problem.
+    realized problem, or is NaN where that eigen_test raises.
     """
     if field not in PARAMETERS:
         raise ValueError(f"field must be one of {PARAMETERS}")
@@ -305,8 +307,8 @@ def _cross_check(problem, report, checks, tol, step):
     sites and the sites' own jumps, each rescaled to a largest entry of 1
     since only classes are read.  All re-tests of all groups are one lane
     array, and the groups are judged in order from its mismatches: the first
-    contradicted verdict raises.  A nonpositive r or a zero end vector in
-    any lane raises before any judgment.
+    contradicted verdict raises.  A nonpositive r in any lane raises before
+    any judgment; a zero end vector, a NaN mismatch, fails its re-test.
     """
     if not checks:
         return

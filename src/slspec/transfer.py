@@ -10,7 +10,8 @@ with a step that resolves the local wavelength.  The route follows
 the potential's kind alone.  transfer_matrix (two identity columns) and
 propagate_state (one column) share one walker, so both run the same
 arithmetic on the same segment data.  No walk returns an entry that is not
-finite: where a long forbidden stretch overflows, it raises FloatingPointError.
+finite: where a long forbidden stretch overflows, a float walk raises
+FloatingPointError, and a lane fails in itself, NaN in every column.
 A grid potential has one interpolation, sample, which its value at one point
 calls too; one table of kinds serves potential_to_json and potential_from_json.
 A point outside a potential's domain is one DomainError with one message,
@@ -582,16 +583,15 @@ def _converged(cur, prev, tol):
 
 
 def _finite(x, e, cols):
-    """cols, the columns at x, if all finite; else FloatingPointError naming x and E (a lane's)."""
+    """cols, the columns at x, if finite; else FloatingPointError naming x and E, or NaN lanes."""
     entries = [t for col in cols for t in col]
     if not isinstance(entries[0], np.ndarray):
-        if all(map(math.isfinite, entries)):
-            return cols
-    elif (ok := np.isfinite(entries).all(axis=0)).all():
-        return cols
-    elif isinstance(e, np.ndarray):
-        e = e[ok.argmin()].item()
-    raise FloatingPointError(f"the solution at x = {x!r} is not finite at E = {e!r}")
+        if not all(map(math.isfinite, entries)):
+            raise FloatingPointError(f"the solution at x = {x!r} is not finite at E = {e!r}")
+    elif not (ok := np.isfinite(entries).all(axis=0)).all():
+        # NaN in every column of a failed lane: an inf would still give a finite angle
+        return [(np.where(ok, u, math.nan), np.where(ok, du, math.nan)) for u, du in cols]
+    return cols
 
 
 def _propagate(v, y, x, e, step, cols, first=()):
@@ -609,12 +609,13 @@ def _propagate(v, y, x, e, step, cols, first=()):
     to nothing and agree.  Where E lies below V the solution is not
     oscillatory, and the agreement test alone settles the step.  Both are
     judged per lane, each with its own E; a lane that has converged drops
-    out of later passes.  No walk returns an entry that is not finite: an
-    exact walk raises _finite's FloatingPointError, and so does an RK4 lane
-    whose last pass is not finite once the refinements run out; else it is
-    an IntegrationFailure.  first holds the (product, least V) of the first
-    passes at a float e, as _first_passes gives them for the walk's segment
-    (y, x); the later passes are built here.  The callers check the domain.
+    out of later passes.  No walk returns an entry that is not finite: at a
+    float e an exact walk raises _finite's FloatingPointError, and so does
+    an RK4 walk whose last pass is not finite once the refinements run out,
+    else IntegrationFailure; a lane is NaN there, and walked no further.
+    first holds the (product, least V) of the first passes at a float e, as
+    _first_passes gives them for the walk's segment (y, x); the later passes
+    are built here.  The callers check the domain.
     """
     if x == y:
         return cols
@@ -629,12 +630,14 @@ def _propagate(v, y, x, e, step, cols, first=()):
             out.append((u, du))
         return _finite(x, e, out)
     shape = np.broadcast(e, *(t for col in cols for t in col)).shape
-    if shape:
+    if shape:  # a lane stays NaN unless it converges
         cols = [(np.broadcast_to(u, shape), np.broadcast_to(du, shape)) for u, du in cols]
-        out = [(np.empty(shape), np.empty(shape)) for _ in cols]
-        if not shape[0]:
+        out = [(np.full(shape, math.nan), np.full(shape, math.nan)) for _ in cols]
+        live = np.flatnonzero(np.isfinite([t for col in cols for t in col]).all(axis=0))
+        if not live.size:
             return out
-        live = np.arange(shape[0])
+        cols = [(u[live], du[live]) for u, du in cols]
+        e = e[live] if isinstance(e, np.ndarray) else e
     h_target = step.base_step()
     prev = None
     for i in range(step.max_refine + 1):
@@ -643,6 +646,8 @@ def _propagate(v, y, x, e, step, cols, first=()):
         else:
             data = _rk4_pass(v, y, x, h_target, step.max_steps)
             if data is None:
+                if shape:
+                    return out
                 raise IntegrationFailure(
                     f"step budget {step.max_steps} exhausted before tolerance {step.tol}")
             (a, b, c, d), low = _rk4_product(e, data), data[-1]
@@ -665,8 +670,8 @@ def _propagate(v, y, x, e, step, cols, first=()):
                 cur = [(u[keep], du[keep]) for u, du in cur]
         prev = cur
         h_target *= 0.5
-    if shape:  # the first lane left fails as it would alone
-        prev, e = [(u[:1], du[:1]) for u, du in prev], (e[:1] if isinstance(e, np.ndarray) else e)
+    if shape:
+        return out
     _finite(x, e, prev)
     raise IntegrationFailure(
         f"no convergence within {step.max_refine} refinements at tolerance {step.tol}")

@@ -184,7 +184,8 @@ def mapped_and_walked_retests(problem, e, step=DEFAULT_STEP):
     mapped holds the group's mismatches as classify_sites takes them from
     its site maps, every group recorded and none judged (tol = pi passes
     any energy); walked holds realized_mismatches of a walk with the group's
-    values at its site, or the ArithmeticError that walk raised.
+    values at its site, NaN for a re-test whose walk fails alone, or the
+    ArithmeticError that walk raised.
     """
     sites = range(len(problem.interactions))
     mapped = []

@@ -316,6 +316,29 @@ def test_montecarlo_two_bins_count_every_sample(tmp_path):
     assert sum(int(r[2]) for r in rows) == 50
 
 
+def test_histogram_first_bin_holds_mismatches_at_or_below_1e_12():
+    edges = [row[:2] for row in slspec.cli._histogram([], 12)]
+    inner = edges[5][1]
+    mismatches = [0.0, 1e-12, math.nextafter(1e-12, 1.0), inner, math.nextafter(inner, 1.0),
+                  PI / 2]
+    rows = slspec.cli._histogram(mismatches, 12)
+    assert [row[:2] for row in rows] == edges
+    assert edges[0] == (0.0, 1e-12) and edges[-1][1] == PI / 2
+    # a mismatch on an edge counts in the bin that edge closes
+    assert [row[2] for row in rows] == [2, 1, 0, 0, 0, 1, 1, 0, 0, 0, 0, 1]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.lists(st.one_of(st.floats(0.0, PI / 2), st.sampled_from([0.0, 1e-12, PI / 2])),
+                max_size=60), st.integers(2, 60))
+def test_histogram_counts_each_mismatch_once_in_its_bin(mismatches, bins):
+    rows = slspec.cli._histogram(mismatches, bins)
+    assert len(rows) == bins and sum(row[2] for row in rows) == len(mismatches)
+    assert [row[2] for row in rows] == [
+        sum(1 for m in mismatches if (i == 0 or lo < m) and m <= hi)
+        for i, (lo, hi, _) in enumerate(rows)]
+
+
 def test_montecarlo_csv_format_swaps_files(tmp_path):
     cfg = montecarlo_config(tmp_path, out_name="mc.csv", samples=100)
     cfg["output"]["format"] = "csv"
@@ -849,8 +872,9 @@ def python(*argv):
 
 def test_import_leaves_out_numpy_random_and_process_pools():
     # start-up time is import time: numpy.random and the process pool load
-    # only in the commands that use them, scipy and mpmath only in tests
-    heavy = ("numpy.random", "concurrent.futures", "multiprocessing", "scipy", "mpmath")
+    # only in the commands that use them, scipy, mpmath and hypothesis only in tests
+    heavy = ("numpy.random", "concurrent.futures", "multiprocessing", "scipy", "mpmath",
+             "hypothesis")
     code = f"import sys, slspec.cli; print(sorted(m for m in {heavy!r} if m in sys.modules))"
     res = python("-c", code)
     assert (res.returncode, res.stdout) == (0, "[]\n")
@@ -892,6 +916,18 @@ def test_numerical_failures_are_arithmetic_errors(name):
 def test_config_errors_are_not_arithmetic_errors(name):
     cls = getattr(slspec, name)
     assert issubclass(cls, ValueError) and not issubclass(cls, ArithmeticError)
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert run("--config", str(path), "eigs") == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read config {path}: ")
+
+
+def test_unsupported_schema_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"schema": 2, "problem": box_problem_doc()})
+    assert run("--config", path, "eigs") == 2
+    assert capsys.readouterr().err == "error: unsupported schema 2, expected 1\n"
 
 
 def test_config_required(capsys):

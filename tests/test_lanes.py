@@ -7,12 +7,14 @@ dichotomy re-tests, taken from site maps, agree with those lanes."""
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+import slspec.random
 import slspec.spectra
 
 from slspec.cli import main
@@ -378,13 +380,30 @@ def lone_shears(problem, e, alphas, step):
     return out
 
 
-def test_chunk_with_some_failing_samples_falls_back_to_samples():
+def counted_walks(monkeypatch):
+    """The lane count of every realized_mismatches walk Monte Carlo makes from now on."""
+    walks = []
+    real = slspec.random.realized_mismatches
+
+    def counted(problem, e, field, columns, step):
+        walks.append(len(columns[0]))
+        return real(problem, e, field, columns, step)
+    monkeypatch.setattr(slspec.random, "realized_mismatches", counted)
+    return walks
+
+
+def test_chunk_with_some_failing_samples_is_one_walk(monkeypatch):
+    # the chunk's walk fails in its failing samples' lanes alone, which are
+    # NaN; Monte Carlo counts each as one failure and walks the chunk once
     problem = huge_shear_problem(FAILING_GRID)
     step = StepControl(tol=1e-6, max_refine=4)
-    with pytest.raises(FloatingPointError,
-                       match=r"^the solution at x = 1\.0 is not finite at E = 1\.0$"):
-        shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
+    (alphas,) = _draws(HUGE_SHEARS, 0, 40)
+    lone = lone_shears(problem, 1.0, alphas.tolist(), step)
+    assert [m == "nan" for m in shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)] == [
+        isinstance(t, tuple) for t in lone]
+    walks = counted_walks(monkeypatch)
     mismatches, failures = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
+    assert walks == [40]
     assert 0 < failures < 40
     assert (mismatches, failures) == per_sample(problem, 1.0, HUGE_SHEARS, 40, step)
 
@@ -392,26 +411,34 @@ def test_chunk_with_some_failing_samples_falls_back_to_samples():
 @pytest.mark.parametrize("v", [OVERFLOWING_GRID,
                                PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0))],
                          ids=["grid", "piecewise"])
-def test_overflowing_sample_lanes_raise_as_their_first_failing_sample(v):
+def test_monte_carlo_walks_each_chunk_once_when_samples_fail(monkeypatch, v):
+    walks = counted_walks(monkeypatch)
+    mismatches, failures = mismatch_samples(huge_shear_problem(v), 1.0, HUGE_SHEARS, 1000,
+                                            StepControl(tol=1e-6, max_refine=4))
+    assert walks == [512, 488]
+    assert 0 < failures < 1000 and len(mismatches) + failures == 1000
+
+
+@pytest.mark.parametrize("v", [OVERFLOWING_GRID,
+                               PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0))],
+                         ids=["grid", "piecewise"])
+def test_overflowing_sample_lanes_are_nan_where_their_samples_fail(v):
     problem = huge_shear_problem(v)
     step = StepControl(tol=1e-6, max_refine=4)
     (alphas,) = _draws(HUGE_SHEARS, 0, 40)
     lone = lone_shears(problem, 1.0, alphas.tolist(), step)
-    failed = [t for t in lone if isinstance(t, tuple)]
-    assert 0 < len(failed) < len(lone)
+    failed = [isinstance(t, tuple) for t in lone]
+    assert 0 < sum(failed) < len(lone)
+    assert {t[0] for t in lone if isinstance(t, tuple)} == {FloatingPointError}
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ArithmeticError) as raised:
-            shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
+        walked = shear_lanes(problem, 1.0, HUGE_SHEARS, 40, step)
         got = lanes(problem, 1.0, HUGE_SHEARS, 40, step)
-    assert (raised.type, str(raised.value)) == failed[0]
-    # the samples whose walks stay finite, walked together, keep their bits
-    ok = np.array([a for a, t in zip(alphas.tolist(), lone) if not isinstance(t, tuple)])
-    assert [m.hex() for m in realized_mismatches(problem, 1.0, "alpha", [ok], step)] == [
-        t for t in lone if not isinstance(t, tuple)]
+    # a failing sample's lane is NaN; every other lane keeps its lone bits
+    assert walked == ["nan" if f else t for f, t in zip(failed, lone)]
     # Monte Carlo counts each failing sample as a failure
     assert got == per_sample(problem, 1.0, HUGE_SHEARS, 40, step)
-    assert got[1] == len(failed)
+    assert got[1] == sum(failed)
 
 
 def test_renormalized_halves_finite_data_whose_norm_overflows():
@@ -456,6 +483,88 @@ def test_nan_mismatches_are_failures_not_quantiles():
         assert [q.hex() for _, q in report.mismatch_quantiles] == quantiles
 
 
+def heavy_sites(target):
+    """Gaussians wide enough that some samples' walks overflow past a barrier."""
+    if target == "r":
+        return st.just(Gaussian(1.0, 3e304))
+    return st.builds(Gaussian, st.floats(-2.0, 2.0, **finite), st.just(3e304))
+
+
+def shifted(v, height):
+    """The potential v plus height."""
+    if isinstance(v, GridPotential):
+        return GridPotential(v.x, tuple(t + height for t in v.values))
+    return PiecewisePotential(v.breakpoints, tuple(t + height for t in v.values))
+
+
+@st.composite
+def failing_mc_cases(draw, potentials):
+    """(problem, ensemble, E) whose walks can overflow: a barrier after a heavy-tailed site.
+
+    The potential is raised so that sqrt(V - E) times the length past the
+    first site is near log(1.8e308 / 3e304), where a draw's size decides
+    whether its walk overflows.
+    """
+    problem = draw(problems(potentials, min_sites=1, max_sites=3))
+    e = draw(mc_energy)
+    growth = draw(st.floats(7.0, 12.0))
+    height = e + (growth / (problem.b - problem.interactions[0].x)) ** 2
+    problem = replace(problem, potential=shifted(problem.potential, height))
+    target = draw(st.sampled_from(["lambda", "r", "theta"]))
+    sites = [draw(heavy_sites(target))] + draw(st.lists(
+        st.one_of(heavy_sites(target), site_distributions(target)),
+        min_size=len(problem.interactions) - 1, max_size=len(problem.interactions) - 1))
+    return problem, Ensemble(target, tuple(sites), draw(st.integers(0, 2 ** 64 - 1))), e
+
+
+def walked_and_alone(problem, e, ensemble, n, step):
+    """realized_mismatches of samples 0..n-1 as one walk, and eigen_test of each alone, in hex.
+
+    A sample that fails alone (any ArithmeticError) reads "nan", as NaN's
+    hex does.  A walk that raises fails on what every sample shares, so it
+    reads "nan" in every lane.
+    """
+    field = {"lambda": "alpha", "r": "r", "theta": "theta"}[ensemble.target]
+    try:
+        walked = [m.hex() for m in realized_mismatches(problem, e, field,
+                                                       _draws(ensemble, 0, n), step)]
+    except ArithmeticError:
+        walked = ["nan"] * n
+    alone = []
+    for i in range(n):
+        realized = problem
+        for k, value in enumerate(sample_realization(ensemble, i)):
+            realized = with_site_params(realized, k, **{field: value})
+        try:
+            alone.append(eigen_test(realized, e, step).mismatch.hex())
+        except ArithmeticError:
+            alone.append("nan")
+    return walked, alone
+
+
+FAILING_STEP = StepControl(tol=1e-6, max_refine=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(failing_mc_cases(piecewise_potentials()), st.integers(10, 40))
+@example((huge_shear_problem(PiecewisePotential((0.0, 0.5, 1.0), (100.0, 110.0))), HUGE_SHEARS,
+          1.0), 40)
+def test_piecewise_lanes_are_nan_exactly_where_samples_fail(case, n):
+    problem, ensemble, e = case
+    walked, alone = walked_and_alone(problem, e, ensemble, n, FAILING_STEP)
+    assert walked == alone
+
+
+@settings(max_examples=20, deadline=None)
+@given(failing_mc_cases(grid_potentials()), st.integers(10, 40), steps)
+@example((huge_shear_problem(OVERFLOWING_GRID), HUGE_SHEARS, 1.0), 40, FAILING_STEP)
+@example((huge_shear_problem(FAILING_GRID), HUGE_SHEARS, 1.0), 40, FAILING_STEP)
+def test_grid_lanes_are_nan_exactly_where_samples_fail(case, n, step):
+    problem, ensemble, e = case
+    walked, alone = walked_and_alone(problem, e, ensemble, n, step)
+    assert walked == alone
+
+
 # ------------------------------------------------------------ realized jumps
 
 @st.composite
@@ -479,22 +588,28 @@ def retest_cases(draw, potentials):
 
 
 def realized(problem, e, field, site, values, step):
-    """realized_mismatches with the site's values and every other site's own value."""
+    """realized_mismatches with the site's values and every other site's own value, in hex.
+
+    A walk that raises fails on what every lane shares: "nan" in every lane.
+    """
     columns = [np.full(len(values), getattr(s.params, field)) for s in problem.interactions]
     columns[site] = np.array(values)
     try:
         return [m.hex() for m in realized_mismatches(problem, e, field, columns, step)]
-    except (ArithmeticError, RuntimeError) as exc:
-        return type(exc)
+    except ArithmeticError:
+        return ["nan"] * len(values)
 
 
 def rebuilt(problem, e, field, site, values, step):
-    """eigen_test on the problem rebuilt with each value, failures by type."""
-    try:
-        return [eigen_test(with_site_params(problem, site, **{field: v}), e, step).mismatch.hex()
-                for v in values]
-    except (ArithmeticError, RuntimeError) as exc:
-        return type(exc)
+    """eigen_test on the problem rebuilt with each value, in hex, "nan" where it fails."""
+    out = []
+    for v in values:
+        try:
+            out.append(eigen_test(with_site_params(problem, site, **{field: v}), e,
+                                  step).mismatch.hex())
+        except ArithmeticError:
+            out.append("nan")
+    return out
 
 
 @settings(max_examples=40, deadline=None)
@@ -551,8 +666,9 @@ def test_grid_site_maps_equal_walked_re_tests_within_the_step_tolerance(retest_r
     except IntegrationFailure:
         reject()
     for _, _, mapped, walked in rows:
-        if not isinstance(walked, IntegrationFailure):
-            assert np.allclose(mapped, walked, rtol=0.0, atol=2.0 * step.tol)
+        ok = ~np.isnan(walked)  # a re-test whose walk fails
+        assert np.allclose(np.array(mapped)[ok], np.array(walked)[ok], rtol=0.0,
+                           atol=2.0 * step.tol)
 
 
 # ------------------------------------------------------------- piece matrices
@@ -631,17 +747,31 @@ def with_final_lanes(monkeypatch, u, du):
 
 
 def test_zero_lane_has_no_class(monkeypatch):
+    # a walk at E = 2 ends at (0, 0), in a lane and alone: the lane's class
+    # and mismatch are NaN, and a batch raises what that energy raises alone
     problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 1.0), (0.0,)), (), ProjPoint(0.0),
                       ProjPoint(0.3))
-    with_final_lanes(monkeypatch, [0.6, 0.0], [0.8, 0.0])
-    with pytest.raises(ZeroVector):
+
+    def walk(problem, e, step, jumps=None):
+        u, du = (np.where(e == 2.0, 0.0, t) for t in (0.6, 0.8))
+        if not isinstance(e, np.ndarray):
+            u, du = u.item(), du.item()
+        return PropagationResult(SolutionState(problem.b, u, du), ())
+    monkeypatch.setattr(slspec.spectra, "propagate_through", walk)
+    angles = slspec.spectra._class_angles(np.array([0.6, 0.0]), np.array([0.8, 0.0]))
+    assert angles[0] == proj_class(0.6, 0.8).angle and math.isnan(angles[1])
+    mismatches = slspec.spectra._mismatches(problem, np.array([0.0, 0.6]), np.array([0.0, 0.8]))
+    assert mismatches[0] != mismatches[0]
+    assert boundary_mismatch(problem, np.array([1.0, 3.0])) == [
+        boundary_mismatch(problem, 1.0)] * 2
+    with pytest.raises(ZeroVector, match="^the zero vector has no projective class$"):
         boundary_mismatch(problem, np.array([1.0, 2.0]))
 
 
 def test_lane_classes_reduce_like_proj_class(monkeypatch):
     # atan2(-1e-17, 1) % pi rounds to pi, which ProjPoint maps to 0; a NaN
-    # lane keeps a NaN class and so a NaN mismatch (no walk ends in one: it
-    # raises first, see test_overflowing_sample_lanes_raise_as_their_first_failing_sample)
+    # lane, a failed one (see test_overflowing_sample_lanes_are_nan_where_their_samples_fail),
+    # keeps a NaN class and so a NaN mismatch
     u, du = [-1e-17, math.nan, 0.6, -0.0, 1.0], [1.0, 1.0, -0.8, -1.0, 0.0]
     problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 1.0), (0.0,)), (), ProjPoint(0.0),
                       ProjPoint(0.3))
@@ -659,9 +789,9 @@ def test_lane_classes_reduce_like_proj_class(monkeypatch):
 
 
 def test_zero_lane_fails_its_sample_alone(monkeypatch):
-    # a lane ending at (0, 0) raises ZeroVector, a numerical failure: Monte
-    # Carlo walks the chunk again one sample at a time, counts that sample as
-    # one failure and keeps the other samples' mismatches
+    # a lane ending at (0, 0) has no class, a NaN mismatch, as that sample
+    # alone raises ZeroVector: Monte Carlo counts that sample as one failure
+    # and keeps the other samples' mismatches
     problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 0.5, 1.0), (0.0, 2.0)),
                       (PointInteraction(0.3, IwasawaParams(0.0, 1.0, 0.0)),), ProjPoint(0.4),
                       ProjPoint(1.0))
@@ -681,7 +811,7 @@ def test_zero_lane_fails_its_sample_alone(monkeypatch):
         return PropagationResult(final, result.lefts)
 
     monkeypatch.setattr(slspec.spectra, "propagate_through", zeroing)
-    with pytest.raises(ZeroVector):
-        realized_mismatches(problem, 1.0, "alpha", [np.array(shears)], step)
+    walked = realized_mismatches(problem, 1.0, "alpha", [np.array(shears)], step)
+    assert [m != m for m in walked] == [a > 0.9 for a in shears]
     assert 0 < len(kept) < 40
     assert lanes(problem, 1.0, ensemble, 40, step) == (kept, 40 - len(kept))

@@ -6,7 +6,8 @@ file's sha256 is pinned: a change to the propagation, the classification or
 the Monte Carlo summary that moves any bit of any output fails here.  A
 classified eigs scan of a two-jump grid problem is pinned the same way, so
 the RK4 route, the scan's refinements and its skipped wrap-around cell are
-covered too.  The pins were recorded with Python 3.11 and numpy 2 on
+covered too, and so is a Monte Carlo run in which a third of the samples
+overflow and count as failures.  The pins were recorded with Python 3.11 and numpy 2 on
 x86-64 Linux; another libm may round a transcendental differently and move
 them.
 """
@@ -103,3 +104,30 @@ def test_grid_scan_keeps_its_bytes(tmp_path):
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
            for p in sorted(tmp_path.iterdir()) if not p.name.endswith("_cfg.json")}
     assert got == GRID_PINNED
+
+
+# shears of sd 3e304 before a forbidden barrier: 204 of the 600 samples, in
+# both chunks of 512 and 88, overflow and count as failures
+FAILING_PROBLEM = {
+    "a": 0.0, "b": 1.0, "bc_left": 0.4, "bc_right": 1.0,
+    "interactions": [{"x": 0.3, "alpha": 0.0, "r": 1.0, "theta": 0.5}],
+    "potential": {"kind": "piecewise", "breakpoints": [0.0, 0.5, 1.0], "values": [100.0, 110.0]},
+}
+FAILING_MONTECARLO = {"energy": 1.0, "samples": 600, "epsilon": 1e-6, "bins": 12,
+                      "ensemble": {"target": "lambda", "seed": 7,
+                                   "sites": [{"kind": "gaussian", "mean": 0.0, "sd": 3e304}]}}
+
+FAILING_PINNED = {
+    "mc_failing.json": "a539d58b181c4545a56f031565cd069c1bc150e3e88ada7524be9cdbb4472a6c",
+    "mc_failing_hist.csv": "592f2f72f25d3b5fbbb856f8e5961a32b42a8f0964d023266cee1feb180e7764",
+}
+
+
+def test_montecarlo_with_failing_samples_keeps_its_bytes(tmp_path):
+    run(tmp_path, {"problem": FAILING_PROBLEM, "montecarlo": FAILING_MONTECARLO}, "montecarlo",
+        "mc_failing.json")
+    report = json.loads((tmp_path / "mc_failing.json").read_text())["report"]
+    assert (report["samples"], report["failures"]) == (600, 204)
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+           for p in sorted(tmp_path.iterdir()) if not p.name.endswith("_cfg.json")}
+    assert got == FAILING_PINNED

@@ -403,3 +403,16 @@ def test_wrap_half_pi_keeps_half_turns_on_the_closed_end():
     assert _wrap_half_pi(PI / 2) == PI / 2
     assert _wrap_half_pi(-PI / 2) == PI / 2  # -pi/2 mod pi is pi/2
     assert _wrap_half_pi(np.array([PI, -PI, 0.0])).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_zero_data_normalizes_to_itself():
+    state = SolutionState(0.5, 0.0, -0.0)
+    assert _normalized(state) is state
+
+
+@pytest.mark.parametrize("w", [-4.0, 0.0])
+def test_forbidden_piece_rises_at_once_to_a_goal_it_sits_on(w):
+    # the lift at p is 0, at the goal's class: it reaches the goal at p
+    piece = _Piece(0.0, 1.0, 1.0, w, SolutionState(0.0, 0.0, 1.0), 0.0)
+    assert piece.rise(0.0) == 0.0
+    assert piece.rise(-0.5) == 0.0

@@ -726,3 +726,48 @@ def test_degenerate_checks_every_r_before_any_walk(monkeypatch):
     with pytest.raises(InvalidDilation, match=r"^r = 0\.0 must be > 0$"):
         construct_degenerate(ConstantPotential(0.0), 2.0, [0.0, 0.3], [1.0, 0.0], 0.0, PI,
                              ProjPoint(0.0), ProjPoint(0.0))
+
+
+# ---------------------------------------------------------------- error paths
+
+def test_sample_index_must_be_nonnegative():
+    ens = Ensemble("lambda", (Uniform(0.0, 1.0),), seed=1)
+    with pytest.raises(ValueError, match="^sample_index must be nonnegative$"):
+        sample_realization(ens, -1)
+
+
+def test_class_points_need_a_jump_free_problem_and_a_zero_gap_inside_it():
+    box = free_problem(PI)
+    target = proj_class(0.6, 0.8)
+    with pytest.raises(ValueError,
+                       match="^class points are located on the interaction-free problem$"):
+        find_class_point(generic_one_site_problem(), 1.0, 0.0, PI, target)
+    for t1, t2 in ((-0.5, 1.0), (1.0, 1.0), (0.0, 4.0)):
+        with pytest.raises(ValueError, match=rf"^need a <= t1 < t2 <= b, got \[{t1}, {t2}\]$"):
+            find_class_point(box, 1.0, t1, t2, target)
+
+
+def test_class_point_past_t2_is_not_bracketed():
+    # on the box at E = 1 the lift is x itself, so it reaches the class of
+    # angle 1 at x = 1, past t2 = 0.1
+    with pytest.raises(TargetNotBracketed, match=r"^the lift stays below the target over "
+                                                 r"\[t1, t2\); are t1, t2 consecutive zeros\?$"):
+        find_class_point(free_problem(PI), 1.0, 0.0, 0.1, ProjPoint(1.0))
+
+
+@pytest.mark.parametrize("thetas, rs", [([], []), ([0.0], [1.0, 2.0]), ([0.0, 1.0], [1.0])])
+def test_degenerate_needs_matching_nonempty_lists(thetas, rs):
+    with pytest.raises(ValueError, match="^need matching nonempty theta and r lists$"):
+        construct_degenerate(ConstantPotential(0.0), 1.0, thetas, rs, 0.0, PI, DIRICHLET,
+                             DIRICHLET)
+
+
+def test_degenerate_site_on_the_left_end_is_insufficient_oscillation():
+    # sin x on [0, pi] has no interior zero, so the gap is [0, pi], and the
+    # class of theta = pi/2 is the zero class, which the solution holds at 0
+    with pytest.raises(InsufficientOscillation,
+                       match=r"^site 0 lands on the endpoint 0\.0; theta = 1\.5707963267948966 "
+                             r"needs an interior zero gap$") as exc:
+        construct_degenerate(ConstantPotential(0.0), 1.0, [PI / 2], [1.0], 0.0, PI, DIRICHLET,
+                             DIRICHLET)
+    assert exc.value.zeros_found == 2

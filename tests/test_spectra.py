@@ -593,14 +593,16 @@ def test_classify_sites_equals_one_by_one(problem, e, sites, step, parameters, t
 @pytest.mark.parametrize("problem, e, sites, step", CLASSIFY_CASES)
 def test_site_maps_keep_the_walked_outcomes(retest_reference, problem, e, sites, step):
     # every re-test keeps or loses e as a walk of its realization does, at
-    # each tol classified above, wherever that walk converges
+    # each tol classified above, wherever that walk converges; a NaN re-test
+    # is one whose walk fails, and its group counts as unwalked
     unwalked = []
     for i, parameter, mapped, walked in retest_reference(problem, e, step):
-        if isinstance(walked, IntegrationFailure):
+        walked = np.array(walked)
+        ok = ~np.isnan(walked)
+        if not ok.all():
             unwalked.append((i, parameter))
-            continue
         for tol in (1e-6, 1e-3, 1e-2):
-            assert [m <= tol for m in mapped] == [m <= tol for m in walked]
+            assert (np.array(mapped)[ok] <= tol).tolist() == (walked[ok] <= tol).tolist()
     on_grid = not problem.potential.is_piecewise_constant
     assert unwalked == ([(1, "theta"), (1, "alpha")] if on_grid else [])
 
@@ -668,3 +670,22 @@ def test_classifying_an_eigenvalue_walks_once(monkeypatch, k):
     except CrossCheckFailure:
         assert k == 8
     assert calls == ["transfer_matrix"] * k
+
+
+def test_last_grid_energy_with_mismatch_zero_is_found():
+    # bc_right is the class the walk at e_hi ends in, so its mismatch is 0
+    problem = dirichlet_box(interactions=[delta_site(1.0, 0.5)])
+    problem = replace(problem, bc_right=matching_gamma(problem, 7.0))
+    assert boundary_mismatch(problem, np.array([3.0, 7.0]))[-1] == 0.0
+    assert [r.E for r in eigenvalues_in_range(problem, 3.0, 7.0, 5)][-1] == 7.0
+
+
+def test_theta_shift_by_pi_that_loses_e_raises():
+    # at tol equal to the mismatch itself, a pi-shifted re-test, which the
+    # site map gives an ulp away from it, can land above tol
+    problem = Problem(0.0, PI, ConstantPotential(0.0),
+                      (PointInteraction(1.0, IwasawaParams(0.3, 1.2, 0.7)),),
+                      ProjPoint(0.0), ProjPoint(0.0))
+    report = eigen_test(problem, 1.0)
+    with pytest.raises(CrossCheckFailure, match=r"^theta shift by pi lost E = 1\.0$"):
+        classify_sites(problem, report, [0], ["theta"], tol=report.mismatch)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slspec.transfer
 from slspec.transfer import (
     POTENTIAL_KINDS,
     ConstantPotential,
@@ -19,6 +20,7 @@ from slspec.transfer import (
     IntegrationFailure,
     DomainError,
     _converged,
+    _finite,
     _lane_max,
     transfer_matrix,
     propagate_state,
@@ -384,3 +386,41 @@ def test_grid_value_outside_the_domain_names_the_point(t):
     with pytest.raises(DomainError,
                        match=rf"^x = {t!r} outside potential domain \[0\.0, 2\.0\]$"):
         v(t)
+
+
+# ---------------------------------------------------------------- error paths
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: StepControl(max_refine=-1), "need max_refine >= 0 and max_steps >= 1"),
+    (lambda: StepControl(max_steps=0), "need max_refine >= 0 and max_steps >= 1"),
+    (lambda: ConstantPotential(math.inf), "value must be finite"),
+    (lambda: PiecewisePotential((0.0, 1.0), (math.nan,)), "breakpoints and values must be finite"),
+    (lambda: GridPotential((0.0, 0.0, 1.0), (1.0, 2.0, 3.0)),
+     "grid nodes must be strictly increasing"),
+    (lambda: GridPotential((0.0, 1.0), (1.0, -math.inf)), "nodes and values must be finite"),
+], ids=["max-refine", "max-steps", "constant", "piecewise", "grid-nodes", "grid-values"])
+def test_malformed_step_controls_and_potentials_are_refused(make, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        make()
+
+
+def test_drifting_determinant_is_an_integration_failure(monkeypatch):
+    # a converged walk keeps its determinant within the gate, so the gate
+    # is checked on a walk that returns the columns of det 1 + 1e-3
+    monkeypatch.setattr(slspec.transfer, "_propagate",
+                        lambda v, y, x, e, step, cols: ((1.0, 0.0), (1e-3, 1.001)))
+    with pytest.raises(IntegrationFailure,
+                       match=r"^determinant drift 1\.000e-03 exceeds 10x tolerance 1e-09$"):
+        transfer_matrix(ConstantPotential(0.0), 1.0, 0.0, 2.0)
+
+
+def test_a_lane_that_is_not_finite_is_nan_in_every_column():
+    # not its inf entries: atan2(inf, inf) is a finite angle, pi/4
+    u, du = np.array([0.6, math.inf, 1.0, -math.inf]), np.array([0.8, math.inf, math.nan, 2.0])
+    ((got_u, got_du),) = _finite(1.0, 3.0, [(u, du)])
+    assert got_u.tolist()[0] == 0.6 and got_du.tolist()[0] == 0.8
+    assert np.isnan(got_u[1:]).all() and np.isnan(got_du[1:]).all()
+    for lane in range(1, 4):
+        with pytest.raises(FloatingPointError,
+                           match=r"^the solution at x = 1\.0 is not finite at E = 3\.0$"):
+            _finite(1.0, 3.0, [(u[lane].item(), du[lane].item())])
