@@ -13,8 +13,9 @@ its route.  On piecewise-constant potentials each piece has a closed form
 (_Piece): the state and lift anywhere on it follow from its start, and so
 do its crossings of any goal angle, which random.py solves for zeros and
 class points.  A trace walks the piece ends with _Piece.at and then takes
-the phases of all its samples from their pieces' starts in one array pass
-(_piece_phases).  On grids the lift is sampled (_lift_walk).
+the phases of all its samples from their pieces' starts with _Piece.at on
+lane pieces, one body for floats and lanes (transfer._mapped), as is
+_normalized.  On grids the lift is sampled (_lift_walk).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from .transfer import (
     Potential,
     SolutionState,
     StepControl,
-    _const_coeff_matrix,
     _first_passes,
     _mapped,
     _piece_matrix,
@@ -111,25 +111,20 @@ class PropagationResult:
 def _normalized(state):
     """state scaled to unit norm, halved first if its norm overflows; zero data as it is.
 
-    Halving an entry that is not finite changes no bit of the result.
+    One body for floats and lanes: a lane divides by 1.0 + overflowed, so by
+    2 or 1, then by its norm, or by 1 if that is zero; a zero float state is
+    returned itself.  Halving an entry that is not finite changes no bit.
     """
-    if isinstance(state.u, np.ndarray):
-        # the norms come from math's hypot, lane by lane, as a lone state's would
-        norms = _mapped(math.hypot, state.u, state.du)
-        halve = np.isinf(norms)
-        if halve.any():
-            state = SolutionState(state.x, np.where(halve, state.u / 2.0, state.u),
-                                  np.where(halve, state.du / 2.0, state.du))
-            norms = _mapped(math.hypot, state.u, state.du)
-        n = np.where(norms != 0.0, norms, 1.0)
-        return SolutionState(state.x, state.u / n, state.du / n)
-    n = math.hypot(state.u, state.du)
-    if n == math.inf:
-        state = SolutionState(state.x, state.u / 2.0, state.du / 2.0)
-        n = math.hypot(state.u, state.du)
-    if n == 0.0:
+    n = _mapped(math.hypot, state.u, state.du)
+    over = n == math.inf
+    # a float's comparison is a bool, a lane array's an array
+    if over is True or over is not False and over.any():
+        state = SolutionState(state.x, state.u / (1.0 + over), state.du / (1.0 + over))
+        n = _mapped(math.hypot, state.u, state.du)
+    zero = n == 0.0
+    if zero is True:
         return state
-    return SolutionState(state.x, state.u / n, state.du / n)
+    return SolutionState(state.x, state.u / (n + zero), state.du / (n + zero))
 
 
 def propagate_through(problem: Problem, e, step: StepControl = DEFAULT_STEP,
@@ -140,8 +135,9 @@ def propagate_through(problem: Problem, e, step: StepControl = DEFAULT_STEP,
     energies: the states then hold one lane per energy (see
     transfer._propagate), each equal bit for bit to the run of that energy
     alone.  jumps, if given, holds one matrix per site to use instead of the
-    site's own; its entries may be lane arrays, one lane per realization of
-    the jumps, which is how Monte Carlo walks a fixed energy.  At one energy
+    site's own (another count is a ValueError); its entries may be lane
+    arrays, one lane per realization of the jumps, which is how Monte Carlo
+    walks a fixed energy.  At one energy
     on a grid all segments' first RK4 passes are multiplied at once
     (transfer._first_passes), and the problem's domain is not checked again.
     """
@@ -149,6 +145,8 @@ def propagate_through(problem: Problem, e, step: StepControl = DEFAULT_STEP,
     state = problem.initial_state()
     if jumps is None:
         jumps = [iwasawa_compose(site.params) for site in problem.interactions]
+    elif len(jumps) != len(problem.interactions):
+        raise ValueError(f"{len(jumps)} jumps for {len(problem.interactions)} sites")
     pts = [problem.a, *(site.x for site in problem.interactions), problem.b]
     first = ([()] * len(pts) if v.is_piecewise_constant or isinstance(e, np.ndarray)
              else _first_passes(v, pts, e, step))
@@ -187,8 +185,11 @@ def _class_gap(rough, y, x):
     return _continue_lift(rough, math.atan2(y, x) if x >= 0.0 else math.atan2(-y, -x))
 
 
-def _phase_failure(x, e):
-    return FloatingPointError(f"the Pruefer phase at x = {x!r} is not finite at E = {e!r}")
+def _turns(x, e, gap):
+    """round(gap / pi), once gap is finite; else the FloatingPointError of the phase at x."""
+    if not math.isfinite(gap):
+        raise FloatingPointError(f"the Pruefer phase at x = {x!r} is not finite at E = {e!r}")
+    return round(gap / math.pi)
 
 
 class _Piece:
@@ -212,25 +213,35 @@ class _Piece:
             self.k = math.sqrt(w)
             self.psi = _continue_lift(phi, math.atan2(self.k * state.u, state.du))
 
+    @classmethod
+    def lanes(cls, pieces, at):
+        """The lane piece whose lane i holds the fields of pieces[at[i]]."""
+        piece = cls.__new__(cls)
+        fields = np.array([[getattr(pc, f) for f in cls.__slots__] for pc in pieces]).T
+        for f, col in zip(cls.__slots__, fields):
+            setattr(piece, f, col[at])
+        return piece
+
     def at(self, x):
         """The normalized state and lifted phase at x in [p, q], in closed form from p.
 
-        A state that is not finite there is a FloatingPointError.
+        x is a float, or on a lane piece one position per lane, each with its
+        float's bits (the caller sets np.errstate).  A phase that is not
+        finite is a FloatingPointError naming x, on lanes the first one's.
         """
-        m = _const_coeff_matrix(self.w, x - self.p)
+        dx = x - self.p
+        m = _piece_matrix(self.w, dx)
         s = _normalized(SolutionState(x, m.a * self.u + m.b * self.du,
                                       m.c * self.u + m.d * self.du))
-        raw = math.atan2(s.u, s.du)
-        if self.w > 0.0:
-            psi = self.psi + self.k * (x - self.p)
-            gap = psi - math.atan2(self.k * s.u, s.du)
-        else:
-            # the turn of the vector (u', u) from p, which is less than pi
-            turn = math.atan2(s.u * self.du - s.du * self.u, s.du * self.du + s.u * self.u)
-            gap = self.phi + turn - raw
-        if not math.isfinite(gap):
-            raise _phase_failure(x, self.e)
-        return s, raw + math.pi * round(gap / math.pi)
+        raw = _mapped(math.atan2, s.u, s.du)
+        pos = self.w > 0.0
+        pick = np.where if isinstance(pos, np.ndarray) else lambda c, a, b: a if c else b
+        # where w > 0 the scaled phase; elsewhere the turn of the vector (u', u)
+        # from p, which is less than pi
+        t = _mapped(math.atan2, pick(pos, self.k * s.u, s.u * self.du - s.du * self.u),
+                    pick(pos, s.du, s.du * self.du + s.u * self.u))
+        gap = pick(pos, self.psi + self.k * dx - t, self.phi + t - raw)
+        return s, raw + math.pi * _mapped(_turns, x, self.e, gap)
 
     def rise(self, goal):
         """The offset from p at which the lift first reaches goal, or inf if it never does.
@@ -319,38 +330,6 @@ def check_resolution(problem: Problem, e: float, resolution: float, step: StepCo
     return resolution
 
 
-def _piece_phases(pieces, xs, at, e):
-    """The lifted phase at each x of xs on its piece pieces[at], as _Piece.at gives it.
-
-    One array pass over all samples, in blocks of at most transfer._BLOCK:
-    each sample's piece matrix, normalization and angles run _Piece.at's
-    arithmetic in numpy in the same order, with hypot and atan2 mapped
-    through math and np.round rounding half to even as round does, so each
-    phase has the bits of its scalar evaluation.
-    """
-    data = np.array([(pc.p, pc.w, pc.u, pc.du, pc.phi, pc.k, pc.psi) for pc in pieces])
-    out = []
-    for i in range(0, len(xs), _BLOCK):
-        x = xs[i:i + _BLOCK]
-        p, w, u, du, phi, k, psi = data[at[i:i + _BLOCK]].T
-        # overflow and NaN are silent, as with Python floats, until the check below
-        with np.errstate(over="ignore", invalid="ignore"):
-            dx = x - p
-            m = _piece_matrix(w, dx)
-            s = _normalized(SolutionState(x, m.a * u + m.b * du, m.c * u + m.d * du))
-            raw = _mapped(math.atan2, s.u, s.du)
-            pos = w > 0.0
-            # the scaled phase where w > 0, the turn from p elsewhere
-            t = _mapped(math.atan2, np.where(pos, k * s.u, s.u * du - s.du * u),
-                        np.where(pos, s.du, s.du * du + s.u * u))
-            gap = np.where(pos, psi + k * dx - t, phi + t - raw)
-        bad = ~np.isfinite(gap)
-        if bad.any():
-            raise _phase_failure(x[bad][0].item(), e)
-        out += (raw + math.pi * np.round(gap / math.pi)).tolist()
-    return out
-
-
 def prufer_trace(problem: Problem, e: float, resolution: float,
                  step: StepControl = DEFAULT_STEP):
     """Continuously lifted phase phi(x) = arg(u'(x) + i u(x)) along the problem.
@@ -360,10 +339,10 @@ def prufer_trace(problem: Problem, e: float, resolution: float,
     are the points where phi crosses a multiple of pi.  On grids each
     sample is propagated from the one before.  On piecewise-constant
     potentials a scalar walk finds each piece's start and the state at each
-    stop's last sample, and one array pass (_piece_phases) gives every
-    sample's phase in closed form from the start of its piece.  At each site
-    the trace records the x twice: the jump's angular displacement is
-    booked with the branch in (-pi/2, pi/2].
+    stop's last sample, and _Piece.at on lane pieces, in blocks of at most
+    transfer._BLOCK samples, gives every sample's phase in closed form from
+    the start of its piece.  At each site the trace records the x twice:
+    the jump's angular displacement is booked with the branch in (-pi/2, pi/2].
     """
     check_resolution(problem, e, resolution, step)
     v = problem.potential
@@ -397,8 +376,12 @@ def prufer_trace(problem: Problem, e: float, resolution: float,
             state = SolutionState(x_stop, u, du)
             out.append((x_stop, phi))
     if runs:
-        phases = iter(_piece_phases(pieces, np.concatenate([xs for _, xs, _ in runs]),
-                                    np.concatenate([at for _, _, at in runs]), e))
+        xs, at = (np.concatenate([run[j] for run in runs]) for j in (1, 2))
+        # overflow and NaN are silent in lanes, as with Python floats, until at's check
+        with np.errstate(over="ignore", invalid="ignore"):
+            phases = iter(np.concatenate([
+                _Piece.lanes(pieces, at[i:i + _BLOCK]).at(xs[i:i + _BLOCK])[1]
+                for i in range(0, len(xs), _BLOCK)]).tolist())
         for i, xs, _ in runs:
             out[i:i + len(xs)] = zip(xs.tolist(), phases)
     return out

@@ -88,6 +88,11 @@ class Mat2:
         return (self.a, self.b, self.c, self.d)
 
 
+def _reduced_angle(theta):
+    """theta mod 2 pi in [0, 2 pi), float or lanes: a remainder rounded up to 2 pi goes to 0."""
+    return theta % TWO_PI % TWO_PI
+
+
 @dataclass(frozen=True)
 class IwasawaParams:
     """Factor data (alpha, r, theta) of P_alpha H_r E_theta.
@@ -104,7 +109,7 @@ class IwasawaParams:
     def __post_init__(self):
         if not self.r > 0.0:
             raise InvalidDilation(f"r = {self.r!r} must be > 0")
-        object.__setattr__(self, "theta", self.theta % TWO_PI)
+        object.__setattr__(self, "theta", _reduced_angle(self.theta))
 
 
 @dataclass(frozen=True)

@@ -38,8 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .problem import Problem, _wrap_half_pi, propagate_through
-from .sl2 import (TWO_PI, InvalidDilation, Mat2, NumericalFailure, ProjPoint, _compose,
-                  iwasawa_compose, proj_class, r_fixed_classes)
+from .sl2 import (InvalidDilation, Mat2, NumericalFailure, ProjPoint, _compose,
+                  _reduced_angle, iwasawa_compose, proj_class, r_fixed_classes)
 from .transfer import DEFAULT_STEP, StepControl, _mapped, transfer_matrix
 
 ALL_VALUES = "AllValues"
@@ -129,15 +129,14 @@ def boundary_mismatch(problem: Problem, e, step: StepControl = DEFAULT_STEP):
 def _jumps(alpha, r, theta):
     """P_alpha H_r E_theta with iwasawa_compose's bits; any argument may be a lane array.
 
-    An array theta is reduced mod 2 pi (numpy's remainder is Python's) and mapped
-    through math; an array r raises InvalidDilation at its first lane not > 0.
+    One body: theta is reduced as IwasawaParams reduces it, which keeps the
+    thetas it holds, and cos and sin go through transfer._mapped; an array r
+    raises InvalidDilation at its first lane not > 0.
     """
     if isinstance(r, np.ndarray) and not (r > 0.0).all():
         raise InvalidDilation(f"r = {float(r[~(r > 0.0)][0])!r} must be > 0")
-    if isinstance(theta, np.ndarray):
-        theta = theta % TWO_PI
-        return _compose(alpha, r, _mapped(math.cos, theta), _mapped(math.sin, theta))
-    return _compose(alpha, r, math.cos(theta), math.sin(theta))
+    theta = _reduced_angle(theta)
+    return _compose(alpha, r, _mapped(math.cos, theta), _mapped(math.sin, theta))
 
 
 def realized_mismatches(problem: Problem, e: float, field: str, columns,
@@ -148,10 +147,13 @@ def realized_mismatches(problem: Problem, e: float, field: str, columns,
     with that site's value of the field in each lane.  All lanes are one
     walk at e, which builds each piece matrix or RK4 pass product once; each
     lane's state converges on its own and has the bits of eigen_test on its
-    realized problem, or is NaN where that eigen_test raises.
+    realized problem, or is NaN where that eigen_test raises.  No sites, or
+    another count of columns, is a ValueError before any walk.
     """
     if field not in PARAMETERS:
         raise ValueError(f"field must be one of {PARAMETERS}")
+    if not problem.interactions or len(columns) != len(problem.interactions):
+        raise ValueError(f"{len(columns)} columns for {len(problem.interactions) or 'no'} sites")
     jumps = [_jumps(**(vars(site.params) | {field: col}))
              for site, col in zip(problem.interactions, columns)]
     # lanes overflow without a word, as Python floats do, until the walk's check
@@ -222,10 +224,14 @@ def eigenvalues_in_range(problem: Problem, e_lo: float, e_hi: float, grid: int,
     every cell where it falls without changing sign, but no downward wrap
     (m0 > 0 > m1).  Complete only up to the grid resolution: a cell across
     which the end angle rises by more than pi can lose its roots.  A grid
-    above step.max_steps is a ValueError before any propagation; a walk
-    that overflows, on the grid or in a refinement, raises
-    FloatingPointError naming its energy.
+    above step.max_steps, or an e_lo, e_hi or e_hi - e_lo that is not
+    finite, is a ValueError before any propagation; a walk that overflows,
+    on the grid or in a refinement, raises FloatingPointError naming its
+    energy.
     """
+    # a window too wide for a float has a NaN first energy, e_lo + inf * 0
+    if not math.isfinite(e_hi - e_lo):
+        raise ValueError(f"the energy range [{e_lo!r}, {e_hi!r}] must be finite")
     if not e_lo < e_hi:
         raise ValueError("need e_lo < e_hi")
     if grid < 2:

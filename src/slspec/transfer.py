@@ -21,8 +21,9 @@ The walker also carries k energies, or k states at one energy, as lanes of
 numpy arrays; a lone float energy runs the same source on Python floats.
 Lanes use + - * / and sqrt, which numpy rounds exactly as Python does, as
 whole arrays, while everything transcendental is mapped element by element
-through math (_mapped), so a lane reproduces its lone run bit for bit.  The
-exact piece matrices of a batch of energies, or of a batch of trace samples
+through math (_mapped, which calls math on a float as it is, so one body
+serves both), and a lane reproduces its lone run bit for bit.  The exact
+piece matrices of a batch of energies, or of a batch of trace samples
 each with its own length from its piece's start, are built that way.
 
 An RK4 step is linear in (u, u'), so a pass is one matrix.  Each entry of
@@ -299,12 +300,15 @@ def _walk_points(v, y, x):
     return [y] + cuts + [x]
 
 
-def _mapped(f, *arrays):
-    """f of every element (of every tuple of elements) of the float arrays, one call each.
+def _mapped(f, *xs):
+    """f(*xs) on floats; on lane arrays, f of every tuple of their elements, one call each.
 
-    f is a math function: numpy's own versions can differ from it by an ulp.
+    The first of xs picks floats or lanes for a formula with one body for
+    both.  f is made of math: numpy's own versions can differ by an ulp.
     """
-    return np.fromiter(map(f, *(t.tolist() for t in arrays)), float, count=arrays[0].size)
+    if not isinstance(xs[0], np.ndarray):
+        return f(*xs)
+    return np.fromiter(map(f, *(t.tolist() for t in xs)), float, count=xs[0].size)
 
 
 def _piece_matrix(w2, dx):

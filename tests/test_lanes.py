@@ -18,7 +18,7 @@ import slspec.random
 import slspec.spectra
 
 from slspec.cli import main
-from slspec.problem import (PointInteraction, Problem, PropagationResult, _normalized,
+from slspec.problem import (PointInteraction, Problem, PropagationResult, _normalized, _Piece,
                             problem_from_json, with_site_params)
 from slspec.random import (
     Ensemble,
@@ -30,8 +30,10 @@ from slspec.random import (
     monte_carlo,
     sample_realization,
 )
-from slspec.sl2 import InvalidDilation, IwasawaParams, ProjPoint, ZeroVector, proj_class
+from slspec.sl2 import (InvalidDilation, IwasawaParams, ProjPoint, ZeroVector, iwasawa_compose,
+                        proj_class)
 from slspec.spectra import (
+    _jumps,
     boundary_mismatch,
     eigen_test,
     eigenvalues_in_range,
@@ -451,6 +453,64 @@ def test_renormalized_halves_finite_data_whose_norm_overflows():
         (s.u.hex(), s.du.hex()) for s in floats]
 
 
+@st.composite
+def lane_pieces(draw):
+    """(pieces, at, xs): an oscillatory, a near-zero and a forbidden piece, and
+    samples xs[i] on pieces[at[i]], each piece sampled at least once."""
+    regimes = (st.floats(1e-3, 400.0), st.floats(-1e-12, 1e-12), st.floats(-40.0, -1e-3))
+    pieces = []
+    for w in regimes:
+        p = draw(st.floats(-2.0, 2.0))
+        q = p + draw(st.floats(1e-3, 3.0))
+        u, du = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+        assume(u != 0.0 or du != 0.0)
+        phi = math.atan2(u, du) + math.pi * draw(st.integers(-3, 3))
+        pieces.append(_Piece(p, q, 1.5, draw(w), SolutionState(p, u, du), phi))
+    at = [0, 1, 2] + draw(st.lists(st.integers(0, 2), max_size=10))
+    xs = [min(pieces[i].p + (pieces[i].q - pieces[i].p) * draw(st.floats(0.0, 1.0)),
+              pieces[i].q) for i in at]
+    return pieces, at, xs
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(lane_pieces())
+def test_lane_piece_at_has_the_bits_of_each_float(case):
+    pieces, at, xs = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        s, phi = _Piece.lanes(pieces, np.array(at)).at(np.array(xs))
+    lanes = list(zip(s.u.tolist(), s.du.tolist(), phi.tolist()))
+    floats = []
+    for i, x in zip(at, xs):
+        t, psi = pieces[i].at(x)
+        floats.append((t.u, t.du, psi))
+    assert [tuple(v.hex() for v in lane) for lane in lanes] == [
+        tuple(v.hex() for v in lone) for lone in floats]
+
+
+def test_float_formulas_stay_on_python_floats():
+    # a numpy call on a float returns a numpy scalar or array, not a float
+    state = _normalized(SolutionState(0.0, 3.0, -4.0))
+    piece = _Piece(0.0, 2.0, 1.0, 2.5, SolutionState(0.0, 0.6, 0.8), 0.6435)
+    s, phi = piece.at(1.5)
+    forbidden = _Piece(0.0, 2.0, 1.0, -2.5, SolutionState(0.0, 0.6, 0.8), 0.6435).at(1.5)
+    m = _jumps(0.5, 1.5, 1.0)
+    values = [state.u, state.du, s.u, s.du, phi, forbidden[0].u, forbidden[1], *m.entries()]
+    assert {type(v) for v in values} == {float}
+
+
+def test_jump_lanes_of_a_theta_rounded_up_to_two_pi():
+    # -1e-20 mod 2 pi rounds to 2 pi, which IwasawaParams reduces once more,
+    # to 0; a lane of that raw theta and a float theta held by IwasawaParams
+    # both give the site's own jump
+    params = IwasawaParams(0.5, 1.5, -1e-20)
+    assert params.theta == 0.0
+    jump = [t.hex() for t in iwasawa_compose(params).entries()]
+    lane = _jumps(np.array([0.5]), np.array([1.5]), np.array([-1e-20]))
+    assert [t.item().hex() for t in lane.entries()] == jump
+    float_theta = _jumps(np.array([0.5]), np.array([1.5]), params.theta)
+    assert [t.item().hex() for t in float_theta.entries()] == jump
+
+
 def test_huge_finite_lanes_keep_their_class():
     # walks that stay finite after a jump of alpha near 1e304 reach huge data,
     # and their classes must survive the renormalization in lanes as alone
@@ -635,6 +695,16 @@ def test_realized_field_must_be_an_iwasawa_parameter():
         realized_mismatches(problem, 1.0, "lambda", [np.array([0.5])])
 
 
+def test_realized_columns_must_match_the_sites():
+    sites = tuple(PointInteraction(x, IwasawaParams(0.5, 1.5, 1.0)) for x in (0.5, 1.0, 1.5))
+    problem = Problem(0.0, 2.0, PiecewisePotential((0.0, 2.0), (1.0,)), sites, ProjPoint(0.2),
+                      ProjPoint(0.7))
+    with pytest.raises(ValueError, match="^2 columns for 3 sites$"):
+        realized_mismatches(problem, 1.0, "alpha", [np.array([0.5, 1.0])] * 2)
+    with pytest.raises(ValueError, match="^0 columns for no sites$"):
+        realized_mismatches(replace(problem, interactions=()), 1.0, "alpha", [])
+
+
 def test_realized_r_lanes_must_be_positive():
     problem = huge_shear_problem(SHORT_GRID)
     with pytest.raises(InvalidDilation) as exc:
@@ -773,7 +843,8 @@ def test_lane_classes_reduce_like_proj_class(monkeypatch):
     # lane, a failed one (see test_overflowing_sample_lanes_are_nan_where_their_samples_fail),
     # keeps a NaN class and so a NaN mismatch
     u, du = [-1e-17, math.nan, 0.6, -0.0, 1.0], [1.0, 1.0, -0.8, -1.0, 0.0]
-    problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 1.0), (0.0,)), (), ProjPoint(0.0),
+    problem = Problem(0.0, 1.0, PiecewisePotential((0.0, 1.0), (0.0,)),
+                      (PointInteraction(0.5, IwasawaParams(0.0, 1.0, 0.0)),), ProjPoint(0.0),
                       ProjPoint(0.3))
     with_final_lanes(monkeypatch, u, du)
     angles = slspec.spectra._class_angles(np.array(u), np.array(du))
@@ -781,7 +852,7 @@ def test_lane_classes_reduce_like_proj_class(monkeypatch):
     assert math.isnan(angles[1])
     assert [t.hex() for t in angles.tolist()[2:]] == [
         proj_class(a, b).angle.hex() for a, b in zip(u[2:], du[2:])]
-    mismatches = realized_mismatches(problem, 1.0, "alpha", [])
+    mismatches = realized_mismatches(problem, 1.0, "alpha", [np.zeros(5)])
     assert math.isnan(mismatches[1])
     assert [m.hex() for i, m in enumerate(mismatches) if i != 1] == [
         proj_class(a, b).distance(problem.bc_right).hex()

@@ -13,7 +13,6 @@ from slspec.problem import (
     Problem,
     _Piece,
     _normalized,
-    _piece_phases,
     _wrap_half_pi,
     problem_from_json,
     problem_to_json,
@@ -89,6 +88,14 @@ def test_no_interactions_equals_propagate_state():
     assert res.lefts == ()
     assert abs(math.hypot(res.final.u, res.final.du) - 1.0) < 1e-15
     assert proj_class(res.final.u, res.final.du).distance(proj_class(direct.u, direct.du)) < 1e-10
+
+
+def test_walk_refuses_a_jump_count_other_than_the_site_count():
+    sites = [PointInteraction(x, IDENTITY_PARAMS) for x in (1.0, 2.0, 3.0)]
+    prob = dirichlet_box(interactions=sites)
+    jumps = [iwasawa_compose(IDENTITY_PARAMS)] * 2
+    with pytest.raises(ValueError, match="^2 jumps for 3 sites$"):
+        propagate_through(prob, 1.0, jumps=jumps)
 
 
 def test_identity_interaction_is_invisible():
@@ -340,7 +347,8 @@ def test_non_finite_phase_is_a_floating_point_error():
     with pytest.raises(FloatingPointError, match=message):
         piece.at(236.5)
     with pytest.raises(FloatingPointError, match=message):
-        _piece_phases([piece], np.array([1.0, 236.5]), np.array([0, 0]), 0.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _Piece.lanes([piece], np.array([0, 0])).at(np.array([1.0, 236.5]))
     prob = Problem(0.0, 236.5, v, (), ProjPoint(0.0), ProjPoint(0.0))
     with pytest.raises(FloatingPointError, match=message):
         prufer_trace(prob, 0.0, 0.1)

@@ -338,6 +338,10 @@ def test_search_validation():
         eigenvalues_in_range(prob, 2.0, 1.0, 10)
     with pytest.raises(ValueError):
         eigenvalues_in_range(prob, 0.0, 1.0, 1)
+    for e_lo, e_hi, shown in ((-math.inf, 1.0, r"-inf, 1\.0"), (0.0, math.nan, r"0\.0, nan"),
+                              (-1e308, 1e308, r"-1e\+308, 1e\+308")):
+        with pytest.raises(ValueError, match=rf"^the energy range \[{shown}\] must be finite$"):
+            eigenvalues_in_range(prob, e_lo, e_hi, 10)
     # checked before the grid energies are listed: 10**15 of them never are
     with pytest.raises(ValueError, match=r"^grid = 1000000000000000 is more than "
                                          r"step.max_steps = 500000$"):
