@@ -1,10 +1,15 @@
 """Command-line front end: experiment configs in, JSON/CSV results out.
 
 Subcommands: decompose, transfer, eigs, dichotomy, montecarlo, degenerate.
-Configs are strict JSON documents with a top-level "schema": 1; unknown keys
-are rejected anywhere.  All tolerances live in the config (never in flags),
-so a config fully determines the result; reruns produce byte-identical
-output files regardless of the worker count.
+Configs are strict JSON documents with a top-level "schema": 1; unknown and
+repeated keys are rejected anywhere.  All tolerances live in the config
+(never in flags), so a config fully determines the result; reruns produce
+byte-identical output files regardless of the worker count.
+
+A command's document goes to --output, else output.path, else stdout, in
+--format, else output.format, else JSON; decompose prints a line and writes
+only to --output.  --quiet drops chatter ("wrote PATH", degenerate's
+progress line), never a result.
 
 Exit codes: 0 success; 3 numerical failure, any ArithmeticError (overflow and
 every slspec.NumericalFailure); 2 any other ValueError: a malformed flag,
@@ -49,11 +54,20 @@ def _prefixed(where):
         raise ValueError(f"{where}: {exc}") from exc
 
 
+def _strict_object(pairs):
+    """A JSON object as a dict, refusing a repeated key whose last value json would keep."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r} repeats")
+    return obj
+
+
 def load_config(path):
     if path is None:
         raise ValueError("this command requires --config")
     try:
-        cfg = json.loads(Path(path).read_text(encoding="utf-8"))
+        cfg = json.loads(Path(path).read_text(encoding="utf-8"), object_pairs_hook=_strict_object)
     except OSError as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from exc
     except ValueError as exc:  # not UTF-8, or not JSON
@@ -65,13 +79,23 @@ def load_config(path):
 
 
 def _inputs(args, name, required, optional):
-    """(config, problem, step control, command block name checked to hold the given keys)."""
+    """(problem, step control, command block, output path (None: stdout), format).
+
+    --output and --format win over the config's output block.
+    """
     cfg = load_config(args.config)
     prob = parse_problem_block(cfg)
     step = parse_step_block(cfg)
     if name not in cfg:
         raise ValueError(f"config is missing the '{name}' block")
-    return cfg, prob, step, check_keys(cfg[name], name, required, optional)
+    block = check_keys(cfg[name], name, required, optional)
+    path, fmt = None, "json"
+    if "output" in cfg:
+        out = check_keys(cfg["output"], "output", {"path"}, {"format"})
+        path = string(out, "path", "output")
+        fmt = string(out, "format", "output", ("json", "csv"), "json")
+    return (prob, step, block, path if args.output is None else args.output,
+            fmt if args.format is None else args.format)
 
 
 def parse_problem_block(cfg) -> Problem:
@@ -88,21 +112,6 @@ def parse_step_block(cfg) -> StepControl:
     max_steps = integer(block, "max_steps", "step", 1, DEFAULT_STEP.max_steps)
     with _prefixed("step"):
         return StepControl(tol, max_refine, max_steps)
-
-
-def resolve_output(args, cfg):
-    """Output path and format from the config, overridable by flags."""
-    path = None
-    fmt = "json"
-    if "output" in cfg:
-        block = check_keys(cfg["output"], "output", {"path"}, {"format"})
-        path = string(block, "path", "output")
-        fmt = string(block, "format", "output", ("json", "csv"), "json")
-    if args.output is not None:
-        path = args.output
-    if args.format is not None:
-        fmt = args.format
-    return path, fmt
 
 
 # ------------------------------------------------------------------- emitters
@@ -194,23 +203,20 @@ def _csv_text(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write(path, text):
+def _emit(args, path, text):
+    """Write text to path, saying so unless --quiet, or to stdout if path is None."""
+    if path is None:
+        sys.stdout.write(text)
+        return
     try:
         Path(path).write_text(text)
     except OSError as exc:
         raise ValueError(f"cannot write output {path}: {exc}") from exc
-
-
-def _emit(args, path, text):
-    if path is None:
-        sys.stdout.write(text)
-        return
-    _write(path, text)
     if not args.quiet:
         print(f"wrote {path}")
 
 
-def _finish(args, path, fmt, doc, header, rows):
+def _finish(args, path, fmt, doc, header=(), rows=()):
     """Emit doc as JSON, or header and rows as CSV if fmt is csv, to path; exit code 0."""
     _emit(args, path, _csv_text(header, rows) if fmt == "csv" else _json_text(doc))
     return 0
@@ -225,18 +231,19 @@ def cmd_decompose(args):
     residual = max(abs(s - t) for s, t in zip(back.entries(), m.entries()))
     theta_shown = math.degrees(p.theta) if args.degrees else p.theta
     unit = "deg" if args.degrees else "rad"
-    if not args.quiet:
+    if args.output is None or not args.quiet:  # the result, or chatter beside the file
         print(f"alpha={p.alpha!r} r={p.r!r} theta={theta_shown!r} {unit} "
               f"residual={residual!r}")
-    if args.output is not None:
-        doc = {"schema": 1, "command": "decompose", "alpha": p.alpha, "r": p.r,
-               "theta": p.theta, "residual": residual}
-        _write(args.output, _json_text(doc))
-    return 0
+    doc = {"schema": 1, "command": "decompose", "alpha": p.alpha, "r": p.r,
+           "theta": p.theta, "residual": residual}
+    return 0 if args.output is None else _finish(
+        args, args.output, args.format, doc, ("alpha", "r", "theta", "residual"),
+        [(p.alpha, p.r, p.theta, residual)])
 
 
 def cmd_transfer(args):
-    cfg, prob, step, block = _inputs(args, "transfer", {"energy"}, {"x", "y", "trace_resolution"})
+    prob, step, block, path, fmt = _inputs(args, "transfer", {"energy"},
+                                           {"x", "y", "trace_resolution"})
     e = number(block, "energy", "transfer")
     x = number(block, "x", "transfer", prob.b)
     y = number(block, "y", "transfer", prob.a)
@@ -244,7 +251,6 @@ def cmd_transfer(args):
     if "trace_resolution" in block:
         res = check_resolution(prob, e, number(block, "trace_resolution", "transfer"), step,
                                "transfer.trace_resolution")
-    path, fmt = resolve_output(args, cfg)
     m = transfer_matrix(prob.potential, x, y, e, step)
     doc = {"schema": 1, "command": "transfer", "energy": e, "x": x, "y": y,
            "matrix": list(m.entries()), "det": m.det}
@@ -256,13 +262,13 @@ def cmd_transfer(args):
 
 
 def cmd_eigs(args):
-    cfg, prob, step, block = _inputs(args, "eigs", {"e_lo", "e_hi", "grid"}, {"tol", "classify"})
+    prob, step, block, path, fmt = _inputs(args, "eigs", {"e_lo", "e_hi", "grid"},
+                                           {"tol", "classify"})
     e_lo = number(block, "e_lo", "eigs")
     e_hi = number(block, "e_hi", "eigs")
     grid = integer(block, "grid", "eigs", 2)
     tol = number(block, "tol", "eigs", 1e-10)
     classify = boolean(block, "classify", "eigs")
-    path, fmt = resolve_output(args, cfg)
     reports = eigenvalues_in_range(prob, e_lo, e_hi, grid, tol, step)
     results = []
     for rep in reports:
@@ -284,11 +290,10 @@ def cmd_eigs(args):
 
 
 def cmd_dichotomy(args):
-    cfg, prob, step, block = _inputs(args, "dichotomy", {"energy", "site"}, {"tol"})
+    prob, step, block, path, fmt = _inputs(args, "dichotomy", {"energy", "site"}, {"tol"})
     e = number(block, "energy", "dichotomy")
     site = integer(block, "site", "dichotomy", 0)
     tol = number(block, "tol", "dichotomy", 1e-6)
-    path, fmt = resolve_output(args, cfg)
     report, (row,) = classify_at(prob, e, [site], PARAMETERS, tol, step)
     verdicts = [{"parameter": v.parameter, "verdict": v.verdict,
                  "matched_fixed_class": (None if v.matched_fixed_class is None
@@ -316,8 +321,8 @@ def _histogram(mismatches, bins):
 
 
 def cmd_montecarlo(args):
-    cfg, prob, step, block = _inputs(args, "montecarlo",
-                                     {"energy", "ensemble", "samples", "epsilon"}, {"bins"})
+    prob, step, block, path, fmt = _inputs(args, "montecarlo",
+                                           {"energy", "ensemble", "samples", "epsilon"}, {"bins"})
     e = number(block, "energy", "montecarlo")
     with _prefixed("montecarlo.ensemble"):
         ensemble = ensemble_from_json(block["ensemble"])
@@ -330,31 +335,25 @@ def cmd_montecarlo(args):
     epsilon = check_epsilon(number(block, "epsilon", "montecarlo"), "montecarlo.epsilon")
     # the first bin is the gap at or below 1e-12, so one bin would hold nothing else
     bins = integer(block, "bins", "montecarlo", 2, 50)
-    path, fmt = resolve_output(args, cfg)
     mismatches, failures = mismatch_samples(prob, e, ensemble, samples, step,
                                             workers=args.workers)
     report = summarize_mismatches(mismatches, failures, epsilon, ensemble.seed)
     doc = {"schema": 1, "command": "montecarlo", "energy": e,
            "ensemble": ensemble_to_json(ensemble),
            "report": report_to_json(report)}
-    hist_text = _csv_text(("bin_lo", "bin_hi", "count"),
-                          _histogram(mismatches, bins))
-    if path is None:
-        _emit(args, None, _json_text(doc))
-        return 0
-    p = Path(path)
-    if fmt == "csv":
-        _emit(args, path, hist_text)
-        _emit(args, str(p.with_name(p.stem + "_report.json")), _json_text(doc))
-    else:
-        _emit(args, path, _json_text(doc))
-        _emit(args, str(p.with_name(p.stem + "_hist.csv")), hist_text)
+    header, rows = ("bin_lo", "bin_hi", "count"), _histogram(mismatches, bins)
+    _finish(args, path, fmt, doc, header, rows)
+    if path is not None:  # the document of the other format goes beside it
+        p = Path(path)
+        suffix, text = (("_report.json", _json_text(doc)) if fmt == "csv"
+                        else ("_hist.csv", _csv_text(header, rows)))
+        _emit(args, str(p.with_name(p.stem + suffix)), text)
     return 0
 
 
 def cmd_degenerate(args):
-    cfg, prob, step, block = _inputs(args, "degenerate", {"energy", "thetas", "rs"},
-                                     {"allow_non_eigenvalue"})
+    prob, step, block, path, fmt = _inputs(args, "degenerate", {"energy", "thetas", "rs"},
+                                           {"allow_non_eigenvalue"})
     if prob.interactions:
         raise ValueError("degenerate construction starts from a problem "
                          "without interactions")
@@ -362,7 +361,6 @@ def cmd_degenerate(args):
     thetas = numbers(block, "thetas", "degenerate")
     rs = numbers(block, "rs", "degenerate")
     allow = boolean(block, "allow_non_eigenvalue", "degenerate")
-    path, fmt = resolve_output(args, cfg)
     if fmt == "csv":
         raise ValueError("degenerate emits a problem config; use json format")
     built = construct_degenerate(prob.potential, e, thetas, rs,
@@ -375,8 +373,7 @@ def cmd_degenerate(args):
     if not args.quiet:
         print(f"sites at {[s.x for s in built.interactions]}, "
               f"residual mismatch {residual:.3e}")
-    _emit(args, path, _json_text(out))
-    return 0
+    return _finish(args, path, fmt, out)
 
 
 # ----------------------------------------------------------------- entrypoint
@@ -399,7 +396,8 @@ def build_parser():
                         help="worker processes for Monte Carlo sampling; "
                              "does not affect results")
     parser.add_argument("--quiet", action="store_true",
-                        help="suppress progress chatter")
+                        help="drop the 'wrote PATH' lines and degenerate's progress "
+                             "line; results still print")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", help="Iwasawa-decompose an SL(2,R) matrix")

@@ -360,19 +360,6 @@ def _check_sites(problem: Problem, sites, parameters, tol: float) -> list:
     return sites
 
 
-def _verdicts(problem, report, sites, parameters, tol, step):
-    """classify_sites on checked arguments."""
-    if report.mismatch > tol:
-        raise NotAnEigenvalue(
-            f"E = {report.E} has mismatch {report.mismatch:.3e} > tol {tol}")
-    verdicts = [[_fixed_class_verdict(problem.interactions[i].params, par,
-                                      report.left_limit_classes[i], tol) for par in parameters]
-                for i in sites]
-    _cross_check(problem, report, [(i, v) for i, row in zip(sites, verdicts) for v in row],
-                 tol, step)
-    return verdicts
-
-
 def classify_sites(problem: Problem, report: EigenReport, sites, parameters=PARAMETERS,
                    tol: float = 1e-6, step: StepControl = DEFAULT_STEP):
     """The verdict of every parameter at every site, from eigen_test's report at E.
@@ -387,24 +374,33 @@ def classify_sites(problem: Problem, report: EigenReport, sites, parameters=PARA
     come from the site maps at E with no walk of the problem (see
     _cross_check), and are checked site by site in the order of
     parameters: the first contradicted verdict raises CrossCheckFailure.
+    After the arguments, a report mismatch above tol raises NotAnEigenvalue.
     """
     sites = _check_sites(problem, sites, parameters, tol)
     if len(report.left_limit_classes) != len(problem.interactions):
         raise ValueError(f"report has {len(report.left_limit_classes)} sites, problem has "
                          f"{len(problem.interactions)} interactions")
-    return _verdicts(problem, report, sites, parameters, tol, step)
+    if report.mismatch > tol:
+        raise NotAnEigenvalue(
+            f"E = {report.E} has mismatch {report.mismatch:.3e} > tol {tol}")
+    verdicts = [[_fixed_class_verdict(problem.interactions[i].params, par,
+                                      report.left_limit_classes[i], tol) for par in parameters]
+                for i in sites]
+    _cross_check(problem, report, [(i, v) for i, row in zip(sites, verdicts) for v in row],
+                 tol, step)
+    return verdicts
 
 
 def classify_at(problem: Problem, e: float, sites, parameters=PARAMETERS,
                 tol: float = 1e-6, step: StepControl = DEFAULT_STEP):
     """(eigen_test's report at e, classify_sites' verdicts on it).
 
-    The arguments are checked before the walk, so a bad site, parameter or
-    tol raises ValueError whatever the walk would do.
+    The arguments are checked, and sites listed, before the walk, so a bad
+    site, parameter or tol raises ValueError whatever the walk would do.
     """
     sites = _check_sites(problem, sites, parameters, tol)
     report = eigen_test(problem, e, step)
-    return report, _verdicts(problem, report, sites, parameters, tol, step)
+    return report, classify_sites(problem, report, sites, parameters, tol, step)
 
 
 def classify_dichotomy(problem: Problem, e: float, site_index: int, parameter: str,

@@ -73,6 +73,29 @@ def test_decompose_degrees_and_output(tmp_path, capsys):
     assert abs(doc["theta"] - PI / 2) < 1e-12  # file stays in radians
 
 
+DELTA_LINE = ("alpha=0.5 r=0.7071067811865475 theta=0.7853981633974483 rad "
+              "residual=2.220446049250313e-16\n")
+
+
+def test_decompose_quiet_keeps_the_result_and_drops_the_chatter(tmp_path, capsys):
+    # without --output the line is the result, so --quiet prints it
+    assert run("--quiet", "decompose", "1", "0", "1", "1") == 0
+    assert capsys.readouterr() == (DELTA_LINE, "")
+    out_file = tmp_path / "f.json"
+    assert run("--quiet", "--output", str(out_file), "decompose", "1", "0", "1", "1") == 0
+    assert capsys.readouterr() == ("", "")
+    assert json.loads(out_file.read_text())["alpha"] == 0.5
+
+
+def test_decompose_writes_its_output_in_the_format_flag(tmp_path, capsys):
+    out_file = tmp_path / "f.csv"
+    assert run("--format", "csv", "--output", str(out_file), "decompose", "1", "0", "1", "1") == 0
+    assert capsys.readouterr() == (DELTA_LINE + f"wrote {out_file}\n", "")
+    assert out_file.read_text() == ("alpha,r,theta,residual\n"
+                                    "0.5,0.7071067811865475,0.7853981633974483,"
+                                    "2.220446049250313e-16\n")
+
+
 @pytest.mark.parametrize("entries, code, out, err", [
     ("1e200 0 0 1e-200", 0, "alpha=0.0 r=1e+200 theta=0.0 rad residual=0.0\n", ""),
     ("1e-200 0 0 1e200", 0, "alpha=0.0 r=1e-200 theta=0.0 rad residual=0.0\n", ""),
@@ -349,6 +372,17 @@ def test_montecarlo_csv_format_swaps_files(tmp_path):
     assert doc["report"]["samples"] == 100
 
 
+def test_montecarlo_csv_without_a_path_prints_the_histogram(tmp_path, capsys):
+    cfg = montecarlo_config(tmp_path, samples=50)
+    del cfg["output"]
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "--format", "csv",
+               "montecarlo") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "bin_lo,bin_hi,count" and len(lines) == 51
+    assert sum(int(line.split(",")[2]) for line in lines[1:]) == 50
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
+
+
 def test_montecarlo_site_count_mismatch(tmp_path, capsys):
     cfg = montecarlo_config(tmp_path)
     cfg["montecarlo"]["ensemble"]["sites"].append({"kind": "pointmass", "value": 0.0})
@@ -385,6 +419,13 @@ def test_degenerate_constructs_and_roundtrips(tmp_path):
                "--output", str(out2), "eigs") == 0
     found = [r["E"] for r in json.loads(out2.read_text())["results"]]
     assert any(abs(e - 1.0) < 1e-6 for e in found)
+
+
+def test_degenerate_prints_its_progress_and_the_path_it_wrote(tmp_path, capsys):
+    cfg = degenerate_config(tmp_path)
+    assert run("--config", write_config(tmp_path, cfg), "degenerate") == 0
+    assert capsys.readouterr() == ("sites at [4.71238898038469], residual mismatch 4.441e-16\n"
+                                   f"wrote {tmp_path / 'built.json'}\n", "")
 
 
 def test_degenerate_insufficient_oscillation_exits_3(tmp_path, capsys):
@@ -928,6 +969,19 @@ def test_unsupported_schema_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"schema": 2, "problem": box_problem_doc()})
     assert run("--config", path, "eigs") == 2
     assert capsys.readouterr().err == "error: unsupported schema 2, expected 1\n"
+
+
+@pytest.mark.parametrize("key", ["eigs", "e_lo"])
+def test_repeated_config_key_exits_2(key, tmp_path, capsys):
+    # json.loads would keep the last value, here a search from 3.0
+    first = '"e_lo": 0.5, "e_hi": 5.0, "grid": 20'
+    second = first + (', "e_lo": 3.0' if key == "e_lo" else "")
+    path = tmp_path / "config.json"
+    path.write_text(f'{{"schema": 1, "problem": {json.dumps(box_problem_doc())}, '
+                    f'"eigs": {{{first}}}, "eigs": {{{second}}}}}')
+    assert run("--quiet", "--config", str(path), "eigs") == 2
+    assert capsys.readouterr() == ("", f"error: config {path} is not valid JSON: "
+                                       f"key '{key}' repeats\n")
 
 
 def test_config_required(capsys):
