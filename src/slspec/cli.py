@@ -335,6 +335,8 @@ def cmd_montecarlo(args):
     epsilon = check_epsilon(number(block, "epsilon", "montecarlo"), "montecarlo.epsilon")
     # the first bin is the gap at or below 1e-12, so one bin would hold nothing else
     bins = integer(block, "bins", "montecarlo", 2, 50)
+    if bins > step.max_steps:
+        raise ValueError(f"montecarlo.bins = {bins} is more than step.max_steps = {step.max_steps}")
     mismatches, failures = mismatch_samples(prob, e, ensemble, samples, step,
                                             workers=args.workers)
     report = summarize_mismatches(mismatches, failures, epsilon, ensemble.seed)

@@ -7,15 +7,14 @@ At each interior site x_n the data jumps by left-multiplication with the
 interaction matrix P_alpha H_r E_theta.  Shooting reads only projective
 classes, so walks keep their states at unit norm and no magnitudes.
 
-The Pruefer lift, the continuous phase of (u', u), is followed along one of
-two routes chosen by the potential's kind, as transfer._propagate chooses
-its route.  On piecewise-constant potentials each piece has a closed form
-(_Piece): the state and lift anywhere on it follow from its start, and so
-do its crossings of any goal angle, which random.py solves for zeros and
-class points.  A trace walks the piece ends with _Piece.at and then takes
-the phases of all its samples from their pieces' starts with _Piece.at on
-lane pieces, one body for floats and lanes (transfer._mapped), as is
-_normalized.  On grids the lift is sampled (_lift_walk).
+The Pruefer lift, the continuous phase of (u', u), is followed by one
+walker, _pieces, whose pieces have a closed form on piecewise-constant
+potentials (_Piece) and are sample steps on grids (_Step).  Both give the
+state and lift at a point (at) and where the lift first reaches a goal
+(rise), which slspec.random reads for zeros and class points; a step
+refines its crossing by refine_root, the ITP routine that the eigenvalue
+scan uses too.  A trace reads its phases from each step's end, or with
+_Piece.at on lane pieces, one body for floats and lanes (transfer._mapped).
 """
 
 from __future__ import annotations
@@ -244,9 +243,9 @@ class _Piece:
         return s, raw + math.pi * _mapped(_turns, x, self.e, gap)
 
     def rise(self, goal):
-        """The offset from p at which the lift first reaches goal, or inf if it never does.
+        """The x in [p, q] at which the lift first reaches goal, or inf if it does not by q.
 
-        0 if the lift is at goal already, up to rounding.  Where w <= 0 the
+        p if the lift is at goal already, up to rounding.  Where w <= 0 the
         lift is taken to lie above goal - pi at p, as it does between the
         crossings of a walk.
         """
@@ -258,33 +257,125 @@ class _Piece:
             m = round(goal / math.pi)
             r = goal - m * math.pi
             psi_goal = m * math.pi + math.atan2(self.k * math.sin(r), math.cos(r))
-            return max(_class_gap(psi_goal - self.psi, -self.k * h, dh), 0.0) / self.k
-        gap = _class_gap(goal - self.phi, -h, self.du * c + self.u * s)
-        if gap <= 0.0:
-            return 0.0
+            t = max(_class_gap(psi_goal - self.psi, -self.k * h, dh), 0.0) / self.k
+        elif (gap := _class_gap(goal - self.phi, -h, self.du * c + self.u * s)) <= 0.0:
+            t = 0.0
         # the lift climbs less than pi, and it crosses the goal's class in one
         # direction only: upward where phi' > 0 there
-        if gap >= math.pi or c * c + self.w * s * s <= 0.0 or dh == 0.0:
-            return math.inf
-        if self.w == 0.0:
+        elif gap >= math.pi or c * c + self.w * s * s <= 0.0 or dh == 0.0:
+            t = math.inf
+        elif self.w == 0.0:
             t = -h / dh
         else:
             # h(p + t) = h cosh(kappa t) + dh sinh(kappa t) / kappa
             kappa = math.sqrt(-self.w)
             r = -h * kappa / dh
             t = math.atanh(r) / kappa if 0.0 <= r < 1.0 else math.inf
-        return t if t >= 0.0 else math.inf
+        return min(self.p + t, self.q) if 0.0 <= t <= self.q - self.p else math.inf
 
 
-def _pieces(v, state, phi, x_stop, e):
-    """The pieces of the walk from state.x to x_stop over a piecewise-constant v.
+# the width to which a _Step refines a crossing
+CROSSING_TOL = 1e-12
 
-    Each piece is entered with the state and phase that the one before it
-    leaves at its end, so the walk needs no propagate_state.
+
+def refine_root(f, lo, hi, flo, fhi, tol):
+    """A root of f in (lo, hi), where flo = f(lo) < 0 < f(hi) = fhi, by ITP.
+
+    The ITP method (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with
+    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1 steps from the
+    regula-falsi point towards the midpoint, never farther from it than
+    keeps the bracket within one halving of bisection's schedule: at most
+    one evaluation more than bisection, far fewer on a smooth f.  A trial
+    point x replaces hi when f(x) > 0, otherwise lo, so the bracket keeps
+    f(lo) < 0 < f(hi).  An exact zero is returned as it is, else the
+    midpoint once the bracket is no wider than tol or no float lies
+    strictly between its ends.  Where f is continuous but for downward
+    jumps, the bracket closes on an upward crossing, a root.
     """
-    pts = _walk_points(v, state.x, x_stop)
-    for p, q in zip(pts, pts[1:]):
-        piece = _Piece(p, q, e, e - v(0.5 * (p + q)), state, phi)
+    kappa1 = 0.2 / (hi - lo)
+    n_max = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 1
+    # after step j the bracket is at most (tol - 2 ulp) * 2**(n_max - j - 1)
+    # + 2 ulp wide: bisection's schedule, less what the midpoint's rounding
+    # by up to an ulp of the ends can add on the halvings still to come
+    ulp = math.ulp(max(abs(lo), abs(hi)))
+    j = 0
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        r = max(0.0, math.ldexp(tol - 2.0 * ulp, n_max - j - 1) - 0.5 * (hi - lo))
+        xf = (lo * fhi - hi * flo) / (fhi - flo)
+        sigma = math.copysign(1.0, mid - xf)
+        delta = kappa1 * (hi - lo) ** 2
+        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
+        x = xt if abs(xt - mid) <= r else mid - sigma * r
+        if not lo < x < hi:
+            x = mid
+        fx = f(x)
+        if fx == 0.0:
+            return x
+        if fx > 0.0:
+            hi, fhi = x, fx
+        else:
+            lo, flo = x, fx
+        j += 1
+    return 0.5 * (lo + hi)
+
+
+class _Step:
+    """One sample interval [p, q] of a walk over a grid potential.
+
+    The walk enters it at p with the normalized state and lifted phase phi;
+    its end is propagated at once, and the lift there continued from phi.
+    """
+
+    __slots__ = ("p", "q", "v", "e", "step", "start", "phi", "end")
+
+    def __init__(self, v, p, q, e, step, state, phi):
+        self.p, self.q, self.v, self.e, self.step = p, q, v, e, step
+        self.start, self.phi = state, phi
+        end = _normalized(propagate_state(v, state, q, e, step))
+        self.end = end, _continue_lift(phi, math.atan2(end.u, end.du))
+
+    def at(self, x):
+        """The normalized state and lifted phase at x = q, the one point a walk reads a step at."""
+        return self.end
+
+    def rise(self, goal):
+        """The x in [p, q] at which the lift, below goal at p, first reaches it, or inf.
+
+        A crossing inside the step is refined to CROSSING_TOL on the lift of
+        the unnormalized state propagated from p.
+        """
+        lift = self.end[1]
+        if lift <= goal:
+            return self.q if lift == goal else math.inf
+
+        def f(x):
+            s = propagate_state(self.v, self.start, x, self.e, self.step)
+            return _continue_lift(self.phi, math.atan2(s.u, s.du)) - goal
+
+        return refine_root(f, self.p, self.q, self.phi - goal, lift - goal, CROSSING_TOL)
+
+
+def _pieces(v, state, phi, x_stop, e, step=DEFAULT_STEP, resolution=math.inf):
+    """The pieces of the walk from state.x to x_stop, each entered as the last one ends.
+
+    On a piecewise-constant v they are v's pieces (_Piece), and the walk
+    needs no propagate_state; on grids they are the _lift_samples equispaced
+    sample steps (_Step), the last one ending exactly on x_stop.
+    """
+    exact = v.is_piecewise_constant
+    if exact:
+        ends = _walk_points(v, state.x, x_stop)[1:]
+    else:
+        lo = state.x
+        n = _lift_samples(v, lo, x_stop, e, step, resolution)
+        ends = (min(lo + (x_stop - lo) * i / n, x_stop) for i in range(1, n + 1))
+    for q in ends:
+        p = state.x
+        piece = (_Piece(p, q, e, e - v(0.5 * (p + q)), state, phi) if exact
+                 else _Step(v, p, q, e, step, state, phi))
         yield piece
         state, phi = piece.at(q)
 
@@ -307,22 +398,6 @@ def _lift_samples(v, lo, hi, e, step, resolution=math.inf, name="resolution"):
     return max(1, math.ceil(need))
 
 
-def _lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
-    """Samples (x, normalized state, lifted phase) of the walk from state.x to x_stop.
-
-    The samples are equispaced, as many as _lift_samples gives before the
-    first propagation, and the last one sits exactly on x_stop.  Each is
-    propagated from the one before it.
-    """
-    lo = state.x
-    n = _lift_samples(v, lo, x_stop, e, step, resolution)
-    for i in range(1, n + 1):
-        x = min(lo + (x_stop - lo) * i / n, x_stop)
-        state = _normalized(propagate_state(v, state, x, e, step))
-        phi = _continue_lift(phi, math.atan2(state.u, state.du))
-        yield x, state, phi
-
-
 def check_resolution(problem: Problem, e: float, resolution: float, step: StepControl,
                      name: str = "resolution") -> float:
     """resolution, once it is positive and a trace at e takes at most step.max_steps samples."""
@@ -336,54 +411,55 @@ def prufer_trace(problem: Problem, e: float, resolution: float,
 
     The walk starts from problem.initial_state().  Samples at spacing <=
     resolution (refined further where the phase can turn fast); zeros of u
-    are the points where phi crosses a multiple of pi.  On grids each
-    sample is propagated from the one before.  On piecewise-constant
-    potentials a scalar walk finds each piece's start and the state at each
-    stop's last sample, and _Piece.at on lane pieces, in blocks of at most
-    transfer._BLOCK samples, gives every sample's phase in closed form from
-    the start of its piece.  At each site the trace records the x twice:
-    the jump's angular displacement is booked with the branch in (-pi/2, pi/2].
+    are the points where phi crosses a multiple of pi.  One walk of pieces
+    (_pieces) goes from stop to stop.  On grids each sample's phase is its
+    step's end; on piecewise-constant potentials _Piece.at on lane pieces,
+    in blocks of at most transfer._BLOCK samples, gives every phase in
+    closed form from the start of its piece.  At each site the trace records
+    the x twice: the jump's angular displacement is booked with the branch
+    in (-pi/2, pi/2].
     """
     check_resolution(problem, e, resolution, step)
     v = problem.potential
     state = _normalized(problem.initial_state())
     phi = math.atan2(state.u, state.du)
     out = [(state.x, phi)]
-    # piecewise-constant v: the walk's pieces, and where in out each stop's
-    # samples go, their positions and their pieces
+    exact = v.is_piecewise_constant
+    # the walk's pieces, and where in out each stop's samples go, their
+    # positions and their pieces
     pieces, runs = [], []
     stops = [(site.x, site.params) for site in problem.interactions]
     stops.append((problem.b, None))
     for x_stop, params in stops:
-        if v.is_piecewise_constant:
-            lo = state.x
-            n = _lift_samples(v, lo, x_stop, e, step, resolution)
-            xs = np.minimum(lo + (x_stop - lo) * np.arange(1, n + 1) / n, x_stop)
-            walk = list(_pieces(v, state, phi, x_stop, e))
-            # the first piece that ends at or after each sample
-            at = len(pieces) + np.searchsorted([pc.q for pc in walk], xs, side="left")
-            pieces += walk
-            runs.append((len(out), xs, at))
-            out += [None] * n
-            # the jump acts on the last sample's state, even an ulp short of the stop
-            state, phi = pieces[at[-1]].at(xs[-1].item())
-        else:
-            for x, state, phi in _lift_walk(v, state, phi, x_stop, e, step, resolution):
-                out.append((x, phi))
+        lo = state.x
+        n = _lift_samples(v, lo, x_stop, e, step, resolution)
+        xs = np.minimum(lo + (x_stop - lo) * np.arange(1, n + 1) / n, x_stop)
+        walk = list(_pieces(v, state, phi, x_stop, e, step, resolution))
+        # the first piece that ends at or after each sample; on grids the
+        # sample's own step, even where two samples round to one float
+        at = len(pieces) + (np.searchsorted([pc.q for pc in walk], xs, side="left") if exact
+                            else np.arange(n))
+        pieces += walk
+        runs.append((len(out), xs, at))
+        out += [None] * n
+        # the jump acts on the last sample's state, even an ulp short of the stop
+        state, phi = pieces[at[-1]].at(xs[-1].item())
         if params is not None:
             u, du = iwasawa_compose(params).apply((state.u, state.du))
             phi += _wrap_half_pi(math.atan2(u, du) - math.atan2(state.u, state.du))
             state = SolutionState(x_stop, u, du)
             out.append((x_stop, phi))
-    if runs:
-        xs, at = (np.concatenate([run[j] for run in runs]) for j in (1, 2))
+    xs, at = (np.concatenate([run[j] for run in runs]) for j in (1, 2))
+    if exact:
         # overflow and NaN are silent in lanes, as with Python floats, until at's check
         with np.errstate(over="ignore", invalid="ignore"):
             phases = iter(np.concatenate([
                 _Piece.lanes(pieces, at[i:i + _BLOCK]).at(xs[i:i + _BLOCK])[1]
                 for i in range(0, len(xs), _BLOCK)]).tolist())
-        for i, xs, _ in runs:
-            out[i:i + len(xs)] = zip(xs.tolist(), phases)
+    else:
+        phases = (pc.at(pc.q)[1] for pc in pieces)
+    for i, xs, _ in runs:
+        out[i:i + len(xs)] = zip(xs.tolist(), phases)
     return out
 
 

@@ -17,10 +17,10 @@ unperturbed eigenfunction, at the point where the solution's class equals
 (cos theta, -sin theta): every shear then maps that class to (1, 0) scaled by
 r, so the jump output cannot see the shear value at all.  Zeros and class
 points are the first upward crossings of the Pruefer lift through a goal
-angle plus k pi.  On piecewise-constant potentials each piece gives them in
-closed form (problem._Piece.rise), so a walk needs one propagate_state at
-most, to its start; on grids the lift is sampled by problem._lift_walk and
-each crossing refined by the scan's ITP routine spectra.refine_root.
+angle plus k pi, which each piece of the one walker, problem._pieces, gives
+(rise): in closed form on piecewise-constant potentials, so a walk needs
+one propagate_state at most, to its start, and on grids refined by the
+scan's ITP routine, problem.refine_root, between a step's two ends.
 """
 
 from __future__ import annotations
@@ -32,16 +32,9 @@ from itertools import islice
 import numpy as np
 
 from .fields import check_keys, is_integer, items, number, tagged, to_tagged
-from .problem import (
-    PointInteraction,
-    Problem,
-    _continue_lift,
-    _lift_walk,
-    _normalized,
-    _pieces,
-)
+from .problem import PointInteraction, Problem, _normalized, _pieces
 from .sl2 import InvalidDilation, IwasawaParams, NumericalFailure, ProjPoint, proj_class
-from .spectra import eigen_test, realized_mismatches, refine_root
+from .spectra import eigen_test, realized_mismatches
 from .transfer import DEFAULT_STEP, StepControl, propagate_state
 
 TARGETS = ("lambda", "r", "theta")
@@ -329,48 +322,16 @@ def monte_carlo(problem: Problem, e: float, ensemble: Ensemble, n_samples: int,
 
 # ------------------------------------------------------- oscillation machinery
 
-# the width to which eigenfunction zeros and class points are refined
-CROSSING_TOL = 1e-12
-
-
-def _sampled_rises(v, state, goal, x_stop, e, step):
-    """Each x in (state.x, x_stop] where the Pruefer lift rises through goal + k pi.
-
-    The lift starts at the phase of state, below goal.  Each crossing is
-    bracketed between two samples of _lift_walk (0.45 apart in lift at most)
-    and refined by refine_root on lift(x) - goal, each evaluation propagating
-    from the bracket's left sample.
-    """
-    xa, la = state.x, math.atan2(state.u, state.du)
-    for xb, sb, lb in _lift_walk(v, state, la, x_stop, e, step):
-        if lb >= goal:
-            def f(x, sa=state, la=la, goal=goal):
-                s = propagate_state(v, sa, x, e, step)
-                return _continue_lift(la, math.atan2(s.u, s.du)) - goal
-
-            yield xb if lb == goal else refine_root(f, xa, xb, la - goal, lb - goal,
-                                                    CROSSING_TOL)
-            goal += math.pi
-        xa, state, la = xb, sb, lb
-
-
-def _piece_rises(v, state, goal, x_stop, e):
-    """_sampled_rises's crossings over a piecewise-constant v, piece by piece in closed form."""
-    for piece in _pieces(v, state, math.atan2(state.u, state.du), x_stop, e):
-        while (t := piece.rise(goal)) <= piece.q - piece.p:
-            yield min(piece.p + t, piece.q)
-            goal += math.pi
-
-
 def _rises(v, state, goal, x_stop, e, step):
     """Where the lift first reaches goal, goal + pi, ... in turn, from state.x to x_stop.
 
-    The route follows the potential's kind: closed form on piecewise-constant
-    potentials, the sampled walk on grids.
+    The lift starts at the phase of state, below goal; each piece of the
+    walk (problem._pieces) gives the crossings on it in turn.
     """
-    if v.is_piecewise_constant:
-        return _piece_rises(v, state, goal, x_stop, e)
-    return _sampled_rises(v, state, goal, x_stop, e, step)
+    for piece in _pieces(v, state, math.atan2(state.u, state.du), x_stop, e, step):
+        while (x := piece.rise(goal)) < math.inf:
+            yield x
+            goal += math.pi
 
 
 def _interior_zeros(problem: Problem, e: float, step: StepControl):
@@ -395,8 +356,8 @@ def zeros_of_eigenfunction(problem: Problem, e: float,
     Zeros are where the Pruefer lift rises through a multiple of pi (at a
     zero it moves at unit speed, so it never falls back through one).  On
     piecewise-constant potentials each piece gives its zeros in closed form;
-    on grids the sampled lift walk brackets them and refine_root refines
-    them to CROSSING_TOL.  More than step.max_steps zeros is a ValueError,
+    on grids each sample step brackets them and refine_root refines them to
+    CROSSING_TOL.  More than step.max_steps zeros is a ValueError,
     as a walk of more samples is.
     """
     zeros = list(islice(_interior_zeros(problem, e, step), step.max_steps + 1))
@@ -413,7 +374,7 @@ def find_class_point(problem: Problem, e: float, t1: float, t2: float,
     attained; this is the first rise of the lift through the target's angle.
     The walk propagates once, to t1; on piecewise-constant potentials the
     rise then comes in closed form, piece by piece, and on grids from the
-    sampled lift walk, refined to CROSSING_TOL.
+    sample steps, refined to CROSSING_TOL.
     """
     if problem.interactions:
         raise ValueError("class points are located on the interaction-free problem")

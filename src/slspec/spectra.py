@@ -7,8 +7,8 @@ carries the raw angular mismatch for consumers to re-threshold.
 
 The eigenvalue scan evaluates its grid energies as one batch of lanes (see
 transfer), each equal bit for bit to that energy alone; the ITP root
-refinement (refine_root, also used on lift crossings by slspec.random) and
-the reports run one energy at a time.  The lifted end angle rises strictly
+refinement (problem.refine_root, which also refines the lift crossings
+of grid walks) and the reports run one energy at a time.  The lifted end angle rises strictly
 with E (d theta_b / dE is the integral of u^2 / rho^2), and no jump, being
 unimodular and independent of E, stops it rising: the oscillation-theorem
 argument of SLEIGN2.  So the signed mismatch rises except where it wraps
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import Problem, _wrap_half_pi, propagate_through
+from .problem import Problem, _wrap_half_pi, propagate_through, refine_root
 from .sl2 import (InvalidDilation, Mat2, NumericalFailure, ProjPoint, _compose,
                   _reduced_angle, iwasawa_compose, proj_class, r_fixed_classes)
 from .transfer import DEFAULT_STEP, StepControl, _mapped, transfer_matrix
@@ -160,50 +160,6 @@ def realized_mismatches(problem: Problem, e: float, field: str, columns,
     with np.errstate(over="ignore", invalid="ignore"):
         final = propagate_through(problem, e, step, jumps).final
         return _mismatches(problem, final.u, final.du)
-
-
-def refine_root(f, lo, hi, flo, fhi, tol):
-    """A root of f in (lo, hi), where flo = f(lo) < 0 < f(hi) = fhi, by ITP.
-
-    The ITP method (Oliveira and Takahashi, ACM TOMS 47(1), 2020) with
-    kappa1 = 0.2 / (hi - lo), kappa2 = 2 and n0 = 1 steps from the
-    regula-falsi point towards the midpoint, never farther from it than
-    keeps the bracket within one halving of bisection's schedule: at most
-    one evaluation more than bisection, far fewer on a smooth f.  A trial
-    point x replaces hi when f(x) > 0, otherwise lo, so the bracket keeps
-    f(lo) < 0 < f(hi).  An exact zero is returned as it is, else the
-    midpoint once the bracket is no wider than tol or no float lies
-    strictly between its ends.  Where f is continuous but for downward
-    jumps, the bracket closes on an upward crossing, a root.
-    """
-    kappa1 = 0.2 / (hi - lo)
-    n_max = max(0, math.ceil(math.log2(hi - lo) - math.log2(tol))) + 1
-    # after step j the bracket is at most (tol - 2 ulp) * 2**(n_max - j - 1)
-    # + 2 ulp wide: bisection's schedule, less what the midpoint's rounding
-    # by up to an ulp of the ends can add on the halvings still to come
-    ulp = math.ulp(max(abs(lo), abs(hi)))
-    j = 0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if not lo < mid < hi:
-            break
-        r = max(0.0, math.ldexp(tol - 2.0 * ulp, n_max - j - 1) - 0.5 * (hi - lo))
-        xf = (lo * fhi - hi * flo) / (fhi - flo)
-        sigma = math.copysign(1.0, mid - xf)
-        delta = kappa1 * (hi - lo) ** 2
-        xt = xf + sigma * delta if delta <= abs(mid - xf) else mid
-        x = xt if abs(xt - mid) <= r else mid - sigma * r
-        if not lo < x < hi:
-            x = mid
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx > 0.0:
-            hi, fhi = x, fx
-        else:
-            lo, flo = x, fx
-        j += 1
-    return 0.5 * (lo + hi)
 
 
 def _lifted(m, m0, t):

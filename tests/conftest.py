@@ -7,7 +7,9 @@ check the scan against it through the fixtures below.  Likewise the trace
 of a piecewise-constant problem, whose phases come from one array pass, is
 checked against the walk that called _Piece.at once per sample, and the
 dichotomy re-tests, which classify_sites takes from its site maps, against
-a walk of each re-test group (spectra.realized_mismatches).
+a walk of each re-test group (spectra.realized_mismatches).  The grid walk
+of problem._pieces, one _Step per sample interval, is checked against the
+sample-by-sample lift walk and its bracket refinement that it replaced.
 """
 
 import math
@@ -18,11 +20,12 @@ import numpy as np
 import pytest
 
 import slspec.spectra
-from slspec.problem import _lift_samples, _normalized, _pieces, _wrap_half_pi
+from slspec.problem import (CROSSING_TOL, _continue_lift, _lift_samples, _normalized, _pieces,
+                            _wrap_half_pi, refine_root)
 from slspec.sl2 import iwasawa_compose
 from slspec.spectra import (PARAMETERS, _retest_values, boundary_mismatch, classify_sites,
                             eigen_test, eigenvalues_in_range, realized_mismatches)
-from slspec.transfer import DEFAULT_STEP, SolutionState
+from slspec.transfer import DEFAULT_STEP, SolutionState, propagate_state
 
 
 def grid_energies(e_lo, e_hi, grid):
@@ -140,29 +143,18 @@ def counted_scan():
     return scan_by_cell
 
 
-def scalar_piece_trace(problem, e, resolution, step=DEFAULT_STEP):
-    """prufer_trace on a piecewise-constant potential, one _Piece.at call per sample.
+def _trace_by_stops(problem, walk):
+    """prufer_trace with each stop's samples from walk(state, phi, x_stop) as (x, state, phi).
 
-    Each sample is evaluated on the first piece that ends at or after it,
-    the pieces taken in turn as the walk reaches them, and each jump acts on
-    the state of the last sample before its site.
+    Each jump acts on the state of the last sample before its site.
     """
-    v = problem.potential
     state = _normalized(problem.initial_state())
     phi = math.atan2(state.u, state.du)
     out = [(state.x, phi)]
     stops = [(site.x, site.params) for site in problem.interactions]
     stops.append((problem.b, None))
     for x_stop, params in stops:
-        lo = state.x
-        n = _lift_samples(v, lo, x_stop, e, step, resolution)
-        pieces = _pieces(v, state, phi, x_stop, e)
-        piece = next(pieces)
-        for i in range(1, n + 1):
-            x = min(lo + (x_stop - lo) * i / n, x_stop)
-            while x > piece.q:
-                piece = next(pieces)
-            state, phi = piece.at(x)
+        for x, state, phi in walk(state, phi, x_stop):
             out.append((x, phi))
         if params is not None:
             u, du = iwasawa_compose(params).apply((state.u, state.du))
@@ -172,10 +164,89 @@ def scalar_piece_trace(problem, e, resolution, step=DEFAULT_STEP):
     return out
 
 
+def scalar_piece_trace(problem, e, resolution, step=DEFAULT_STEP):
+    """prufer_trace on a piecewise-constant potential, one _Piece.at call per sample.
+
+    Each sample is evaluated on the first piece that ends at or after it,
+    the pieces taken in turn as the walk reaches them.
+    """
+    v = problem.potential
+
+    def walk(state, phi, x_stop):
+        lo = state.x
+        n = _lift_samples(v, lo, x_stop, e, step, resolution)
+        pieces = _pieces(v, state, phi, x_stop, e)
+        piece = next(pieces)
+        for i in range(1, n + 1):
+            x = min(lo + (x_stop - lo) * i / n, x_stop)
+            while x > piece.q:
+                piece = next(pieces)
+            yield (x, *piece.at(x))
+
+    return _trace_by_stops(problem, walk)
+
+
 @pytest.fixture(scope="session")
 def piece_trace_reference():
     """scalar_piece_trace: the trace with one _Piece.at call per sample."""
     return scalar_piece_trace
+
+
+def lift_walk(v, state, phi, x_stop, e, step, resolution=math.inf):
+    """Samples (x, normalized state, lifted phase) of the walk from state.x to x_stop.
+
+    The samples are equispaced, as many as _lift_samples gives before the
+    first propagation, and the last one sits exactly on x_stop.  Each is
+    propagated from the one before it.
+    """
+    lo = state.x
+    n = _lift_samples(v, lo, x_stop, e, step, resolution)
+    for i in range(1, n + 1):
+        x = min(lo + (x_stop - lo) * i / n, x_stop)
+        state = _normalized(propagate_state(v, state, x, e, step))
+        phi = _continue_lift(phi, math.atan2(state.u, state.du))
+        yield x, state, phi
+
+
+def sampled_rises(v, state, goal, x_stop, e, step):
+    """Each x in (state.x, x_stop] where the Pruefer lift rises through goal + k pi.
+
+    The lift starts at the phase of state, below goal.  Each crossing is
+    bracketed between two samples of lift_walk (0.45 apart in lift at most)
+    and refined by refine_root on lift(x) - goal, each evaluation propagating
+    from the bracket's left sample.
+    """
+    xa, la = state.x, math.atan2(state.u, state.du)
+    for xb, sb, lb in lift_walk(v, state, la, x_stop, e, step):
+        if lb >= goal:
+            def f(x, sa=state, la=la, goal=goal):
+                s = propagate_state(v, sa, x, e, step)
+                return _continue_lift(la, math.atan2(s.u, s.du)) - goal
+
+            yield xb if lb == goal else refine_root(f, xa, xb, la - goal, lb - goal,
+                                                    CROSSING_TOL)
+            goal += math.pi
+        xa, state, la = xb, sb, lb
+
+
+def sampled_trace(problem, e, resolution, step=DEFAULT_STEP):
+    """prufer_trace with every sample propagated from the one before it (lift_walk)."""
+    def walk(state, phi, x_stop):
+        return lift_walk(problem.potential, state, phi, x_stop, e, step, resolution)
+
+    return _trace_by_stops(problem, walk)
+
+
+@pytest.fixture(scope="session")
+def sampled_rises_reference():
+    """sampled_rises: the lift crossings of the sample-by-sample walk, refined by ITP."""
+    return sampled_rises
+
+
+@pytest.fixture(scope="session")
+def sampled_trace_reference():
+    """sampled_trace: the trace of the sample-by-sample walk."""
+    return sampled_trace
 
 
 def mapped_and_walked_retests(problem, e, step=DEFAULT_STEP):

@@ -20,6 +20,7 @@ import slspec.cli
 from slspec.cli import main
 from slspec.problem import problem_from_json
 from slspec.spectra import eigen_test
+from slspec.transfer import DEFAULT_STEP
 
 PI = math.pi
 
@@ -328,6 +329,21 @@ def test_montecarlo_one_bin_exits_2(tmp_path, capsys):
     assert run("--quiet", "--config", write_config(tmp_path, cfg), "montecarlo") == 2
     assert capsys.readouterr().err == "error: montecarlo.bins must be an integer >= 2\n"
     assert not (tmp_path / "mc.json").exists()
+
+
+@pytest.mark.parametrize("bins", [DEFAULT_STEP.max_steps + 1, 10**15])
+def test_montecarlo_bins_above_step_budget_exit_2_before_any_sample(tmp_path, capsys, bins,
+                                                                    monkeypatch):
+    # the histogram's edges would be allocated after every sample ran
+    monkeypatch.setattr(slspec.cli, "mismatch_samples",
+                        lambda *args, **kwargs: pytest.fail("a sample was drawn"))
+    cfg = montecarlo_config(tmp_path, samples=8)
+    cfg["montecarlo"]["bins"] = bins
+    assert run("--quiet", "--config", write_config(tmp_path, cfg), "montecarlo") == 2
+    assert capsys.readouterr().err == (
+        f"error: montecarlo.bins = {bins} is more than step.max_steps = "
+        f"{DEFAULT_STEP.max_steps}\n")
+    assert not list(tmp_path.glob("mc*"))
 
 
 def test_montecarlo_two_bins_count_every_sample(tmp_path):

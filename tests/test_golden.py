@@ -56,9 +56,8 @@ import math
 
 import pytest
 
-from slspec.problem import PointInteraction, Problem, prufer_trace
+from slspec.problem import CROSSING_TOL, PointInteraction, Problem, prufer_trace
 from slspec.random import (
-    CROSSING_TOL,
     Ensemble,
     Gaussian,
     PointMass,

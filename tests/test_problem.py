@@ -420,7 +420,9 @@ def test_zero_data_normalizes_to_itself():
 
 @pytest.mark.parametrize("w", [-4.0, 0.0])
 def test_forbidden_piece_rises_at_once_to_a_goal_it_sits_on(w):
-    # the lift at p is 0, at the goal's class: it reaches the goal at p
-    piece = _Piece(0.0, 1.0, 1.0, w, SolutionState(0.0, 0.0, 1.0), 0.0)
-    assert piece.rise(0.0) == 0.0
-    assert piece.rise(-0.5) == 0.0
+    # the lift at p is 0, at the goal's class: it reaches the goal at p,
+    # and rise gives that position, not the offset 0 from p
+    for p in (0.0, 0.7):
+        piece = _Piece(p, p + 1.0, 1.0, w, SolutionState(p, 0.0, 1.0), 0.0)
+        assert piece.rise(0.0) == p
+        assert piece.rise(-0.5) == p

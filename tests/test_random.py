@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -11,9 +12,8 @@ from hypothesis import strategies as st
 
 import slspec.problem
 import slspec.random
-from slspec.problem import PointInteraction, Problem, _normalized, prufer_trace
+from slspec.problem import CROSSING_TOL, PointInteraction, Problem, _normalized, prufer_trace
 from slspec.random import (
-    CROSSING_TOL,
     DISTRIBUTION_KINDS,
     Ensemble,
     Gaussian,
@@ -41,6 +41,7 @@ from slspec.spectra import eigen_test, eigenvalues_in_range
 from slspec.transfer import (
     DEFAULT_STEP,
     ConstantPotential,
+    GridPotential,
     PiecewisePotential,
     StepControl,
     propagate_state,
@@ -438,13 +439,13 @@ def piece_cases(draw):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(piece_cases())
-def test_closed_form_crossings_match_the_sampled_walk(case):
+def test_closed_form_crossings_match_the_sampled_walk(sampled_rises_reference, case):
     problem, e, psi = case
     v, b = problem.potential, problem.b
     state = _normalized(problem.initial_state())
     first = math.pi * (math.floor(math.atan2(state.u, state.du) / math.pi) + 1)
-    exact = list(slspec.random._piece_rises(v, state, first, b, e))
-    sampled = list(slspec.random._sampled_rises(v, state, first, b, e, DEFAULT_STEP))
+    exact = list(slspec.random._rises(v, state, first, b, e, DEFAULT_STEP))
+    sampled = list(sampled_rises_reference(v, state, first, b, e, DEFAULT_STEP))
     # a zero within reach of b may fall on either side of it
     assume(all(b - x > 1e-9 for x in exact + sampled))
     assert len(exact) == len(sampled)
@@ -457,8 +458,8 @@ def test_closed_form_crossings_match_the_sampled_walk(case):
         base = math.pi * round(phi1 / math.pi)
         goal = base + (psi - base) % math.pi
         assume(goal > phi1)
-        x = next(slspec.random._piece_rises(v, s1, goal, t2, e))
-        y = next(slspec.random._sampled_rises(v, s1, goal, t2, e, DEFAULT_STEP))
+        x = next(slspec.random._rises(v, s1, goal, t2, e, DEFAULT_STEP))
+        y = next(sampled_rises_reference(v, s1, goal, t2, e, DEFAULT_STEP))
         speed = math.cos(psi) ** 2 + (e - v(x)) * math.sin(psi) ** 2
         tol = CROSSING_TOL + PHASE_ALLOWANCE / abs(speed)
         assert x <= y + tol
@@ -467,6 +468,65 @@ def test_closed_form_crossings_match_the_sampled_walk(case):
             # below E, between two samples of the walk, which missed it
             s = propagate_state(v, s1, x, e)
             assert proj_class(s.u, s.du).distance(ProjPoint(psi)) < 1e-9
+
+
+@st.composite
+def grid_walk_cases(draw):
+    """A jump-free grid problem, a copy with 0 to 3 sites, an energy, a resolution, a class."""
+    b = draw(st.floats(1.5, 3.0))
+    n = draw(st.integers(2, 10))
+    nodes = (*(b * i / (n - 1) for i in range(n - 1)), b)
+    values = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    base = Problem(0.0, b, GridPotential(nodes, tuple(values)), (),
+                   ProjPoint(draw(st.floats(0.0, 3.1))), DIRICHLET)
+    k = draw(st.integers(0, 3))
+    xs = sorted({b * f for f in draw(st.lists(st.floats(0.05, 0.95), min_size=k, max_size=k))})
+    sites = tuple(PointInteraction(x, IwasawaParams(draw(st.floats(-2.0, 2.0)),
+                                                    draw(st.floats(0.5, 2.0)),
+                                                    draw(st.floats(0.0, 2 * PI))))
+                  for x in xs)
+    return (base, replace(base, interactions=sites), draw(st.floats(5.0, 40.0)),
+            draw(st.floats(0.02, 0.5)), ProjPoint(draw(st.floats(0.01, 3.13))))
+
+
+def _hexes(xs):
+    return [x.hex() for x in xs]
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(grid_walk_cases())
+def test_grid_walk_has_the_bits_of_the_sampled_walk(sampled_trace_reference,
+                                                    sampled_rises_reference, case):
+    base, problem, e, resolution, target = case
+    trace = prufer_trace(problem, e, resolution)
+    want = sampled_trace_reference(problem, e, resolution)
+    assert [_hexes(pair) for pair in trace] == [_hexes(pair) for pair in want]
+
+    def crossings():
+        zeros = zeros_of_eigenfunction(base, e)
+        return zeros, [find_class_point(base, e, t1, t2, target)
+                       for t1, t2 in zip(zeros, zeros[1:])]
+
+    zeros, points = crossings()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(slspec.random, "_rises", sampled_rises_reference)
+        want_zeros, want_points = crossings()
+    assert _hexes(zeros) == _hexes(want_zeros)
+    assert _hexes(points) == _hexes(want_points)
+
+
+def test_grid_trace_keeps_each_step_where_samples_round_to_one_float(sampled_trace_reference):
+    # near 1e10 floats are 1.9e-6 apart and the samples 9e-7 apart, so
+    # samples share floats, the last two before the site among them; each
+    # still takes its own step's end, and the jump acts on the last step's
+    a = 1e10
+    site = PointInteraction(a + 3.5e-5, IwasawaParams(0.5, 1.5, 1.0))
+    problem = Problem(a, a + 1e-4, GridPotential((a, a + 1e-4), (0.0, 3.0)), (site,),
+                      ProjPoint(2.0), DIRICHLET)
+    trace = prufer_trace(problem, 5e5, 1.0)
+    assert len({x for x, _ in trace}) < len(trace) // 2
+    want = sampled_trace_reference(problem, 5e5, 1.0)
+    assert [_hexes(pair) for pair in trace] == [_hexes(pair) for pair in want]
 
 
 def test_construct_degenerate_propagates_a_handful_of_times(monkeypatch):
